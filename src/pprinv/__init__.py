@@ -21,7 +21,7 @@ from .graph import (
     serialize_edge_list,
     transition_matrix,
 )
-from .linalg import SvdResult, load_matrix, matmul, pseudoinverse, randomized_svd, save_matrix
+from .linalg import SvdResult, load_matrix, pseudoinverse, randomized_svd, save_matrix
 from .metrics import (
     RecoveryReport,
     recovery_report,

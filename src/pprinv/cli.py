@@ -1,17 +1,14 @@
 """Command-line front end: embed, invert, evaluate, sweep.
 
-All commands are deterministic for fixed flags and seed. PPREI_THREADS caps
-sweep worker parallelism (default 1).
+All commands are deterministic for fixed flags and seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import logging
-import os
 import sys
 import time
 from pathlib import Path
@@ -234,8 +231,7 @@ def cmd_sweep(args) -> int:
     if not dims:
         raise ValueError("dims list must be nonempty")
     presets = [p.strip() for p in args.presets.split(",") if p.strip()]
-    workers = max(1, int(os.environ.get("PPREI_THREADS", "1")))
-    cells = []
+    results = []
     for preset_name in presets:
         preset_args = argparse.Namespace(**vars(args))
         preset_args.preset = preset_name
@@ -243,24 +239,14 @@ def cmd_sweep(args) -> int:
         # Proximity is dimension-independent: build once per preset.
         m = prox.build_proximity(g, cfg)
         for dim in dims:
-            cells.append((preset_name, dim, m))
-
-    def run(cell):
-        preset_name, dim, m = cell
-        try:
-            row = _sweep_cell(g, labels, m, args, dim)
-        except Exception as exc:  # cell failures must not kill the sweep
-            row = {
-                "err_A": "", "err_l": "", "err_phi_avg": "", "final_loss": "",
-                "status": f"error: {exc}",
-            }
-        return preset_name, dim, row
-
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, cells))
-    else:
-        results = [run(cell) for cell in cells]
+            try:
+                row = _sweep_cell(g, labels, m, args, dim)
+            except Exception as exc:  # cell failures must not kill the sweep
+                row = {
+                    "err_A": "", "err_l": "", "err_phi_avg": "", "final_loss": "",
+                    "status": f"error: {exc}",
+                }
+            results.append((preset_name, dim, row))
     results.sort(key=lambda item: (item[0], item[1]))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

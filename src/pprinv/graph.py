@@ -70,10 +70,12 @@ class Graph:
 
     def adjacency(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (float64)."""
-        a = np.zeros((self.n, self.n))
-        for u in range(self.n):
-            a[u, self.neighbors(u)] = 1.0
-        return a
+        return self._csr(np.ones(self.volume)).toarray()
+
+    def _csr(self, data: np.ndarray) -> csr_matrix:
+        """Sparse n x n matrix on the edge pattern; data[k] is the value of
+        the entry at indices[k]."""
+        return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     @classmethod
     def from_edges(
@@ -240,16 +242,19 @@ def parse_labels(text, g: Graph) -> CommunityAssignment:
     )
 
 
-def transition_matrix(g: Graph) -> np.ndarray:
-    """Row-stochastic random-walk matrix: uniform 1/deg(u) over u's neighbors."""
+def _walk_operator(g: Graph) -> csr_matrix:
+    """Row-stochastic random-walk matrix in CSR form: uniform 1/deg(u) over
+    u's neighbors."""
     deg = g.degrees
     if np.any(deg == 0):
         u = int(np.flatnonzero(deg == 0)[0])
         raise ValueError(f"node {u} is isolated; transition matrix undefined")
-    p = np.zeros((g.n, g.n))
-    for u in range(g.n):
-        p[u, g.neighbors(u)] = 1.0 / deg[u]
-    return p
+    return g._csr(np.repeat(1.0 / deg, deg))
+
+
+def transition_matrix(g: Graph) -> np.ndarray:
+    """Row-stochastic random-walk matrix: uniform 1/deg(u) over u's neighbors."""
+    return _walk_operator(g).toarray()
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
@@ -258,8 +263,7 @@ def all_pairs_distances(g: Graph) -> np.ndarray:
         d = np.full((g.n, g.n), np.inf)
         np.fill_diagonal(d, 0.0)
         return d
-    data = np.ones(g.indices.size)
-    adj = csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n))
+    adj = g._csr(np.ones(g.volume))
     return shortest_path(adj, method="D", directed=False, unweighted=True)
 
 

@@ -1,5 +1,5 @@
-"""Dense-matrix kernels: multiply, randomized truncated SVD, symmetric
-pseudoinverse, and the binary/CSV matrix file formats.
+"""Dense-matrix kernels: randomized truncated SVD, symmetric pseudoinverse,
+and the binary/CSV matrix file formats.
 
 Everything works on float64 numpy arrays. The randomized SVD follows the
 standard Gaussian range-finder recipe (oversampling 10, two QR-stabilized
@@ -27,16 +27,6 @@ class SvdResult:
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D matrices")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def randomized_svd(

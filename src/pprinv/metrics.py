@@ -90,18 +90,23 @@ def average_path_length(g: Graph) -> tuple[float, int]:
     return float(dist[iu][finite].mean()), count
 
 
+def _path_length_error(g: Graph, g_hat: Graph) -> tuple[float, int, int]:
+    """Relative path-length error with both connected-pair counts; the error
+    is 1 when the recovered graph has no connected pair."""
+    l_orig, pairs_orig = average_path_length(g)
+    if pairs_orig == 0:
+        raise ValueError("original graph has no connected pair")
+    l_rec, pairs_rec = average_path_length(g_hat)
+    err = abs(l_orig - l_rec) / l_orig if pairs_rec else 1.0
+    return err, pairs_orig, pairs_rec
+
+
 def relative_path_length_error(g: Graph, g_hat: Graph) -> float:
     """|l(G) - l(G_hat)| / l(G), each graph averaged over its own connected
     pairs."""
     if g.n != g_hat.n:
         raise ValueError(f"node counts differ: {g.n} vs {g_hat.n}")
-    l_orig, pairs_orig = average_path_length(g)
-    if pairs_orig == 0 or l_orig == 0.0:
-        raise ValueError("original graph has no connected pair")
-    l_rec, pairs_rec = average_path_length(g_hat)
-    if pairs_rec == 0:
-        return 1.0
-    return abs(l_orig - l_rec) / l_orig
+    return _path_length_error(g, g_hat)[0]
 
 
 def relative_conductance_error(g: Graph, g_hat: Graph, s) -> float:
@@ -126,11 +131,7 @@ def recovery_report(
     conductance section entirely.
     """
     err_a = relative_frobenius_error(g, g_hat)
-    l_orig, pairs_orig = average_path_length(g)
-    if pairs_orig == 0:
-        raise ValueError("original graph has no connected pair")
-    l_rec, pairs_rec = average_path_length(g_hat)
-    err_l = abs(l_orig - l_rec) / l_orig if pairs_rec else 1.0
+    err_l, pairs_orig, pairs_rec = _path_length_error(g, g_hat)
     per_community: list[CommunityError] = []
     if labels is not None:
         for label, members in labels.top(TOP_COMMUNITIES):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .analytical import binarize
 from .graph import Graph
+from .proximity import ProximityConfig, _walk_partials, hop_coefficients
 
 _ROW_SUM_FLOOR = 1e-12
 
@@ -97,7 +98,8 @@ def volume_shift(logits: np.ndarray, target_volume: float, newton_iters: int) ->
     The map s -> sum(B) is strictly increasing with derivative
     sum(B * (1 - B)). When the logits saturate the derivative collapses and a
     raw Newton step can overshoot by orders of magnitude, so steps that leave
-    the bracketing interval fall back to bisection.
+    the bracketing interval fall back to bisection. Logits so saturated that
+    no |s| <= 1e9 brackets the target raise ValueError.
     """
     n = logits.shape[0]
     capacity = n * (n - 1)
@@ -115,15 +117,15 @@ def volume_shift(logits: np.ndarray, target_volume: float, newton_iters: int) ->
     if t0 < target_volume:
         hi = 1.0
         while total(hi) < target_volume:
-            lo, hi = hi, hi * 2.0
             if hi > 1e9:
-                break
+                raise ValueError(f"target volume {target_volume} infeasible for s <= 1e9")
+            lo, hi = hi, hi * 2.0
     elif t0 > target_volume:
         lo = -1.0
         while total(lo) > target_volume:
-            lo, hi = lo * 2.0, lo
             if lo < -1e9:
-                break
+                raise ValueError(f"target volume {target_volume} infeasible for s >= -1e9")
+            lo, hi = lo * 2.0, lo
     else:
         return 0.0
 
@@ -157,25 +159,18 @@ class _ForwardTrace:
     unclamped: np.ndarray
 
 
-def _hop_weights(alpha: float, k_horizon: int) -> np.ndarray:
-    return alpha * (1.0 - alpha) ** np.arange(k_horizon + 1)
-
-
 def _forward(b_soft: np.ndarray, alpha: float, epsilon: float, k_horizon: int) -> _ForwardTrace:
     row_sums = b_soft.sum(axis=1)
     if np.any(row_sums <= 0.0):
         raise ValueError("soft adjacency has an all-zero row")
     row_sums = np.maximum(row_sums, _ROW_SUM_FLOOR)
     t = b_soft / row_sums[:, None]
-    coeffs = _hop_weights(alpha, k_horizon)
-    n = b_soft.shape[0]
-    eye = np.eye(n)
-    horner = [None] * (k_horizon + 1)
-    h = coeffs[k_horizon] * eye
-    horner[k_horizon] = h
-    for i in range(k_horizon - 1, -1, -1):
-        h = coeffs[i] * eye + t @ h
-        horner[i] = h
+    coeffs = hop_coefficients(
+        ProximityConfig.constant_alpha(
+            alpha, b=1.0, k_horizon=k_horizon, epsilon=epsilon
+        )
+    )
+    horner = list(_walk_partials(t, coeffs))[::-1]
     s_mat = horner[0] / epsilon
     unclamped = s_mat > 1.0
     m_hat = np.zeros_like(s_mat)

@@ -8,13 +8,13 @@ reproduce the proximity matrices of the published factorization methods.
 
 from __future__ import annotations
 
+import collections
 import enum
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, transition_matrix
+from .graph import Graph, _read_lines, _walk_operator
 
 # Entries at or below this before a log activation are emitted as 0 rather
 # than -inf; the outer max{0, .} would zero any such entry anyway.
@@ -110,18 +110,34 @@ def hop_coefficients(cfg: ProximityConfig) -> np.ndarray:
     return coeffs
 
 
+def _walk_partials(p, coeffs: np.ndarray):
+    """Horner partials H_i = sum_{j>=i} c_j p^{j-i}, yielded for i = L..0.
+
+    p is a square walk operator, a dense array or a scipy CSR matrix; each
+    step is one product p @ H_{i+1}, which is dense either way. The last
+    partial H_0 is the walk sum sum_i c_i p^i. L is the last hop whose
+    coefficient is a normal float.
+    """
+    n = p.shape[0]
+    diag = np.diag_indices(n)
+    # A subnormal c_i adds less than 2^-1022 to an entry of a stochastic walk
+    # sum, below LOG_FLOOR; starting Horner there would push subnormals
+    # through every product, which is several times slower.
+    normal = np.flatnonzero(coeffs >= np.finfo(np.float64).tiny)
+    last = normal[-1] if normal.size else 0
+    h = np.zeros((n, n))
+    h[diag] = coeffs[last]
+    yield h
+    for i in range(last - 1, -1, -1):
+        h = p @ h
+        h[diag] += coeffs[i]
+        yield h
+
+
 def truncated_ppr(g: Graph, cfg: ProximityConfig) -> np.ndarray:
-    """Sum of c_i * P^i for i in [k_start, K], built by iterated Q <- Q @ P."""
-    p = transition_matrix(g)
-    coeffs = hop_coefficients(cfg)
-    acc = np.zeros_like(p)
-    q = np.eye(g.n)
-    for i, c in enumerate(coeffs):
-        if i > 0:
-            q = q @ p
-        if c != 0.0:
-            acc += c * q
-    return acc
+    """Sum of c_i * P^i for i in [k_start, K] over the CSR walk operator."""
+    partials = _walk_partials(_walk_operator(g), hop_coefficients(cfg))
+    return collections.deque(partials, maxlen=1).pop()
 
 
 def _apply_activation(scaled: np.ndarray, activation: str) -> np.ndarray:
@@ -137,6 +153,19 @@ def _apply_activation(scaled: np.ndarray, activation: str) -> np.ndarray:
     return np.maximum(scaled / norms, 0.0)
 
 
+def _scaled_walk(g: Graph, cfg: ProximityConfig) -> np.ndarray:
+    """(b/(epsilon*K)) * D^beta (sum_i c_i P^i) D^gamma, before activation."""
+    if cfg.k_horizon < 1:
+        raise ValueError("proximity scalar b/(epsilon*K) requires k_horizon >= 1")
+    core = truncated_ppr(g, cfg)
+    deg = g.degrees.astype(np.float64)
+    if cfg.beta != 0.0:
+        core = deg[:, None] ** cfg.beta * core
+    if cfg.gamma != 0.0:
+        core = core * deg[None, :] ** cfg.gamma
+    return (cfg.b / (cfg.epsilon * cfg.k_horizon)) * core
+
+
 def build_proximity(g: Graph, cfg: ProximityConfig) -> np.ndarray:
     """Evaluate the full proximity pipeline for one configuration.
 
@@ -146,16 +175,7 @@ def build_proximity(g: Graph, cfg: ProximityConfig) -> np.ndarray:
     activation when selected. Entries that are exactly zero before a log
     map to 0 (the clamp would zero them regardless), never to -inf.
     """
-    if cfg.k_horizon < 1:
-        raise ValueError("proximity scalar b/(epsilon*K) requires k_horizon >= 1")
-    core = truncated_ppr(g, cfg)
-    deg = g.degrees.astype(np.float64)
-    if cfg.beta != 0.0:
-        core = deg[:, None] ** cfg.beta * core
-    if cfg.gamma != 0.0:
-        core = core * deg[None, :] ** cfg.gamma
-    scaled = (cfg.b / (cfg.epsilon * cfg.k_horizon)) * core
-    return _apply_activation(scaled, cfg.activation)
+    return _apply_activation(_scaled_walk(g, cfg), cfg.activation)
 
 
 def deepwalk_log_proximity(g: Graph, alpha: float, k_horizon: int) -> np.ndarray:
@@ -169,18 +189,10 @@ def deepwalk_log_proximity(g: Graph, alpha: float, k_horizon: int) -> np.ndarray
         raise ValueError("alpha must lie in (0, 1)")
     if k_horizon < 1:
         raise ValueError("k_horizon must be >= 1")
-    p = transition_matrix(g)
-    deg = g.degrees.astype(np.float64)
-    acc = np.zeros_like(p)
-    q = np.eye(g.n)
-    c = alpha
-    for _ in range(k_horizon):
-        c *= 1.0 - alpha
-        if c == 0.0:
-            break
-        q = q @ p
-        acc += c * q
-    inner = (g.volume / ((1.0 - alpha) * k_horizon)) * (acc / deg[None, :])
+    cfg = preset_config(
+        Preset.DEEPWALK, alpha=alpha, k_horizon=k_horizon, volume=g.volume
+    )
+    inner = _scaled_walk(g, cfg)
     if np.any(inner <= 0.0):
         raise ValueError(
             "walk sum has non-positive entries; graph must connect every "
@@ -262,13 +274,7 @@ def preset_config(
 
 def parse_alpha_schedule(text, k_horizon: int) -> tuple[float, ...]:
     """Read one stopping probability per line; must supply K+1 values."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    elif isinstance(text, io.IOBase) or hasattr(text, "read"):
-        text = text.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    values = [float(line) for line in text.splitlines() if line.strip()]
+    values = [float(line) for line in _read_lines(text) if line.strip()]
     if len(values) != k_horizon + 1:
         raise ValueError(
             f"alpha schedule has {len(values)} entries, need {k_horizon + 1}"

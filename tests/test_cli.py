@@ -266,13 +266,6 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert {r["preset"] for r in rows} == {"strap", "deepwalk"}
 
-    def test_parallel_matches_serial(self, small_graph, tmp_path, monkeypatch):
-        _, path = small_graph
-        serial = self.sweep(tmp_path, path, ["--dims", "4,6", "--epochs", "10"])
-        monkeypatch.setenv("PPREI_THREADS", "2")
-        parallel = self.sweep(tmp_path, path, ["--dims", "4,6", "--epochs", "10"])
-        assert serial == parallel
-
     def test_labels_populate_phi_column(self, tmp_path):
         g = random_connected_graph(12, 0.4, 2)
         path = write_graph(tmp_path / "g.txt", g)

@@ -4,48 +4,11 @@ import pytest
 from pprinv.linalg import (
     load_matrix,
     load_matrix_csv,
-    matmul,
     pseudoinverse,
     randomized_svd,
     save_matrix,
     save_matrix_csv,
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        m = rng.normal(size=(6, 6))
-        assert np.allclose(matmul(np.eye(6), m), m)
-
-    def test_small_known_product(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.array_equal(out, [[2.0, 1.0], [4.0, 3.0]])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(20, 20))
-        b = rng.normal(size=(20, 20))
-        oracle = np.zeros((20, 20))
-        for i in range(20):
-            for j in range(20):
-                acc = 0.0
-                for k in range(20):
-                    acc += a[i, k] * b[k, j]
-                oracle[i, j] = acc
-        assert np.abs(matmul(a, b) - oracle).max() < 1e-12
-
-    def test_associative_on_conditioned_triples(self):
-        rng = np.random.default_rng(2)
-        for _ in range(3):
-            a, b, c = (rng.uniform(-1, 1, size=(30, 30)) for _ in range(3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            assert np.abs(left - right).max() < 1e-9
 
 
 class TestRandomizedSvd:

@@ -65,6 +65,13 @@ class TestVolumeShift:
             volume_shift(np.zeros((3, 3)), 6.0, 10)
         with pytest.raises(ValueError, match="infeasible"):
             volume_shift(np.zeros((3, 3)), 0.0, 10)
+        # Saturated logits pin the soft volume at 0 or at capacity for every
+        # shift the bracket search tries.
+        for sign in (-1.0, 1.0):
+            logits = np.full((6, 6), sign * 1e10)
+            np.fill_diagonal(logits, 0.0)
+            with pytest.raises(ValueError, match="infeasible"):
+                volume_shift(logits, 15.0, 10)
 
     def test_saturated_logits_do_not_overshoot(self):
         # Deep saturation collapses the Newton slope; the guarded iteration

@@ -8,6 +8,7 @@ from pprinv.proximity import (
     ROW_L2,
     Preset,
     ProximityConfig,
+    _walk_partials,
     build_proximity,
     deepwalk_log_proximity,
     hop_coefficients,
@@ -114,7 +115,10 @@ class TestTruncatedPpr:
         oracle = sum(
             w * np.linalg.matrix_power(p, i) for i, w in enumerate(weights)
         )
-        assert np.abs(truncated_ppr(g, cfg) - oracle).max() < 1e-12
+        # The CSR walk operator, then the same kernel on the dense matrix.
+        *_, dense = _walk_partials(p, hop_coefficients(cfg))
+        for out in (truncated_ppr(g, cfg), dense):
+            assert np.abs(out - oracle).max() < 1e-12
 
 
 def strap_direct(g, alpha, epsilon, k_horizon):
@@ -286,8 +290,10 @@ class TestLogOfZero:
 class TestDeepwalkLogProximity:
     def test_matches_direct_form(self):
         g = random_connected_graph(15, 0.3, 9)
-        out = deepwalk_log_proximity(g, 0.3, 8)
-        assert np.abs(out - deepwalk_direct(g, 0.3, 8)).max() < 1e-12
+        # (0.7, 700) runs past the hop where the coefficients underflow.
+        for alpha, k_horizon in [(0.3, 8), (0.7, 700)]:
+            out = deepwalk_log_proximity(g, alpha, k_horizon)
+            assert np.abs(out - deepwalk_direct(g, alpha, k_horizon)).max() < 1e-12
 
     def test_rejects_unreachable_pairs(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
