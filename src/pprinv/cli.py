@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -29,6 +30,13 @@ log = logging.getLogger("pprinv")
 def _load_graph(path: str) -> gr.Graph:
     with open(path, "rb") as fh:
         return gr.parse_edge_list(fh)
+
+
+def _load_labels(path: str | None, g: gr.Graph) -> gr.CommunityAssignment | None:
+    if not path:
+        return None
+    with open(path, "rb") as fh:
+        return gr.parse_labels(fh, g)
 
 
 def _build_config(args, g: gr.Graph) -> prox.ProximityConfig:
@@ -74,111 +82,99 @@ def cmd_embed(args) -> int:
 
 
 def _load_target(args) -> tuple[np.ndarray, dict]:
-    if getattr(args, "embedding", None):
+    if args.embedding:
         pair = emb.load_embedding(args.embedding)
         return emb.reconstruct_proximity(pair), dict(pair.meta)
-    if getattr(args, "proximity", None):
+    if args.proximity:
         return linalg.load_matrix(args.proximity), {}
     raise ValueError("supply --embedding DIR or --proximity FILE")
 
 
-def _meta_default(args, meta: dict, flag: str, key: str):
-    value = getattr(args, flag)
+def _meta_default(args, meta: dict, key: str):
+    value = getattr(args, key)
     if value is None:
         value = meta.get(key)
     if value is None:
-        raise ValueError(f"--{flag.replace('_', '-')} required (not in metadata)")
+        raise ValueError(f"--{key.replace('_', '-')} required (not in metadata)")
     return value
 
 
-def cmd_invert_analytical(args) -> int:
-    m_k, meta = _load_target(args)
-    if args.graph:
-        g = _load_graph(args.graph)
-        degrees = g.degrees.astype(np.float64)
-    elif args.degrees:
-        degrees = np.loadtxt(args.degrees, dtype=np.float64, ndmin=1)
-    else:
-        raise ValueError("analytical method requires the degree sequence")
-    alpha = float(_meta_default(args, meta, "alpha", "alpha"))
-    k_horizon = int(_meta_default(args, meta, "k_horizon", "k_horizon"))
+def _invert(method, target, degrees, alpha, k_horizon, epsilon, args):
+    """Run one inversion method; returns the recovered graph and the
+    per-epoch losses (empty for the closed form)."""
+    degrees = np.asarray(degrees, dtype=np.float64)
     volume = float(degrees.sum())
+    m_edges = int(volume) // 2
+    if method == "optimize":
+        cfg = OptConfig(
+            target_volume=volume,
+            alpha=alpha,
+            epochs=args.epochs,
+            newton_iters=args.newton_iters,
+            epsilon=epsilon,
+            k_horizon=k_horizon,
+            step_size=args.step_size,
+        )
+        result = invert_optimize(target, cfg, m_edges)
+        return result.graph, result.losses
     inputs = AnalyticalInputs(
-        m_k=m_k,
+        m_k=target,
         degrees=degrees,
         volume=volume,
         alpha=alpha,
         k_horizon=k_horizon,
-        m_edges=int(volume) // 2,
+        m_edges=m_edges,
     )
-    recovered = invert_analytical(inputs)
+    return invert_analytical(inputs), ()
+
+
+def cmd_invert(args) -> int:
+    target, meta = _load_target(args)
+    names = None
+    if args.graph:
+        g = _load_graph(args.graph)
+        degrees, names = g.degrees, g.node_names
+    elif args.degrees:
+        degrees = np.loadtxt(args.degrees, dtype=np.float64, ndmin=1)
+    else:
+        raise ValueError(f"{args.method} method requires the degree sequence")
+    if degrees.shape != target.shape[:1]:
+        raise ValueError(
+            f"{degrees.size} degrees for a {target.shape[0]}-node target proximity"
+        )
+    alpha = float(_meta_default(args, meta, "alpha"))
+    k_horizon = int(_meta_default(args, meta, "k_horizon"))
+    recovered, losses = _invert(
+        args.method, target, degrees, alpha, k_horizon,
+        getattr(args, "epsilon", None), args,
+    )
+    # Target rows follow the --graph file's node order, as its degrees do.
+    recovered = dataclasses.replace(recovered, node_names=names)
     Path(args.out).write_text(gr.serialize_edge_list(recovered))
-    log.info(
-        "analytical inversion: n=%d, alpha=%.3f, K=%d, epsilon=%g (recorded; "
-        "the closed form does not consume it)",
-        recovered.n, alpha, k_horizon, args.epsilon,
-    )
+    if args.method == "optimize":
+        if args.loss_trace:
+            with open(args.loss_trace, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["epoch", "loss"])
+                for epoch, value in enumerate(losses, start=1):
+                    writer.writerow([epoch, f"{value:.12g}"])
+        log.info(
+            "optimize inversion: %d epochs, loss %.6g -> %.6g",
+            len(losses), losses[0], losses[-1],
+        )
     print(f"wrote recovered edge list ({recovered.num_edges} edges) to {args.out}")
     return 0
 
 
-def cmd_invert_optimize(args) -> int:
-    m_target, meta = _load_target(args)
-    if args.graph:
-        g = _load_graph(args.graph)
-        volume = float(g.volume)
-        m_edges = g.num_edges
-    else:
-        if args.volume is None or args.edges is None:
-            raise ValueError("supply --graph or both --volume and --edges")
-        volume = float(args.volume)
-        m_edges = int(args.edges)
-    alpha = float(_meta_default(args, meta, "alpha", "alpha"))
-    k_horizon = int(_meta_default(args, meta, "k_horizon", "k_horizon"))
-    cfg = OptConfig(
-        target_volume=volume,
-        alpha=alpha,
-        epochs=args.epochs,
-        newton_iters=args.newton_iters,
-        epsilon=args.epsilon,
-        k_horizon=k_horizon,
-        step_size=args.step_size,
-        seed=args.seed,
-        optimizer=args.optimizer,
-    )
-    result = invert_optimize(m_target, cfg, m_edges)
-    Path(args.out).write_text(gr.serialize_edge_list(result.graph))
-    if args.loss_trace:
-        with open(args.loss_trace, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "loss"])
-            for epoch, value in enumerate(result.losses, start=1):
-                writer.writerow([epoch, f"{value:.12g}"])
-    log.info(
-        "optimize inversion: %d epochs, loss %.6g -> %.6g",
-        cfg.epochs, result.losses[0], result.losses[-1],
-    )
-    print(f"wrote recovered edge list ({result.graph.num_edges} edges) to {args.out}")
-    return 0
-
-
-def _evaluate(g: gr.Graph, g_hat: gr.Graph, labels_path: str | None, meta: dict):
-    labels = None
-    if labels_path:
-        with open(labels_path, "rb") as fh:
-            labels = gr.parse_labels(fh, g)
-    else:
-        meta = dict(meta, labels_missing=True)
-    return met.recovery_report(g, g_hat, labels, meta)
-
-
 def cmd_evaluate(args) -> int:
     g = _load_graph(args.graph)
-    g_hat = _load_graph(args.recovered)
-    if g_hat.n < g.n:
-        # Recovered edge lists drop isolated nodes; restore the node count.
-        g_hat = gr.Graph.from_edges(g.n, g_hat.edge_set())
-    report = _evaluate(g, g_hat, args.labels, {"graph": args.graph})
+    with open(args.recovered, "rb") as fh:
+        g_hat = gr.parse_recovered(fh, g)
+    labels = _load_labels(args.labels, g)
+    meta = {"graph": args.graph}
+    if labels is None:
+        meta["labels_missing"] = True
+    report = met.recovery_report(g, g_hat, labels, meta)
     payload = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     Path(args.out).write_text(payload + "\n")
     phi = "n/a" if report.err_phi_avg is None else f"{report.err_phi_avg:.6f}"
@@ -190,43 +186,21 @@ def cmd_evaluate(args) -> int:
 
 def _sweep_cell(g, labels, m, args, dim):
     pair = emb.factorize(m, dim, args.seed)
-    target = emb.reconstruct_proximity(pair)
-    if args.method == "optimize":
-        opt_cfg = OptConfig(
-            target_volume=float(g.volume),
-            alpha=args.alpha,
-            epochs=args.epochs,
-            newton_iters=args.newton_iters,
-            epsilon=args.opt_epsilon if args.opt_epsilon is not None else args.epsilon,
-            k_horizon=args.k_horizon,
-            step_size=args.step_size,
-            seed=args.seed,
-        )
-        result = invert_optimize(target, opt_cfg, g.num_edges)
-        recovered, final_loss = result.graph, result.losses[-1]
-    else:
-        inputs = AnalyticalInputs(
-            m_k=target,
-            degrees=g.degrees.astype(np.float64),
-            volume=float(g.volume),
-            alpha=args.alpha,
-            k_horizon=args.k_horizon,
-            m_edges=g.num_edges,
-        )
-        recovered, final_loss = invert_analytical(inputs), ""
+    epsilon = args.opt_epsilon if args.opt_epsilon is not None else args.epsilon
+    recovered, losses = _invert(
+        args.method, emb.reconstruct_proximity(pair), g.degrees, args.alpha,
+        args.k_horizon, epsilon, args,
+    )
     report = met.recovery_report(g, recovered, labels)
     row = report.csv_row()
-    row["final_loss"] = f"{final_loss:.9g}" if final_loss != "" else ""
+    row["final_loss"] = f"{losses[-1]:.9g}" if losses else ""
     row["status"] = "ok"
     return row
 
 
 def cmd_sweep(args) -> int:
     g = _load_graph(args.graph)
-    labels = None
-    if args.labels:
-        with open(args.labels, "rb") as fh:
-            labels = gr.parse_labels(fh, g)
+    labels = _load_labels(args.labels, g)
     dims = [int(d) for d in args.dims.split(",") if d]
     if not dims:
         raise ValueError("dims list must be nonempty")
@@ -263,11 +237,12 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_proximity_flags(p, epsilon_default: float) -> None:
+def _add_proximity_flags(p, epsilon: bool = True) -> None:
     p.add_argument("--alpha", type=float, default=None,
                    help="stopping probability (0.7 for the flight graphs, 0.1 "
                         "for the large social graphs)")
-    p.add_argument("--epsilon", type=float, default=epsilon_default)
+    if epsilon:
+        p.add_argument("--epsilon", type=float, default=1e-7)
     p.add_argument("--k-horizon", type=int, default=10, dest="k_horizon")
 
 
@@ -282,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--preset", required=True,
                    choices=[x.value for x in prox.Preset])
-    _add_proximity_flags(p, 1e-7)
+    _add_proximity_flags(p)
     p.add_argument("--alpha-schedule", default=None,
                    help="file with one stopping probability per line (lemane)")
     p.add_argument("--dim", type=int, required=True)
@@ -292,32 +267,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     inv = sub.add_parser("invert", help="recover a graph from embeddings")
     inv_sub = inv.add_subparsers(dest="method", required=True)
-
-    p = inv_sub.add_parser("analytical", help="closed-form recovery")
-    p.add_argument("--embedding", default=None)
-    p.add_argument("--proximity", default=None, help="PPREIM1 matrix file")
-    p.add_argument("--graph", default=None, help="original graph (degrees)")
-    p.add_argument("--degrees", default=None, help="one degree per line")
-    _add_proximity_flags(p, 1e-5)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_invert_analytical, alpha_schedule=None)
-
-    p = inv_sub.add_parser("optimize", help="gradient-descent recovery")
-    p.add_argument("--embedding", default=None)
-    p.add_argument("--proximity", default=None, help="PPREIM1 matrix file")
-    p.add_argument("--graph", default=None, help="original graph (volume, edges)")
-    p.add_argument("--volume", type=float, default=None)
-    p.add_argument("--edges", type=int, default=None)
-    _add_proximity_flags(p, 1e-7)
+    for method, summary in (("analytical", "closed-form recovery"),
+                            ("optimize", "gradient-descent recovery")):
+        p = inv_sub.add_parser(method, help=summary)
+        p.add_argument("--embedding", default=None)
+        p.add_argument("--proximity", default=None, help="PPREIM1 matrix file")
+        p.add_argument("--graph", default=None,
+                       help="original graph (degrees and node names)")
+        p.add_argument("--degrees", default=None, help="one degree per line")
+        _add_proximity_flags(p, epsilon=method == "optimize")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_invert)
+    # p is now the optimize parser; the flags below are its own.
     p.add_argument("--epochs", type=int, default=40)
     p.add_argument("--newton-iters", type=int, default=10, dest="newton_iters")
     p.add_argument("--step-size", type=float, default=0.1, dest="step_size")
-    p.add_argument("--optimizer", choices=["adam", "gd"], default="adam")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--loss-trace", default=None, dest="loss_trace",
                    help="CSV out-file with epoch,loss rows")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_invert_optimize, alpha_schedule=None)
 
     p = sub.add_parser("evaluate", help="compare recovered vs original graph")
     p.add_argument("--graph", required=True)
@@ -334,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True, help="comma-separated dimensions")
     p.add_argument("--method", choices=["optimize", "analytical"],
                    default="optimize")
-    _add_proximity_flags(p, 1e-7)
+    _add_proximity_flags(p)
     p.add_argument("--opt-epsilon", type=float, default=None, dest="opt_epsilon",
                    help="optimizer threshold when it differs from the preset's")
     p.add_argument("--alpha-schedule", default=None)

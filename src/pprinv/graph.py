@@ -145,6 +145,21 @@ def _read_lines(text) -> list[str]:
     return text.splitlines()
 
 
+def _pairs(text, expected: str):
+    """Yield (line number, first token, second token) for each data line;
+    blank lines and '#' comments are skipped."""
+    for lineno, line in enumerate(_read_lines(text), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        if len(tokens) != 2:
+            raise EdgeListError(
+                f"line {lineno}: expected {expected}, got {len(tokens)} tokens"
+            )
+        yield lineno, tokens[0], tokens[1]
+
+
 def parse_edge_list(text) -> Graph:
     """Parse whitespace-separated edge pairs into a Graph.
 
@@ -156,22 +171,12 @@ def parse_edge_list(text) -> Graph:
     """
     ids: dict[str, int] = {}
     edges: set[tuple[int, int]] = set()
-    loop_nodes: list[str] = []
     n_loops = 0
-    for lineno, line in enumerate(_read_lines(text), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 2:
-            raise EdgeListError(
-                f"line {lineno}: expected two node ids, got {len(tokens)} tokens"
-            )
-        u = ids.setdefault(tokens[0], len(ids))
-        v = ids.setdefault(tokens[1], len(ids))
+    for _, a, b in _pairs(text, "two node ids"):
+        u = ids.setdefault(a, len(ids))
+        v = ids.setdefault(b, len(ids))
         if u == v:
             n_loops += 1
-            loop_nodes.append(tokens[0])
             continue
         edges.add((min(u, v), max(u, v)))
     if not ids:
@@ -189,15 +194,48 @@ def parse_edge_list(text) -> Graph:
     return g
 
 
+def _names(g: Graph) -> tuple[str, ...]:
+    """Original node names, or the stringified internal indices."""
+    return g.node_names or tuple(str(i) for i in range(g.n))
+
+
+def _name_table(g: Graph) -> dict[str, int]:
+    return {name: i for i, name in enumerate(_names(g))}
+
+
+def _node_index(ids: dict[str, int], name: str, lineno: int) -> int:
+    if name not in ids:
+        raise EdgeListError(f"line {lineno}: unknown node id {name!r}")
+    return ids[name]
+
+
 def serialize_edge_list(g: Graph) -> str:
     """Write the canonical edge set, one 'u v' line per edge, sorted.
 
     Uses original node names when the graph carries them. Isolated nodes do
     not appear (an edge list cannot represent them).
     """
-    names = g.node_names or tuple(str(i) for i in range(g.n))
+    names = _names(g)
     lines = [f"{names[u]} {names[v]}" for u, v in sorted(g.edge_set())]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def parse_recovered(text, g: Graph) -> Graph:
+    """Parse an edge list over g's nodes, such as a recovered graph.
+
+    Node ids are matched against g's original names when present, else
+    against the stringified internal index; unknown ids and self-loops are
+    errors. The result has g's nodes and names, so nodes the list omits are
+    isolated.
+    """
+    ids = _name_table(g)
+    edges = []
+    for lineno, a, b in _pairs(text, "two node ids"):
+        u, v = _node_index(ids, a, lineno), _node_index(ids, b, lineno)
+        if u == v:
+            raise EdgeListError(f"line {lineno}: self-loop on node {a!r}")
+        edges.append((u, v))
+    return Graph.from_edges(g.n, edges, node_names=g.node_names)
 
 
 def parse_labels(text, g: Graph) -> CommunityAssignment:
@@ -207,27 +245,13 @@ def parse_labels(text, g: Graph) -> CommunityAssignment:
     error. Node ids are matched against g's original names when present,
     else against the stringified internal index.
     """
-    if g.node_names is not None:
-        lookup = {name: i for i, name in enumerate(g.node_names)}
-    else:
-        lookup = {str(i): i for i in range(g.n)}
+    ids = _name_table(g)
     labels: dict[int, str] = {}
-    for lineno, line in enumerate(_read_lines(text), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 2:
-            raise EdgeListError(
-                f"line {lineno}: expected 'node label', got {len(tokens)} tokens"
-            )
-        node, label = tokens
-        if node not in lookup:
-            raise EdgeListError(f"line {lineno}: unknown node id {node!r}")
-        labels[lookup[node]] = label
+    for lineno, node, label in _pairs(text, "'node label'"):
+        labels[_node_index(ids, node, lineno)] = label
     missing = [i for i in range(g.n) if i not in labels]
     if missing:
-        names = g.node_names or tuple(str(i) for i in range(g.n))
+        names = _names(g)
         shown = ", ".join(names[i] for i in missing[:10])
         raise EdgeListError(f"{len(missing)} node(s) missing a label: {shown}")
     members: dict[str, set[int]] = {}

@@ -1,5 +1,5 @@
 """Dense-matrix kernels: randomized truncated SVD, symmetric pseudoinverse,
-and the binary/CSV matrix file formats.
+and the binary matrix file format.
 
 Everything works on float64 numpy arrays. The randomized SVD follows the
 standard Gaussian range-finder recipe (oversampling 10, two QR-stabilized
@@ -18,6 +18,7 @@ MATRIX_MAGIC = b"PPREIM1\x00"
 
 _DEFAULT_OVERSAMPLE = 10
 _DEFAULT_POWER_ITERS = 2
+_PINV_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -29,27 +30,21 @@ class SvdResult:
     v: np.ndarray
 
 
-def randomized_svd(
-    m: np.ndarray,
-    d: int,
-    seed: int,
-    oversample: int = _DEFAULT_OVERSAMPLE,
-    power_iters: int = _DEFAULT_POWER_ITERS,
-) -> SvdResult:
+def randomized_svd(m: np.ndarray, d: int, seed: int) -> SvdResult:
     """Rank-d approximation via a Gaussian range finder.
 
-    Oversamples the sketch by ``oversample`` columns and applies
-    ``power_iters`` QR-stabilized passes of m @ m.T to sharpen the spectrum
-    before projecting.
+    Oversamples the sketch by ``_DEFAULT_OVERSAMPLE`` columns and applies
+    ``_DEFAULT_POWER_ITERS`` QR-stabilized passes of m @ m.T to sharpen the
+    spectrum before projecting.
     """
     m = np.asarray(m, dtype=np.float64)
     rows, cols = m.shape
     if not 1 <= d <= min(rows, cols):
         raise ValueError(f"rank d={d} out of range for a {rows}x{cols} matrix")
     rng = np.random.default_rng(seed)
-    k = min(d + oversample, min(rows, cols))
+    k = min(d + _DEFAULT_OVERSAMPLE, min(rows, cols))
     y = m @ rng.standard_normal((cols, k))
-    for _ in range(power_iters):
+    for _ in range(_DEFAULT_POWER_ITERS):
         q, _ = np.linalg.qr(y)
         y = m @ (m.T @ q)
     q, _ = np.linalg.qr(y)
@@ -58,10 +53,10 @@ def randomized_svd(
     return SvdResult(u=u[:, :d], sigma=sigma[:d], v=vt[:d].T)
 
 
-def pseudoinverse(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def pseudoinverse(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a symmetric matrix via eigendecomposition.
 
-    Eigenvalues with |lambda| <= tol * |lambda|_max are treated as zero.
+    Eigenvalues with |lambda| <= _PINV_RTOL * |lambda|_max are treated as zero.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -69,17 +64,11 @@ def pseudoinverse(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if m.size and np.max(np.abs(m - m.T)) > 1e-10:
         raise ValueError("matrix is not symmetric within 1e-10")
     w, vecs = np.linalg.eigh((m + m.T) / 2.0)
-    cutoff = tol * np.max(np.abs(w), initial=0.0)
+    cutoff = _PINV_RTOL * np.max(np.abs(w), initial=0.0)
     keep = np.abs(w) > cutoff
     inv_w = np.zeros_like(w)
     inv_w[keep] = 1.0 / w[keep]
     return (vecs * inv_w) @ vecs.T
-
-
-def _check_finite(m: np.ndarray, source: str) -> np.ndarray:
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{source}: matrix contains non-finite values")
-    return m
 
 
 def save_matrix(path, m: np.ndarray) -> None:
@@ -104,13 +93,6 @@ def load_matrix(path) -> np.ndarray:
     if len(body) != expected:
         raise ValueError(f"{path}: expected {expected} payload bytes, got {len(body)}")
     m = np.frombuffer(body, dtype="<f8").reshape(rows, cols).astype(np.float64)
-    return _check_finite(m, str(path))
-
-
-def save_matrix_csv(path, m: np.ndarray) -> None:
-    np.savetxt(path, np.asarray(m, dtype=np.float64), delimiter=",", fmt="%.17g")
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    m = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    return _check_finite(m, str(path))
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{path}: matrix contains non-finite values")
+    return m

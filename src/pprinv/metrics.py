@@ -109,13 +109,21 @@ def relative_path_length_error(g: Graph, g_hat: Graph) -> float:
     return _path_length_error(g, g_hat)[0]
 
 
+def _conductance_error(g: Graph, g_hat: Graph, s) -> tuple[float, float, float | None]:
+    """Both conductances of community s and their relative error; the error
+    is None when the original conductance is zero."""
+    phi_orig = conductance(g, s)
+    phi_rec = conductance(g_hat, s)
+    rel = None if phi_orig == 0.0 else abs(phi_orig - phi_rec) / phi_orig
+    return phi_orig, phi_rec, rel
+
+
 def relative_conductance_error(g: Graph, g_hat: Graph, s) -> float:
     """|phi_G(S) - phi_Ghat(S)| / phi_G(S) for one community S."""
-    phi_orig = conductance(g, s)
-    if phi_orig == 0.0:
+    rel = _conductance_error(g, g_hat, s)[2]
+    if rel is None:
         raise ValueError("original conductance is zero; relative error undefined")
-    phi_rec = conductance(g_hat, s)
-    return abs(phi_orig - phi_rec) / phi_orig
+    return rel
 
 
 def recovery_report(
@@ -135,17 +143,10 @@ def recovery_report(
     per_community: list[CommunityError] = []
     if labels is not None:
         for label, members in labels.top(TOP_COMMUNITIES):
-            phi_orig = conductance(g, members)
-            phi_rec = conductance(g_hat, members)
-            if phi_orig == 0.0:
-                per_community.append(
-                    CommunityError(label, len(members), phi_orig, phi_rec, None, True)
-                )
-            else:
-                rel = abs(phi_orig - phi_rec) / phi_orig
-                per_community.append(
-                    CommunityError(label, len(members), phi_orig, phi_rec, rel)
-                )
+            phi_orig, phi_rec, rel = _conductance_error(g, g_hat, members)
+            per_community.append(
+                CommunityError(label, len(members), phi_orig, phi_rec, rel, rel is None)
+            )
     included = [c.rel_err for c in per_community if not c.excluded]
     err_phi_avg = float(np.mean(included)) if included else None
     return RecoveryReport(

@@ -26,9 +26,9 @@ class OptConfig:
     """Optimization-method settings.
 
     target_volume is the off-diagonal mass the soft adjacency is held to
-    (vol(G) = 2m of the graph being recovered). The default optimizer is
-    Adam-style with per-parameter moments; set optimizer="gd" for plain
-    gradient descent.
+    (vol(G) = 2m of the graph being recovered). The step is Adam-style with
+    per-parameter moments. No randomness is drawn: the logits start at zero,
+    so seed does not change the result.
     """
 
     target_volume: float
@@ -39,7 +39,6 @@ class OptConfig:
     k_horizon: int = 10
     step_size: float = 0.1
     seed: int = 0
-    optimizer: str = "adam"
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -54,8 +53,6 @@ class OptConfig:
             raise ValueError("epsilon must be positive")
         if self.k_horizon < 0:
             raise ValueError("k_horizon must be >= 0")
-        if self.optimizer not in ("adam", "gd"):
-            raise ValueError("optimizer must be 'adam' or 'gd'")
 
 
 @dataclass
@@ -66,7 +63,6 @@ class OptState:
     logits: np.ndarray
     shift: float = 0.0
     b_soft: np.ndarray | None = None
-    epoch: int = 0
 
 
 @dataclass(frozen=True)
@@ -258,20 +254,16 @@ def invert_optimize(
     beta1, beta2, tiny = 0.9, 0.999, 1e-8
     losses = []
     for epoch in range(1, cfg.epochs + 1):
-        state.epoch = epoch
         state.shift = volume_shift(state.logits, cfg.target_volume, cfg.newton_iters)
         state.b_soft = _soft_adjacency(state.logits, state.shift)
         trace = _forward(state.b_soft, cfg.alpha, cfg.epsilon, cfg.k_horizon)
         losses.append(loss(trace.m_hat, m_target))
         grad = _backward(trace, state.b_soft, m_target, cfg.epsilon)
-        if cfg.optimizer == "adam":
-            adam_m = beta1 * adam_m + (1.0 - beta1) * grad
-            adam_v = beta2 * adam_v + (1.0 - beta2) * grad * grad
-            m_corr = adam_m / (1.0 - beta1**epoch)
-            v_corr = adam_v / (1.0 - beta2**epoch)
-            state.logits -= cfg.step_size * m_corr / (np.sqrt(v_corr) + tiny)
-        else:
-            state.logits -= cfg.step_size * grad
+        adam_m = beta1 * adam_m + (1.0 - beta1) * grad
+        adam_v = beta2 * adam_v + (1.0 - beta2) * grad * grad
+        m_corr = adam_m / (1.0 - beta1**epoch)
+        v_corr = adam_v / (1.0 - beta2**epoch)
+        state.logits -= cfg.step_size * m_corr / (np.sqrt(v_corr) + tiny)
         np.fill_diagonal(state.logits, 0.0)
     state.shift = volume_shift(state.logits, cfg.target_volume, cfg.newton_iters)
     state.b_soft = _soft_adjacency(state.logits, state.shift)

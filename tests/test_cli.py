@@ -1,14 +1,20 @@
 import csv
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_connected_graph
 from pprinv.cli import main
 from pprinv.embedding import load_embedding
-from pprinv.graph import parse_edge_list, serialize_edge_list
+from pprinv.graph import Graph, parse_edge_list, serialize_edge_list
 from pprinv.linalg import save_matrix
+from pprinv.metrics import relative_frobenius_error
 from pprinv.optimize import forward_proximity
 
 
@@ -87,7 +93,8 @@ class TestEmbedCommand:
 
 class TestInvertCommand:
     def test_optimize_self_consistent_target(self, small_graph, tmp_path):
-        g, path = small_graph
+        _, path = small_graph
+        g = parse_edge_list(Path(path).read_text())
         target = forward_proximity(g.adjacency(), 0.5, 1e-7, 10)
         mat = tmp_path / "target.mat"
         save_matrix(mat, target)
@@ -148,8 +155,10 @@ class TestInvertCommand:
     def test_analytical_exact_proximity_recovers(self, tmp_path):
         from pprinv.proximity import deepwalk_log_proximity
 
-        g = random_connected_graph(12, 0.4, 3, full_rank=True)
-        path = write_graph(tmp_path / "g.txt", g)
+        path = write_graph(
+            tmp_path / "g.txt", random_connected_graph(12, 0.4, 3, full_rank=True)
+        )
+        g = parse_edge_list(Path(path).read_text())
         mat = tmp_path / "m.mat"
         save_matrix(mat, deepwalk_log_proximity(g, 0.7, 2000))
         out = tmp_path / "rec.txt"
@@ -216,6 +225,42 @@ class TestEvaluateCommand:
         phi = {c["label"]: c for c in report["per_community"]}
         assert phi["L"]["phi_orig"] == pytest.approx(1 / 7)
         assert phi["L"]["phi_rec"] == pytest.approx(0.25)
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(
+        n=st.integers(3, 12),
+        seed=st.integers(0, 10_000),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_err_a_matches_library_under_renaming(self, n, seed, rnd):
+        g = random_connected_graph(n, 0.4, seed)
+        names = [str(k) for k in range(n)]
+        rnd.shuffle(names)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = rnd.sample(pairs, g.num_edges)
+        lines = [
+            f"{names[u]} {names[v]}" if rnd.random() < 0.5 else f"{names[v]} {names[u]}"
+            for u, v in chosen
+        ]
+        rnd.shuffle(lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            graph_path, rec_path, out = (Path(tmp, f) for f in ("g", "rec", "out"))
+            graph_path.write_text(
+                serialize_edge_list(dataclasses.replace(g, node_names=tuple(names)))
+            )
+            rec_path.write_text("\n".join(lines) + "\n")
+            rc = main([
+                "evaluate", "--graph", str(graph_path), "--recovered", str(rec_path),
+                "--out", str(out),
+            ])
+            assert rc == 0
+            report = json.loads(out.read_text())
+            g_file = parse_edge_list(graph_path.read_text())
+        ids = {name: i for i, name in enumerate(g_file.node_names)}
+        g_hat = Graph.from_edges(
+            n, [(ids[names[u]], ids[names[v]]) for u, v in chosen]
+        )
+        assert report["err_A"] == relative_frobenius_error(g_file, g_hat)
 
 
 class TestSweepCommand:

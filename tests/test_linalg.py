@@ -3,11 +3,9 @@ import pytest
 
 from pprinv.linalg import (
     load_matrix,
-    load_matrix_csv,
     pseudoinverse,
     randomized_svd,
     save_matrix,
-    save_matrix_csv,
 )
 
 
@@ -127,10 +125,3 @@ class TestMatrixFiles:
         save_matrix(path, np.array([[1.0, np.nan]]))
         with pytest.raises(ValueError, match="non-finite"):
             load_matrix(path)
-
-    def test_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(11)
-        m = rng.normal(size=(4, 5))
-        path = tmp_path / "m.csv"
-        save_matrix_csv(path, m)
-        assert np.abs(load_matrix_csv(path) - m).max() < 1e-15

@@ -266,14 +266,6 @@ class TestInvertOptimize:
         second = invert_optimize(target, cfg, g.num_edges).losses
         assert np.abs(np.subtract(first, second)).max() < 1e-9
 
-    def test_plain_gradient_descent_backend(self):
-        g, target, cfg = self.self_consistent_setup(5)
-        cfg.epochs = 50
-        cfg.optimizer = "gd"
-        cfg.step_size = 1.0
-        result = invert_optimize(target, cfg, g.num_edges)
-        assert result.losses[-1] < result.losses[0]
-
     def test_rejects_non_square_target(self):
         cfg = OptConfig(target_volume=4.0, alpha=0.5)
         with pytest.raises(ValueError, match="square"):
