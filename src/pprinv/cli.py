@@ -199,6 +199,10 @@ def _sweep_cell(g, labels, m, args, dim):
 
 
 def cmd_sweep(args) -> int:
+    # Every cell inverts with a constant stopping probability, even for
+    # lemane, whose proximity takes its alphas from --alpha-schedule.
+    if args.alpha is None:
+        raise ValueError("sweep requires --alpha for the inversion")
     g = _load_graph(args.graph)
     labels = _load_labels(args.labels, g)
     dims = [int(d) for d in args.dims.split(",") if d]

@@ -3,20 +3,32 @@
 Treats a symmetric logit matrix as the trainable soft adjacency, matches the
 graph volume each epoch with a scalar Newton-solved logistic shift, rebuilds
 the log-form walk proximity from the soft adjacency, and descends the
-squared Frobenius gap to the target proximity. The backward pass is
-hand-written reverse mode through the Horner recurrence, row normalization,
-and the logistic.
+squared Frobenius gap to the target proximity.
+
+Per epoch the shift solve reads only the strict upper triangle of the logits
+and warm-starts from the previous epoch's shift. The forward pass evaluates
+the walk sum by Horner's scheme, K matmuls, keeping only the last partial.
+The backward pass is hand-written reverse mode through the log clamp, the
+walk sum (its spectral adjoint: one symmetric eigendecomposition and four
+matmuls), row normalization and the logistic. Memory per epoch is O(n^2)
+whatever the horizon K.
 """
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .analytical import binarize
 from .graph import Graph
-from .proximity import ProximityConfig, _walk_partials, hop_coefficients
+from .proximity import (
+    ProximityConfig,
+    _normal_prefix,
+    _walk_partials,
+    hop_coefficients,
+)
 
 _ROW_SUM_FLOOR = 1e-12
 
@@ -73,12 +85,10 @@ class OptimizeResult:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows, and both branches of the logistic share it:
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _soft_adjacency(logits: np.ndarray, shift: float) -> np.ndarray:
@@ -91,48 +101,70 @@ def volume_shift(logits: np.ndarray, target_volume: float, newton_iters: int) ->
     """Scalar shift s with sum(sigmoid(logits + s)) = target over off-diagonal
     entries, found by Newton iteration from s = 0.
 
+    The logits must be symmetric: only the strict upper triangle is read, and
+    each of its entries stands for both (u, v) and (v, u).
+
     The map s -> sum(B) is strictly increasing with derivative
     sum(B * (1 - B)). When the logits saturate the derivative collapses and a
     raw Newton step can overshoot by orders of magnitude, so steps that leave
     the bracketing interval fall back to bisection. Logits so saturated that
-    no |s| <= 1e9 brackets the target raise ValueError.
+    no |s| <= 1e9 brackets the target raise ValueError, and so does a shift
+    that after newton_iters iterations still misses the target by more than
+    1e-8 relative (as when the logits are so large that float spacing in
+    logits + s is coarser than the target needs).
     """
-    n = logits.shape[0]
-    capacity = n * (n - 1)
+    upper = logits[np.triu_indices(logits.shape[0], 1)]
+    return _solve_shift(upper, target_volume, newton_iters, 0.0)
+
+
+def _solve_shift(
+    upper: np.ndarray, target_volume: float, newton_iters: int, start: float
+) -> float:
+    """volume_shift over the strict upper triangle of the logits, with the
+    bracket search and Newton started at `start` instead of 0.
+
+    Each upper entry counts twice in the volume, so every total and slope is
+    taken on the half problem against target_volume / 2.
+    """
+    capacity = 2 * upper.size
     if not 0.0 < target_volume < capacity:
         raise ValueError(
             f"target volume {target_volume} infeasible for {capacity} "
             "off-diagonal entries"
         )
+    half = target_volume / 2.0
+    tolerance = 0.5e-12 * max(1.0, target_volume)
 
     def total(s: float) -> float:
-        return float(_soft_adjacency(logits, s).sum())
+        return float(_sigmoid(upper + s).sum())
 
-    lo, hi = 0.0, 0.0
-    t0 = total(0.0)
-    if t0 < target_volume:
-        hi = 1.0
-        while total(hi) < target_volume:
+    b = _sigmoid(upper + start)
+    t0 = float(b.sum())
+    step = 1.0
+    if t0 < half:
+        lo, hi = start, start + step
+        while total(hi) < half:
             if hi > 1e9:
                 raise ValueError(f"target volume {target_volume} infeasible for s <= 1e9")
-            lo, hi = hi, hi * 2.0
-    elif t0 > target_volume:
-        lo = -1.0
-        while total(lo) > target_volume:
+            step *= 2.0
+            lo, hi = hi, start + step
+    elif t0 > half:
+        lo, hi = start - step, start
+        while total(lo) > half:
             if lo < -1e9:
                 raise ValueError(f"target volume {target_volume} infeasible for s >= -1e9")
-            lo, hi = lo * 2.0, lo
+            step *= 2.0
+            lo, hi = start - step, lo
     else:
-        return 0.0
+        return start
 
-    s = 0.0
+    s = start
     for _ in range(newton_iters):
-        b = _soft_adjacency(logits, s)
         current = b.sum()
-        residual = target_volume - current
-        if abs(residual) <= 1e-12 * max(1.0, target_volume):
+        residual = half - current
+        if abs(residual) <= tolerance:
             break
-        if current < target_volume:
+        if current < half:
             lo = max(lo, s)
         else:
             hi = min(hi, s)
@@ -142,6 +174,14 @@ def volume_shift(logits: np.ndarray, target_volume: float, newton_iters: int) ->
         else:
             candidate = lo - 1.0  # force bisection
         s = candidate if lo < candidate < hi else (lo + hi) / 2.0
+        b = _sigmoid(upper + s)
+    else:
+        missed = abs(half - b.sum()) / half
+        if missed > 1e-8:
+            raise ValueError(
+                f"volume shift misses target volume {target_volume} by "
+                f"{missed:.3g} (relative) after {newton_iters} Newton iterations"
+            )
     return s
 
 
@@ -149,7 +189,7 @@ def volume_shift(logits: np.ndarray, target_volume: float, newton_iters: int) ->
 class _ForwardTrace:
     t: np.ndarray
     row_sums: np.ndarray
-    horner: list[np.ndarray]
+    coeffs: np.ndarray
     s_mat: np.ndarray
     m_hat: np.ndarray
     unclamped: np.ndarray
@@ -161,18 +201,17 @@ def _forward(b_soft: np.ndarray, alpha: float, epsilon: float, k_horizon: int) -
         raise ValueError("soft adjacency has an all-zero row")
     row_sums = np.maximum(row_sums, _ROW_SUM_FLOOR)
     t = b_soft / row_sums[:, None]
-    coeffs = hop_coefficients(
+    coeffs = _normal_prefix(hop_coefficients(
         ProximityConfig.constant_alpha(
             alpha, b=1.0, k_horizon=k_horizon, epsilon=epsilon
         )
-    )
-    horner = list(_walk_partials(t, coeffs))[::-1]
-    s_mat = horner[0] / epsilon
+    ))
+    s_mat = collections.deque(_walk_partials(t, coeffs), maxlen=1).pop() / epsilon
     unclamped = s_mat > 1.0
     m_hat = np.zeros_like(s_mat)
     m_hat[unclamped] = np.log(s_mat[unclamped])
     return _ForwardTrace(
-        t=t, row_sums=row_sums, horner=horner, s_mat=s_mat, m_hat=m_hat,
+        t=t, row_sums=row_sums, coeffs=coeffs, s_mat=s_mat, m_hat=m_hat,
         unclamped=unclamped,
     )
 
@@ -197,22 +236,58 @@ def loss(m_hat: np.ndarray, m_target: np.ndarray) -> float:
     return float(np.sum(diff * diff))
 
 
+def _divided_differences(lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Gamma_ij = (f(lam_i) - f(lam_j)) / (lam_i - lam_j) for the polynomial
+    f(x) = sum_k c_k x^k, which is f'(lam_i) where lam_i = lam_j.
+
+    Horner's scheme h_k(x) = c_k + x h_{k+1}(x) carries the divided
+    difference along as [h_k](a, b) = h_{k+1}(a) + b [h_{k+1}](a, b). No
+    nearby values are subtracted, so clustered and repeated eigenvalues are
+    as accurate as separated ones.
+    """
+    h = np.full_like(lam, coeffs[-1])
+    gamma = np.zeros((lam.size, lam.size))
+    for c in coeffs[-2::-1]:
+        gamma *= lam[None, :]
+        gamma += h[:, None]
+        h = c + lam * h
+    return gamma
+
+
+def _walk_sum_adjoint(
+    b_soft: np.ndarray, row_sums: np.ndarray, coeffs: np.ndarray, g_h: np.ndarray
+) -> np.ndarray:
+    """Adjoint of T -> f(T) = sum_i c_i T^i at T = D^-1 B, applied to g_h.
+
+    With R = D^(1/2), S = R^-1 B R^-1 is symmetric and T = R^-1 S R. For
+    S = V diag(lam) V^T the Daleckii-Krein formula gives the adjoint
+    R V (Gamma o (V^T E V)) V^T R^-1 with E = R^-1 g_h R: one eigh and four
+    matmuls for any horizon K.
+    """
+    r = np.sqrt(row_sums)
+    lam, v = np.linalg.eigh(b_soft / np.outer(r, r))
+    ratio = r[None, :] / r[:, None]  # R^-1 X R = X * ratio elementwise
+    inner = v.T @ (g_h * ratio) @ v
+    inner *= _divided_differences(lam, coeffs)
+    return (v @ inner @ v.T) / ratio
+
+
 def _backward(
     trace: _ForwardTrace,
     b_soft: np.ndarray,
     m_target: np.ndarray,
     epsilon: float,
 ) -> np.ndarray:
+    """Reverse mode from the loss to the shared logits: through the log
+    clamp, the walk sum (_walk_sum_adjoint: one eigh and four matmuls in
+    place of 2K matmuls over stored Horner partials), row normalization and
+    the logistic. Every intermediate is n x n, so memory is O(n^2)."""
     g_m = 2.0 * (trace.m_hat - m_target)
     g_m[~trace.unclamped] = 0.0
     g_s = np.zeros_like(g_m)
     g_s[trace.unclamped] = g_m[trace.unclamped] / trace.s_mat[trace.unclamped]
     g_h = g_s / epsilon
-    t_transpose = trace.t.T
-    g_t = np.zeros_like(trace.t)
-    for i in range(len(trace.horner) - 1):
-        g_t += g_h @ trace.horner[i + 1].T
-        g_h = t_transpose @ g_h
+    g_t = _walk_sum_adjoint(b_soft, trace.row_sums, trace.coeffs, g_h)
     weighted = (g_t * trace.t).sum(axis=1, keepdims=True)
     g_b = (g_t - weighted) / trace.row_sums[:, None]
     g_logit = b_soft * (1.0 - b_soft) * g_b
@@ -240,8 +315,9 @@ def invert_optimize(
 ) -> OptimizeResult:
     """Recover a graph whose walk proximity matches m_target.
 
-    Per epoch: re-solve the volume shift, rebuild B, evaluate forward loss
-    and reverse-mode gradient, and step the logits. After the final epoch
+    Per epoch: rebuild B from the logits and the current volume shift,
+    evaluate forward loss and reverse-mode gradient, step the logits, and
+    re-solve the shift starting from its last value. After the final epoch
     the soft adjacency binarizes to exactly m_edges edges.
     """
     m_target = np.asarray(m_target, dtype=np.float64)
@@ -249,23 +325,40 @@ def invert_optimize(
     if m_target.shape != (n, n):
         raise ValueError("target proximity must be square")
     state = OptState(logits=np.zeros((n, n)))
+    upper = np.triu_indices(n, 1)
     adam_m = np.zeros((n, n))
     adam_v = np.zeros((n, n))
+    scratch = np.empty((n, n))
     beta1, beta2, tiny = 0.9, 0.999, 1e-8
     losses = []
+    # Each later solve warm-starts from the previous epoch's shift, which the
+    # step moves little.
+    state.shift = volume_shift(state.logits, cfg.target_volume, cfg.newton_iters)
     for epoch in range(1, cfg.epochs + 1):
-        state.shift = volume_shift(state.logits, cfg.target_volume, cfg.newton_iters)
         state.b_soft = _soft_adjacency(state.logits, state.shift)
         trace = _forward(state.b_soft, cfg.alpha, cfg.epsilon, cfg.k_horizon)
         losses.append(loss(trace.m_hat, m_target))
         grad = _backward(trace, state.b_soft, m_target, cfg.epsilon)
-        adam_m = beta1 * adam_m + (1.0 - beta1) * grad
-        adam_v = beta2 * adam_v + (1.0 - beta2) * grad * grad
-        m_corr = adam_m / (1.0 - beta1**epoch)
-        v_corr = adam_v / (1.0 - beta2**epoch)
-        state.logits -= cfg.step_size * m_corr / (np.sqrt(v_corr) + tiny)
+        # Adam, in place, in the operation order of
+        #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+        #   logits -= step (m / c1) / (sqrt(v / c2) + tiny).
+        adam_m *= beta1
+        adam_m += np.multiply(1.0 - beta1, grad, out=scratch)
+        np.multiply(1.0 - beta2, grad, out=scratch)
+        scratch *= grad
+        adam_v *= beta2
+        adam_v += scratch
+        np.divide(adam_m, 1.0 - beta1**epoch, out=scratch)
+        scratch *= cfg.step_size
+        np.divide(adam_v, 1.0 - beta2**epoch, out=grad)
+        np.sqrt(grad, out=grad)
+        grad += tiny
+        scratch /= grad
+        state.logits -= scratch
         np.fill_diagonal(state.logits, 0.0)
-    state.shift = volume_shift(state.logits, cfg.target_volume, cfg.newton_iters)
+        state.shift = _solve_shift(
+            state.logits[upper], cfg.target_volume, cfg.newton_iters, state.shift
+        )
     state.b_soft = _soft_adjacency(state.logits, state.shift)
     recovered = binarize(state.b_soft, m_edges)
     return OptimizeResult(

@@ -110,27 +110,35 @@ def hop_coefficients(cfg: ProximityConfig) -> np.ndarray:
     return coeffs
 
 
+def _normal_prefix(coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients c_0..c_L, where L is the last hop whose coefficient is a
+    normal float (L = 0 when none is).
+
+    A subnormal c_i adds less than 2^-1022 to an entry of a stochastic walk
+    sum, below LOG_FLOOR; a Horner scheme started there would push
+    subnormals through every product, which is several times slower.
+    """
+    normal = np.flatnonzero(coeffs >= np.finfo(np.float64).tiny)
+    return coeffs[: (normal[-1] if normal.size else 0) + 1]
+
+
 def _walk_partials(p, coeffs: np.ndarray):
     """Horner partials H_i = sum_{j>=i} c_j p^{j-i}, yielded for i = L..0.
 
     p is a square walk operator, a dense array or a scipy CSR matrix; each
     step is one product p @ H_{i+1}, which is dense either way. The last
     partial H_0 is the walk sum sum_i c_i p^i. L is the last hop whose
-    coefficient is a normal float.
+    coefficient is a normal float (see _normal_prefix).
     """
+    coeffs = _normal_prefix(coeffs)
     n = p.shape[0]
     diag = np.diag_indices(n)
-    # A subnormal c_i adds less than 2^-1022 to an entry of a stochastic walk
-    # sum, below LOG_FLOOR; starting Horner there would push subnormals
-    # through every product, which is several times slower.
-    normal = np.flatnonzero(coeffs >= np.finfo(np.float64).tiny)
-    last = normal[-1] if normal.size else 0
     h = np.zeros((n, n))
-    h[diag] = coeffs[last]
+    h[diag] = coeffs[-1]
     yield h
-    for i in range(last - 1, -1, -1):
+    for c in coeffs[-2::-1]:
         h = p @ h
-        h[diag] += coeffs[i]
+        h[diag] += c
         yield h
 
 

@@ -311,6 +311,20 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert {r["preset"] for r in rows} == {"strap", "deepwalk"}
 
+    def test_missing_alpha_rejected_before_any_cell(self, small_graph, tmp_path, capsys):
+        _, path = small_graph
+        schedule = tmp_path / "alphas.txt"
+        schedule.write_text("".join(f"{0.1 + 0.05 * i}\n" for i in range(11)))
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", "--graph", path, "--presets", "lemane",
+            "--alpha-schedule", str(schedule), "--dims", "4", "--epochs", "5",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        assert "--alpha" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_labels_populate_phi_column(self, tmp_path):
         g = random_connected_graph(12, 0.4, 2)
         path = write_graph(tmp_path / "g.txt", g)

@@ -1,18 +1,32 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pprinv
 from conftest import random_connected_graph
 from pprinv.optimize import (
     OptConfig,
     OptState,
     _soft_adjacency,
+    _solve_shift,
     forward_proximity,
     gradient,
     invert_optimize,
     loss,
     volume_shift,
 )
-from pprinv.proximity import ProximityConfig, build_proximity
+from pprinv.proximity import (
+    ProximityConfig,
+    _walk_partials,
+    build_proximity,
+    hop_coefficients,
+)
 
 
 def symmetric_logits(n, seed, scale=1.0):
@@ -82,6 +96,31 @@ class TestVolumeShift:
         assert abs(s) < 1e3
         b = _soft_adjacency(logits, s)
         assert np.all(b.sum(axis=1) > 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([0.0, 0.1, 1.0, 5.0, 30.0, 1e10]),
+        fraction=st.floats(0.01, 0.99),
+        start=st.floats(-50.0, 50.0),
+    )
+    def test_warm_start_reaches_target_or_raises(self, n, seed, scale, fraction, start):
+        logits = symmetric_logits(n, seed, scale=scale)
+        target = fraction * n * (n - 1)
+        upper = logits[np.triu_indices(n, 1)]
+        shifts = []
+        for solve in (lambda: volume_shift(logits, target, 100),
+                      lambda: _solve_shift(upper, target, 100, start)):
+            try:
+                s = solve()
+            except ValueError:
+                continue
+            assert abs(offdiag_sum(logits, s) - target) <= 1e-8 * target
+            shifts.append(s)
+        if len(shifts) == 2:
+            gap = offdiag_sum(logits, shifts[0]) - offdiag_sum(logits, shifts[1])
+            assert abs(gap) <= 1e-9 * target
 
 
 class TestForwardProximity:
@@ -169,6 +208,35 @@ def finite_difference(logits, shift, m_target, cfg, h=1e-6):
     return fd
 
 
+def horner_reference_gradient(b_soft, m_target, cfg):
+    """Reverse mode through every stored Horner partial: 2K matmuls and
+    (K+1) n^2 of storage. The reference for the spectral backward."""
+    row_sums = b_soft.sum(axis=1)
+    t = b_soft / row_sums[:, None]
+    coeffs = hop_coefficients(ProximityConfig.constant_alpha(
+        cfg.alpha, b=1.0, k_horizon=cfg.k_horizon, epsilon=cfg.epsilon))
+    horner = list(_walk_partials(t, coeffs))[::-1]
+    s_mat = horner[0] / cfg.epsilon
+    unclamped = s_mat > 1.0
+    m_hat = np.zeros_like(s_mat)
+    m_hat[unclamped] = np.log(s_mat[unclamped])
+    g_m = 2.0 * (m_hat - m_target)
+    g_m[~unclamped] = 0.0
+    g_s = np.zeros_like(g_m)
+    g_s[unclamped] = g_m[unclamped] / s_mat[unclamped]
+    g_h = g_s / cfg.epsilon
+    g_t = np.zeros_like(t)
+    for i in range(len(horner) - 1):
+        g_t += g_h @ horner[i + 1].T
+        g_h = t.T @ g_h
+    weighted = (g_t * t).sum(axis=1, keepdims=True)
+    g_b = (g_t - weighted) / row_sums[:, None]
+    g_logit = b_soft * (1.0 - b_soft) * g_b
+    grad = g_logit + g_logit.T
+    np.fill_diagonal(grad, 0.0)
+    return grad
+
+
 class TestGradient:
     def make_state(self, seed, n=8, k=4, noise=0.5):
         cfg = OptConfig(target_volume=20.0, alpha=0.5, epsilon=1e-7, k_horizon=k)
@@ -194,6 +262,30 @@ class TestGradient:
             denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-10)
             off = ~np.eye(8, dtype=bool)
             assert (np.abs(analytic - fd) / denom)[off].max() < 1e-5
+
+    @pytest.mark.parametrize("spectrum", ["generic", "degenerate", "near_degenerate"])
+    @pytest.mark.parametrize("k_horizon", [0, 1, 4, 10])
+    @pytest.mark.parametrize("n", [5, 30])
+    def test_matches_horner_reference(self, n, k_horizon, spectrum):
+        # Uniform logits make the eigenvalue -1/(n-1) of S = R^-1 B R^-1
+        # (n-1)-fold; logit noise this small splits it by gaps near 1e-8.
+        scale = {"generic": 1.0, "degenerate": 0.0,
+                 "near_degenerate": {5: 1e-7, 30: 1e-5}[n]}[spectrum]
+        cfg = OptConfig(target_volume=0.4 * n * (n - 1), alpha=0.5,
+                        epsilon=1e-7, k_horizon=k_horizon)
+        logits = symmetric_logits(n, 3, scale=scale)
+        shift = volume_shift(logits, cfg.target_volume, cfg.newton_iters)
+        b = _soft_adjacency(logits, shift)
+        if spectrum == "near_degenerate":
+            r = np.sqrt(b.sum(axis=1))
+            gaps = np.diff(np.linalg.eigvalsh(b / np.outer(r, r)))
+            assert 1e-9 < gaps.min() < 1e-7
+        rng = np.random.default_rng(n + k_horizon)
+        m_target = forward_proximity(b, cfg.alpha, cfg.epsilon, k_horizon)
+        m_target += rng.normal(0.0, 0.5, (n, n))
+        got = gradient(OptState(logits=logits, shift=shift, b_soft=b), m_target, cfg)
+        want = horner_reference_gradient(b, m_target, cfg)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_fully_clamped_output_gives_zero_gradient(self):
         # A huge epsilon drives every pre-log entry below 1: the clamp takes
@@ -286,3 +378,15 @@ class TestInvertOptimize:
         )
         result = invert_optimize(target, cfg, g.num_edges)
         assert result.losses[-1] <= 0.5 * result.losses[0]
+
+
+def test_import_does_not_load_scipy_special():
+    # The logistic is written out rather than taken from scipy.special.expit,
+    # whose import adds ~0.06 s and ~4 MiB to every run.
+    src = str(Path(pprinv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, pprinv; sys.exit('scipy.special' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr or "pprinv imports scipy.special"
