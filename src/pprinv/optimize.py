@@ -26,6 +26,7 @@ from .graph import Graph
 from .proximity import (
     ProximityConfig,
     _normal_prefix,
+    _similar_eigh,
     _walk_partials,
     hop_coefficients,
 )
@@ -264,9 +265,7 @@ def _walk_sum_adjoint(
     R V (Gamma o (V^T E V)) V^T R^-1 with E = R^-1 g_h R: one eigh and four
     matmuls for any horizon K.
     """
-    r = np.sqrt(row_sums)
-    lam, v = np.linalg.eigh(b_soft / np.outer(r, r))
-    ratio = r[None, :] / r[:, None]  # R^-1 X R = X * ratio elementwise
+    lam, v, ratio = _similar_eigh(b_soft, row_sums)
     inner = v.T @ (g_h * ratio) @ v
     inner *= _divided_differences(lam, coeffs)
     return (v @ inner @ v.T) / ratio

@@ -4,6 +4,16 @@ One configuration type covers the whole family: a truncated random-walk sum
 with per-hop stopping probabilities, degree scaling on both sides, a scalar
 weight, and an elementwise activation, clamped at zero. Named presets
 reproduce the proximity matrices of the published factorization methods.
+
+The walk sum sum_i c_i P^i over a graph is evaluated one of two ways, chosen
+by the size of the input. Horner's scheme over the CSR walk operator costs
+about L sparse-times-dense products (L normal coefficients, nnz stored
+entries each); the spectral form R^-1 V f(Lambda) V^T R (the NetMF closed
+form, with S = D^-1/2 A D^-1/2 = V Lambda V^T and R = D^1/2) costs one
+symmetric eigendecomposition and one matmul, O(n^3) whatever the horizon.
+The spectral form is taken when L * nnz >= n^2, and kept only when every
+entry clears a floor set by its round-off; otherwise Horner runs, so exact
+zeros (pairs more than K hops apart, parity on bipartite graphs) stay exact.
 """
 
 from __future__ import annotations
@@ -142,10 +152,65 @@ def _walk_partials(p, coeffs: np.ndarray):
         yield h
 
 
+def _similar_eigh(b: np.ndarray, row_sums: np.ndarray):
+    """Eigendecomposition of T = D^-1 B (B symmetric, D = diag(row_sums))
+    through its symmetric similar S = R^-1 B R^-1, R = D^(1/2).
+
+    Returns (lam, V, ratio) with S = V diag(lam) V^T and ratio[i, j] =
+    r_j / r_i, so that R^-1 X R = X * ratio elementwise and
+    f(T) = (V f(lam) V^T) * ratio for any polynomial f.
+    """
+    r = np.sqrt(row_sums)
+    lam, v = np.linalg.eigh(b / np.outer(r, r))
+    ratio = r[None, :] / r[:, None]
+    return lam, v, ratio
+
+
+# Round-off in V f(lam) V^T is absolute: every entry, whatever its size,
+# carries an error of up to a few eps * max|f(lam)| (at most 8.3 measured on
+# ER graphs, n = 50..800, alpha = 0.01..0.9, K = 10..1000). A walk-sum entry
+# that is exactly zero comes back as that noise, of either sign, and a small
+# positive one keeps only noise / entry relative accuracy. An entry at least
+# _SPECTRAL_FLOOR times that scale is good to ~1e-9 relative or better, which
+# the log activations need; the smallest entry of the n=400, K=2000
+# exact-recovery graphs sits ~9e10 times above the scale.
+_SPECTRAL_FLOOR = 1e10
+
+
+def _spectral_walk_sum(g: Graph, coeffs: np.ndarray) -> np.ndarray | None:
+    """sum_i c_i P^i as R^-1 V f(Lambda) V^T R, or None when some entry does
+    not clear the round-off floor (see _SPECTRAL_FLOOR).
+
+    f(lam) = sum_i c_i lam^i is evaluated by Horner's scheme on the
+    eigenvalues of S = D^-1/2 A D^-1/2, which lie in [-1, 1].
+    """
+    lam, v, ratio = _similar_eigh(g.adjacency(), g.degrees)
+    f = np.full_like(lam, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        f *= lam
+        f += c
+    x = (v * f) @ v.T
+    if x.min() < _SPECTRAL_FLOOR * np.finfo(np.float64).eps * np.abs(f).max():
+        return None
+    return x * ratio
+
+
 def truncated_ppr(g: Graph, cfg: ProximityConfig) -> np.ndarray:
-    """Sum of c_i * P^i for i in [k_start, K] over the CSR walk operator."""
-    partials = _walk_partials(_walk_operator(g), hop_coefficients(cfg))
-    return collections.deque(partials, maxlen=1).pop()
+    """Sum of c_i * P^i for i in [k_start, K].
+
+    Spectral (_spectral_walk_sum) when L * nnz >= n^2, with L the number of
+    normal coefficients (see _normal_prefix) and nnz the walk operator's
+    stored entries; Horner over the CSR walk operator otherwise, and also
+    when the spectral result has an entry below its round-off floor, so
+    pairs that no walk of the allowed lengths connects stay exactly 0.
+    """
+    p = _walk_operator(g)
+    coeffs = _normal_prefix(hop_coefficients(cfg))
+    if coeffs.size * p.nnz >= g.n * g.n:
+        walk_sum = _spectral_walk_sum(g, coeffs)
+        if walk_sum is not None:
+            return walk_sum
+    return collections.deque(_walk_partials(p, coeffs), maxlen=1).pop()
 
 
 def _apply_activation(scaled: np.ndarray, activation: str) -> np.ndarray:

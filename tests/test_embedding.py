@@ -1,8 +1,15 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import random_connected_graph
 from pprinv.embedding import (
+    META_KEYS,
     EmbeddingPair,
     factorize,
     load_embedding,
@@ -88,6 +95,31 @@ class TestPersistence:
         assert loaded.meta["preset"] == "strap"
         assert loaded.meta["dim"] == 5
         assert loaded.meta["seed"] == 1
+
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(
+        data=st.data(),
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 4)),
+        meta=st.dictionaries(
+            st.one_of(st.sampled_from(META_KEYS), st.text(max_size=8)),
+            st.one_of(
+                st.none(), st.booleans(), st.integers(),
+                st.floats(allow_nan=False, allow_infinity=False), st.text(),
+            ),
+            max_size=10,
+        ),
+    )
+    def test_round_trip_property(self, data, shape, meta):
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        x, y = (data.draw(hnp.arrays(np.float64, shape, elements=floats)) for _ in "xy")
+        pair = EmbeddingPair(x=x, y=y, meta=meta)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_embedding(Path(tmp, "emb"), pair)
+            loaded = load_embedding(Path(tmp, "emb"))
+        assert loaded.x.tobytes() == x.tobytes() and loaded.x.shape == shape
+        assert loaded.y.tobytes() == y.tobytes() and loaded.y.shape == shape
+        # Every META_KEYS entry is written, null when the pair lacks it.
+        assert loaded.meta == {**dict.fromkeys(META_KEYS), **meta}
 
     def test_shape_mismatch_rejected(self, tmp_path):
         from pprinv.linalg import save_matrix

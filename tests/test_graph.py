@@ -1,7 +1,10 @@
+import dataclasses
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_connected_graph, random_graph
 from pprinv.graph import (
@@ -86,6 +89,32 @@ class TestParseEdgeList:
             g = random_connected_graph(15, 0.3, seed)
             again = parse_edge_list(serialize_edge_list(g))
             assert named_edges(again) == named_edges(g)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        n=st.integers(2, 15),
+        seed=st.integers(0, 10_000),
+        names=st.lists(
+            # Tokens as the format allows: no whitespace, line breaks or
+            # control characters, and no '#', which would start a comment.
+            st.text(
+                st.characters(blacklist_categories=("Z", "C"), blacklist_characters="#"),
+                min_size=1, max_size=6,
+            ),
+            min_size=15, max_size=15, unique=True,
+        ),
+    )
+    def test_named_round_trip(self, n, seed, names):
+        g = dataclasses.replace(
+            random_connected_graph(n, 0.4, seed), node_names=tuple(names[:n])
+        )
+        again = parse_edge_list(serialize_edge_list(g))
+        assert sorted(again.node_names) == sorted(g.node_names)
+
+        def named_edges(h):
+            return {frozenset((h.node_names[u], h.node_names[v])) for u, v in h.edge_set()}
+
+        assert named_edges(again) == named_edges(g)
 
     def test_degree_sum_equals_volume_equals_2m(self):
         for seed in range(5):

@@ -1,5 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pprinv.linalg import (
     load_matrix,
@@ -101,6 +107,21 @@ class TestMatrixFiles:
         path = tmp_path / "m.mat"
         save_matrix(path, m)
         assert np.array_equal(load_matrix(path), m)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(m=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ))
+    def test_binary_round_trip_property(self, m):
+        # Bit for bit, so -0.0 and subnormals survive too.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "m.mat")
+            save_matrix(path, m)
+            loaded = load_matrix(path)
+        assert loaded.dtype == np.float64 and loaded.shape == m.shape
+        assert loaded.tobytes() == m.tobytes()
 
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "m.mat"

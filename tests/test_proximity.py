@@ -1,13 +1,19 @@
+import collections
+
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_connected_graph
-from pprinv.graph import Graph, transition_matrix
+from pprinv.graph import Graph, _walk_operator, transition_matrix
 from pprinv.proximity import (
     LOG,
     ROW_L2,
     Preset,
     ProximityConfig,
+    _normal_prefix,
+    _spectral_walk_sum,
     _walk_partials,
     build_proximity,
     deepwalk_log_proximity,
@@ -119,6 +125,132 @@ class TestTruncatedPpr:
         *_, dense = _walk_partials(p, hop_coefficients(cfg))
         for out in (truncated_ppr(g, cfg), dense):
             assert np.abs(out - oracle).max() < 1e-12
+
+
+def horner_walk_sum(g, cfg):
+    """Reference walk sum: Horner's scheme over the CSR walk operator."""
+    partials = _walk_partials(_walk_operator(g), hop_coefficients(cfg))
+    return collections.deque(partials, maxlen=1).pop()
+
+
+def spectral_selected(g, cfg):
+    """Whether truncated_ppr tries the spectral form: L * nnz >= n^2."""
+    return _normal_prefix(hop_coefficients(cfg)).size * g.volume >= g.n * g.n
+
+
+def long_barbell(clique, path):
+    """Two `clique`-cliques joined through `path` extra nodes (path + 1 edges)."""
+    edges = [(i, j) for i in range(clique) for j in range(i + 1, clique)]
+    off = clique + path
+    edges += [(off + i, off + j) for i in range(clique) for j in range(i + 1, clique)]
+    chain = [clique - 1, *range(clique, off), off]
+    edges += list(zip(chain, chain[1:]))
+    return Graph.from_edges(2 * clique + path, edges)
+
+
+def cycle(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def tree_plus_edges(n, extra, bipartite, seed):
+    """Random spanning tree plus each further pair with probability `extra`;
+    with `bipartite`, only pairs across the tree's 2-colouring are added."""
+    rng = np.random.default_rng(seed)
+    edges, side = [], [0]
+    for v in range(1, n):
+        u = int(rng.integers(v))
+        edges.append((u, v))
+        side.append(1 - side[u])
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (not bipartite or side[u] != side[v]) and rng.random() < extra:
+                edges.append((u, v))
+    return Graph.from_edges(n, edges)
+
+
+class TestSpectralWalkSum:
+    """truncated_ppr's spectral form and its round-off guard."""
+
+    def test_long_horizon_takes_spectral_form(self):
+        g = random_connected_graph(15, 0.3, 9)
+        cfg = constant_cfg(0.7, 700, k_start=1)
+        assert spectral_selected(g, cfg)
+        out, ref = truncated_ppr(g, cfg), horner_walk_sum(g, cfg)
+        assert not np.array_equal(out, ref)
+        assert np.abs(np.log(out) - np.log(ref)).max() < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_barbell_keeps_exact_zeros(self, alpha):
+        # Pairs more than K hops apart: the bare spectral form returns them
+        # as round-off of either sign.
+        g = long_barbell(40, 15)
+        cfg = constant_cfg(alpha, 10)
+        assert spectral_selected(g, cfg)
+        ref = horner_walk_sum(g, cfg)
+        assert np.count_nonzero(ref == 0.0) == 4176
+        assert _spectral_walk_sum(g, _normal_prefix(hop_coefficients(cfg))) is None
+        assert np.array_equal(truncated_ppr(g, cfg), ref)
+        with pytest.raises(ValueError, match="within 10 hops"):
+            deepwalk_log_proximity(g, alpha, 10)
+
+    def test_even_cycle_keeps_parity_zeros(self):
+        # With k_start = K only walks of length K count, so on a bipartite
+        # graph every odd-distance pair is exactly 0.
+        g = cycle(20)
+        cfg = constant_cfg(0.3, 10, k_start=10)
+        assert spectral_selected(g, cfg)
+        ref = horner_walk_sum(g, cfg)
+        assert np.count_nonzero(ref == 0.0) == 200
+        assert np.array_equal(truncated_ppr(g, cfg), ref)
+        # DeepWalk at K = 1 is one hop: the diagonal and distance 2 are 0.
+        assert spectral_selected(cycle(4), constant_cfg(0.5, 1, k_start=1))
+        with pytest.raises(ValueError, match="within 1 hops"):
+            deepwalk_log_proximity(cycle(4), 0.5, 1)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        n=st.integers(2, 24),
+        extra=st.floats(0.0, 0.6),
+        bipartite=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        k_horizon=st.integers(0, 300),
+        data=st.data(),
+    )
+    # With data=None the schedule is a constant alpha = 0.9. One example per
+    # branch: Horner by size, spectral kept, and spectral rejected (entries
+    # down to 6e-12, below the round-off floor).
+    @example(n=24, extra=0.0, bipartite=False, seed=1, k_horizon=3, data=None)
+    @example(n=12, extra=0.5, bipartite=False, seed=2, k_horizon=200, data=None)
+    @example(n=24, extra=0.0, bipartite=True, seed=0, k_horizon=12, data=None)
+    def test_matches_horner_reference(self, n, extra, bipartite, seed, k_horizon, data):
+        g = tree_plus_edges(n, extra, bipartite, seed)
+        if data is None:
+            cfg = constant_cfg(0.9, k_horizon)
+        else:
+            k_start = data.draw(st.integers(0, k_horizon), label="k_start")
+            if data.draw(st.booleans(), label="lemane"):
+                # Per-hop stops in (0, 1), the walk terminating at K.
+                inner = data.draw(st.lists(
+                    st.floats(0.01, 0.99), min_size=k_horizon, max_size=k_horizon
+                ), label="alphas")
+                cfg = ProximityConfig(
+                    b=1.0, beta=0.0, gamma=0.0, k_start=k_start,
+                    k_horizon=k_horizon, alphas=(*inner, 1.0), epsilon=1.0,
+                    activation="identity",
+                )
+            else:
+                alpha = data.draw(st.floats(0.01, 0.99), label="alpha")
+                cfg = constant_cfg(alpha, k_horizon, k_start=k_start)
+        ref = horner_walk_sum(g, cfg)
+        zero = ref == 0.0
+        for out in (truncated_ppr(g, cfg),
+                    _spectral_walk_sum(g, _normal_prefix(hop_coefficients(cfg)))):
+            if out is None:
+                continue
+            assert np.all(out[zero] == 0.0)
+            assert np.all(out[~zero] > 0.0)
+            assert np.abs(np.log(out[~zero]) - np.log(ref[~zero])).max(initial=0.0) <= 1e-9
+        event("spectral form tried" if spectral_selected(g, cfg) else "Horner by size")
 
 
 def strap_direct(g, alpha, epsilon, k_horizon):
