@@ -6,12 +6,14 @@ the log-form walk proximity from the soft adjacency, and descends the
 squared Frobenius gap to the target proximity.
 
 Per epoch the shift solve reads only the strict upper triangle of the logits
-and warm-starts from the previous epoch's shift. The forward pass evaluates
-the walk sum by Horner's scheme, K matmuls, keeping only the last partial.
-The backward pass is hand-written reverse mode through the log clamp, the
-walk sum (its spectral adjoint: one symmetric eigendecomposition and four
-matmuls), row normalization and the logistic. Memory per epoch is O(n^2)
-whatever the horizon K.
+and warm-starts from the previous epoch's shift. One symmetric
+eigendecomposition of the soft transition matrix serves both passes: the
+forward evaluates the walk sum on its spectrum (one matmul), and the
+backward is hand-written reverse mode through the log clamp, the walk sum
+(its Daleckii-Krein adjoint: four matmuls), row normalization and the
+logistic. Memory per epoch is O(n^2) whatever the horizon K.
+forward_proximity and gradient keep Horner's scheme (K matmuls) instead, as
+the loop's finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .graph import Graph
 from .proximity import (
     ProximityConfig,
     _normal_prefix,
+    _polynomial,
     _similar_eigh,
     _walk_partials,
     hop_coefficients,
@@ -186,35 +189,27 @@ def _solve_shift(
     return s
 
 
-@dataclass(frozen=True)
-class _ForwardTrace:
-    t: np.ndarray
-    row_sums: np.ndarray
-    coeffs: np.ndarray
-    s_mat: np.ndarray
-    m_hat: np.ndarray
-    unclamped: np.ndarray
-
-
-def _forward(b_soft: np.ndarray, alpha: float, epsilon: float, k_horizon: int) -> _ForwardTrace:
+def _row_sums(b_soft: np.ndarray) -> np.ndarray:
     row_sums = b_soft.sum(axis=1)
     if np.any(row_sums <= 0.0):
         raise ValueError("soft adjacency has an all-zero row")
-    row_sums = np.maximum(row_sums, _ROW_SUM_FLOOR)
+    return np.maximum(row_sums, _ROW_SUM_FLOOR)
+
+
+def _walk_coefficients(alpha: float, epsilon: float, k_horizon: int) -> np.ndarray:
+    return _normal_prefix(hop_coefficients(ProximityConfig.constant_alpha(
+        alpha, b=1.0, k_horizon=k_horizon, epsilon=epsilon)))
+
+
+def _horner_forward(
+    b_soft: np.ndarray, row_sums: np.ndarray, coeffs: np.ndarray, epsilon: float
+) -> np.ndarray:
     t = b_soft / row_sums[:, None]
-    coeffs = _normal_prefix(hop_coefficients(
-        ProximityConfig.constant_alpha(
-            alpha, b=1.0, k_horizon=k_horizon, epsilon=epsilon
-        )
-    ))
-    s_mat = collections.deque(_walk_partials(t, coeffs), maxlen=1).pop() / epsilon
-    unclamped = s_mat > 1.0
-    m_hat = np.zeros_like(s_mat)
-    m_hat[unclamped] = np.log(s_mat[unclamped])
-    return _ForwardTrace(
-        t=t, row_sums=row_sums, coeffs=coeffs, s_mat=s_mat, m_hat=m_hat,
-        unclamped=unclamped,
-    )
+    return collections.deque(_walk_partials(t, coeffs), maxlen=1).pop() / epsilon
+
+
+def _log_clamp(s_mat: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(s_mat, 1.0))
 
 
 def forward_proximity(
@@ -224,9 +219,12 @@ def forward_proximity(
 
     Row-normalizes B by its own row sums, evaluates
     (1/epsilon) * sum_i alpha (1-alpha)^i T^i by Horner's scheme, and
-    returns max{0, log(.)} elementwise.
+    returns max{0, log(.)} elementwise. This is the finite-difference oracle
+    for the optimizer, whose loop takes the same sum from T's spectrum.
     """
-    return _forward(np.asarray(b_soft, dtype=np.float64), alpha, epsilon, k_horizon).m_hat
+    b_soft = np.asarray(b_soft, dtype=np.float64)
+    coeffs = _walk_coefficients(alpha, epsilon, k_horizon)
+    return _log_clamp(_horner_forward(b_soft, _row_sums(b_soft), coeffs, epsilon))
 
 
 def loss(m_hat: np.ndarray, m_target: np.ndarray) -> float:
@@ -255,44 +253,39 @@ def _divided_differences(lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def _walk_sum_adjoint(
-    b_soft: np.ndarray, row_sums: np.ndarray, coeffs: np.ndarray, g_h: np.ndarray
-) -> np.ndarray:
-    """Adjoint of T -> f(T) = sum_i c_i T^i at T = D^-1 B, applied to g_h.
+def _loss_and_gradient(
+    b_soft: np.ndarray, row_sums: np.ndarray, eig: tuple, coeffs: np.ndarray,
+    s_mat: np.ndarray, m_target: np.ndarray, epsilon: float,
+) -> tuple[float, np.ndarray]:
+    """Loss of m_hat = max{0, log s} and its gradient w.r.t. the shared
+    logits, given the forward's s = f(T) / epsilon at T = D^-1 B.
 
-    With R = D^(1/2), S = R^-1 B R^-1 is symmetric and T = R^-1 S R. For
-    S = V diag(lam) V^T the Daleckii-Krein formula gives the adjoint
-    R V (Gamma o (V^T E V)) V^T R^-1 with E = R^-1 g_h R: one eigh and four
-    matmuls for any horizon K.
+    Reverse mode through the log clamp, the walk sum, row normalization and
+    the logistic. eig = (lam, V, ratio) is _similar_eigh of B: with
+    R = D^(1/2), S = R^-1 B R^-1 = V diag(lam) V^T and T = R^-1 S R, so the
+    Daleckii-Krein formula gives the walk-sum adjoint of G as
+    R V (Gamma o (V^T (R^-1 G R) V)) V^T R^-1: four matmuls for any horizon
+    K. Every intermediate is n x n, so memory is O(n^2).
     """
-    lam, v, ratio = _similar_eigh(b_soft, row_sums)
-    inner = v.T @ (g_h * ratio) @ v
+    lam, v, ratio = eig
+    g_h = _log_clamp(s_mat)  # m_hat, overwritten in place by its adjoint
+    value = loss(g_h, m_target)
+    g_h -= m_target
+    g_h *= 2.0
+    g_h = np.divide(g_h, s_mat, out=np.zeros_like(g_h), where=s_mat > 1.0)
+    g_h /= epsilon
+    g_h *= ratio
+    inner = v.T @ g_h @ v
     inner *= _divided_differences(lam, coeffs)
-    return (v @ inner @ v.T) / ratio
-
-
-def _backward(
-    trace: _ForwardTrace,
-    b_soft: np.ndarray,
-    m_target: np.ndarray,
-    epsilon: float,
-) -> np.ndarray:
-    """Reverse mode from the loss to the shared logits: through the log
-    clamp, the walk sum (_walk_sum_adjoint: one eigh and four matmuls in
-    place of 2K matmuls over stored Horner partials), row normalization and
-    the logistic. Every intermediate is n x n, so memory is O(n^2)."""
-    g_m = 2.0 * (trace.m_hat - m_target)
-    g_m[~trace.unclamped] = 0.0
-    g_s = np.zeros_like(g_m)
-    g_s[trace.unclamped] = g_m[trace.unclamped] / trace.s_mat[trace.unclamped]
-    g_h = g_s / epsilon
-    g_t = _walk_sum_adjoint(b_soft, trace.row_sums, trace.coeffs, g_h)
-    weighted = (g_t * trace.t).sum(axis=1, keepdims=True)
-    g_b = (g_t - weighted) / trace.row_sums[:, None]
+    g_t = v @ inner @ v.T
+    g_t /= ratio
+    # T = D^-1 B, so dT/dB contributes (G_T - rowsum(G_T o T)) / D.
+    weighted = (g_t * b_soft).sum(axis=1) / row_sums
+    g_b = (g_t - weighted[:, None]) / row_sums[:, None]
     g_logit = b_soft * (1.0 - b_soft) * g_b
     grad = g_logit + g_logit.T
     np.fill_diagonal(grad, 0.0)
-    return grad
+    return value, grad
 
 
 def gradient(state: OptState, m_target: np.ndarray, cfg: OptConfig) -> np.ndarray:
@@ -301,12 +294,32 @@ def gradient(state: OptState, m_target: np.ndarray, cfg: OptConfig) -> np.ndarra
     The epoch's shift is held fixed (no gradient flows through the Newton
     solve); clamped proximity entries contribute zero subgradient; the
     (u,v)/(v,u) logit pair shares one parameter, so their adjoints sum.
+    The loss is that of forward_proximity (Horner), so finite differences
+    of it check this gradient; the backward is the optimizer loop's own.
     """
     b_soft = state.b_soft
     if b_soft is None:
         b_soft = _soft_adjacency(state.logits, state.shift)
-    trace = _forward(b_soft, cfg.alpha, cfg.epsilon, cfg.k_horizon)
-    return _backward(trace, b_soft, m_target, cfg.epsilon)
+    row_sums = _row_sums(b_soft)
+    coeffs = _walk_coefficients(cfg.alpha, cfg.epsilon, cfg.k_horizon)
+    s_mat = _horner_forward(b_soft, row_sums, coeffs, cfg.epsilon)
+    eig = _similar_eigh(b_soft, row_sums)
+    return _loss_and_gradient(
+        b_soft, row_sums, eig, coeffs, s_mat, m_target, cfg.epsilon)[1]
+
+
+def _spectral_epoch(
+    b_soft: np.ndarray, coeffs: np.ndarray, m_target: np.ndarray, epsilon: float
+) -> tuple[float, np.ndarray]:
+    """_loss_and_gradient from one eigh: the forward is the NetMF closed
+    form f(T) = (V f(lam) V^T) o ratio, and the backward reuses the
+    decomposition."""
+    row_sums = _row_sums(b_soft)
+    eig = lam, v, ratio = _similar_eigh(b_soft, row_sums)
+    s_mat = (v * _polynomial(coeffs, lam)) @ v.T
+    s_mat *= ratio
+    s_mat /= epsilon
+    return _loss_and_gradient(b_soft, row_sums, eig, coeffs, s_mat, m_target, epsilon)
 
 
 def invert_optimize(
@@ -315,9 +328,11 @@ def invert_optimize(
     """Recover a graph whose walk proximity matches m_target.
 
     Per epoch: rebuild B from the logits and the current volume shift,
-    evaluate forward loss and reverse-mode gradient, step the logits, and
-    re-solve the shift starting from its last value. After the final epoch
-    the soft adjacency binarizes to exactly m_edges edges.
+    evaluate the loss and its reverse-mode gradient from one
+    eigendecomposition, step the logits, and re-solve the shift starting
+    from its last value. Each epoch's loss agrees with
+    loss(forward_proximity(B, ...), m_target) to round-off. After the final
+    epoch the soft adjacency binarizes to exactly m_edges edges.
     """
     m_target = np.asarray(m_target, dtype=np.float64)
     n = m_target.shape[0]
@@ -333,11 +348,11 @@ def invert_optimize(
     # Each later solve warm-starts from the previous epoch's shift, which the
     # step moves little.
     state.shift = volume_shift(state.logits, cfg.target_volume, cfg.newton_iters)
+    coeffs = _walk_coefficients(cfg.alpha, cfg.epsilon, cfg.k_horizon)
     for epoch in range(1, cfg.epochs + 1):
         state.b_soft = _soft_adjacency(state.logits, state.shift)
-        trace = _forward(state.b_soft, cfg.alpha, cfg.epsilon, cfg.k_horizon)
-        losses.append(loss(trace.m_hat, m_target))
-        grad = _backward(trace, state.b_soft, m_target, cfg.epsilon)
+        epoch_loss, grad = _spectral_epoch(state.b_soft, coeffs, m_target, cfg.epsilon)
+        losses.append(epoch_loss)
         # Adam, in place, in the operation order of
         #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
         #   logits -= step (m / c1) / (sqrt(v / c2) + tiny).

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pprinv
@@ -97,7 +98,7 @@ class TestVolumeShift:
         b = _soft_adjacency(logits, s)
         assert np.all(b.sum(axis=1) > 0)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, database=None)
     @given(
         n=st.integers(2, 12),
         seed=st.integers(0, 2**32 - 1),
@@ -263,6 +264,44 @@ class TestGradient:
             off = ~np.eye(8, dtype=bool)
             assert (np.abs(analytic - fd) / denom)[off].max() < 1e-5
 
+    @settings(deadline=None, database=None)
+    @given(
+        n=st.integers(3, 12),
+        k_horizon=st.integers(0, 10),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        scale=st.sampled_from([0.0, 0.3, 1.0, 2.0]),
+        fraction=st.floats(0.1, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_finite_differences_property(
+        self, n, k_horizon, alpha, scale, fraction, seed
+    ):
+        cfg = OptConfig(target_volume=fraction * n * (n - 1), alpha=alpha,
+                        epsilon=1e-7, k_horizon=k_horizon)
+        logits = symmetric_logits(n, seed, scale=scale)
+        shift = volume_shift(logits, cfg.target_volume, cfg.newton_iters)
+        b = _soft_adjacency(logits, shift)
+        # Differences taken across the log clamp's kink (s = 1) do not
+        # approximate its subgradient; the steps below move log s by < 3e-3.
+        coeffs = hop_coefficients(ProximityConfig.constant_alpha(
+            alpha, b=1.0, k_horizon=k_horizon, epsilon=cfg.epsilon))
+        walk = list(_walk_partials(b / b.sum(axis=1, keepdims=True), coeffs))[-1]
+        with np.errstate(divide="ignore"):
+            assume(np.abs(np.log(walk / cfg.epsilon)).min() > 1e-2)
+        rng = np.random.default_rng(seed)
+        m_target = forward_proximity(b, alpha, cfg.epsilon, k_horizon)
+        m_target += rng.normal(0.0, 0.5, (n, n))
+        analytic = gradient(OptState(logits=logits, shift=shift, b_soft=b), m_target, cfg)
+        # A central difference at step h carries round-off ~1e-15 / h and a
+        # truncation error ~h^2; Richardson's (4 fd(h) - fd(2h)) / 3 cancels
+        # the h^2 term, so a step of 1e-3 keeps both near 1e-11, below 1e-5
+        # of all but the rarest near-zero gradient entries.
+        fd = (4.0 * finite_difference(logits, shift, m_target, cfg, h=1e-3)
+              - finite_difference(logits, shift, m_target, cfg, h=2e-3)) / 3.0
+        denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), 1e-10)
+        off = ~np.eye(n, dtype=bool)
+        assert (np.abs(analytic - fd) / denom)[off].max() < 1e-5
+
     @pytest.mark.parametrize("spectrum", ["generic", "degenerate", "near_degenerate"])
     @pytest.mark.parametrize("k_horizon", [0, 1, 4, 10])
     @pytest.mark.parametrize("n", [5, 30])
@@ -363,9 +402,9 @@ class TestInvertOptimize:
         with pytest.raises(ValueError, match="square"):
             invert_optimize(np.zeros((3, 4)), cfg, 2)
 
-    def test_embedding_target_loss_halves_in_40_epochs(self):
+    def embedding_setup(self):
         from pprinv.embedding import factorize, reconstruct_proximity
-        from pprinv.proximity import build_proximity, preset_config
+        from pprinv.proximity import preset_config
 
         g = random_connected_graph(34, 0.15, 8)
         m = build_proximity(
@@ -376,8 +415,30 @@ class TestInvertOptimize:
             target_volume=float(g.volume), alpha=0.1, epochs=40,
             epsilon=5e-8, k_horizon=10, step_size=0.3, seed=0,
         )
+        return g, target, cfg
+
+    def test_embedding_target_loss_halves_in_40_epochs(self):
+        g, target, cfg = self.embedding_setup()
         result = invert_optimize(target, cfg, g.num_edges)
         assert result.losses[-1] <= 0.5 * result.losses[0]
+
+    @pytest.mark.parametrize("target", ["self_consistent", "embedding"])
+    def test_epoch_loss_matches_horner_oracle(self, target):
+        # The loop evaluates its forward on the spectrum of T; each epoch's
+        # loss must still be the Horner forward_proximity loss of the soft
+        # adjacency the previous epochs left behind.
+        if target == "self_consistent":
+            g, m_target, cfg = self.self_consistent_setup(1)
+        else:
+            g, m_target, cfg = self.embedding_setup()
+        for e in (1, 5, 20):
+            before = invert_optimize(
+                m_target, dataclasses.replace(cfg, epochs=e), g.num_edges)
+            after = invert_optimize(
+                m_target, dataclasses.replace(cfg, epochs=e + 1), g.num_edges)
+            want = loss(forward_proximity(before.soft_adjacency, cfg.alpha,
+                                          cfg.epsilon, cfg.k_horizon), m_target)
+            assert abs(after.losses[e] - want) <= 1e-12 * want
 
 
 def test_import_does_not_load_scipy_special():
