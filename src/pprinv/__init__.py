@@ -19,15 +19,12 @@ from .graph import (
     parse_edge_list,
     parse_labels,
     serialize_edge_list,
-    transition_matrix,
 )
 from .linalg import SvdResult, load_matrix, pseudoinverse, randomized_svd, save_matrix
 from .metrics import (
     RecoveryReport,
     recovery_report,
-    relative_conductance_error,
     relative_frobenius_error,
-    relative_path_length_error,
 )
 from .optimize import (
     OptConfig,

@@ -35,10 +35,6 @@ class EmbeddingPair:
     y: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
-
 
 def factorize(m: np.ndarray, d: int, seed: int, meta: dict | None = None) -> EmbeddingPair:
     """Split m into X = U sqrt(S), Y = V sqrt(S) from a rank-d randomized SVD."""

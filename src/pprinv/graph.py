@@ -1,4 +1,5 @@
-"""Undirected graph core: ingestion, transition matrix, BFS distances, conductance.
+"""Undirected graph core: ingestion, the CSR walk operator, BFS distances,
+conductance.
 
 Graphs are simple (no self-loops, 0/1 adjacency) and stored in CSR form with
 both edge orientations, so ``degrees`` and ``volume`` fall out of the index
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import io
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -115,14 +116,13 @@ class Graph:
 
 @dataclass(frozen=True)
 class CommunityAssignment:
-    """Per-node community labels plus label -> node-set map.
+    """Label -> node-set map of a graph's communities.
 
     ``communities`` is ordered by descending size; ties break toward the
     smaller label (numeric when both labels parse as integers).
     """
 
-    labels: tuple[str, ...]
-    communities: tuple[tuple[str, frozenset[int]], ...] = field(repr=False)
+    communities: tuple[tuple[str, frozenset[int]], ...]
 
     def top(self, k: int) -> tuple[tuple[str, frozenset[int]], ...]:
         return self.communities[:k]
@@ -261,8 +261,7 @@ def parse_labels(text, g: Graph) -> CommunityAssignment:
         members.items(), key=lambda kv: (-len(kv[1]), _label_sort_key(kv[0]))
     )
     return CommunityAssignment(
-        labels=tuple(labels[i] for i in range(g.n)),
-        communities=tuple((lab, frozenset(nodes)) for lab, nodes in ordered),
+        tuple((label, frozenset(nodes)) for label, nodes in ordered)
     )
 
 
@@ -274,11 +273,6 @@ def _walk_operator(g: Graph) -> csr_matrix:
         u = int(np.flatnonzero(deg == 0)[0])
         raise ValueError(f"node {u} is isolated; transition matrix undefined")
     return g._csr(np.repeat(1.0 / deg, deg))
-
-
-def transition_matrix(g: Graph) -> np.ndarray:
-    """Row-stochastic random-walk matrix: uniform 1/deg(u) over u's neighbors."""
-    return _walk_operator(g).toarray()
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:

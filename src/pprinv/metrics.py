@@ -1,5 +1,9 @@
-"""Topology-recovery metrics: edge error, path-length error, conductance
-error over the largest communities, assembled into a RecoveryReport.
+"""Topology-recovery metrics: edge error, path-length error and conductance
+error over the largest communities.
+
+relative_frobenius_error and average_path_length are the building blocks;
+recovery_report assembles all three measures into a RecoveryReport, and is
+the only place the path-length and conductance errors are computed.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ TOP_COMMUNITIES = 4
 class CommunityError:
     label: str
     size: int
-    phi_orig: float
-    phi_rec: float
+    phi_orig: float | None
+    phi_rec: float | None
     rel_err: float | None
     excluded: bool = False
 
@@ -90,40 +94,13 @@ def average_path_length(g: Graph) -> tuple[float, int]:
     return float(dist[iu][finite].mean()), count
 
 
-def _path_length_error(g: Graph, g_hat: Graph) -> tuple[float, int, int]:
-    """Relative path-length error with both connected-pair counts; the error
-    is 1 when the recovered graph has no connected pair."""
-    l_orig, pairs_orig = average_path_length(g)
-    if pairs_orig == 0:
-        raise ValueError("original graph has no connected pair")
-    l_rec, pairs_rec = average_path_length(g_hat)
-    err = abs(l_orig - l_rec) / l_orig if pairs_rec else 1.0
-    return err, pairs_orig, pairs_rec
-
-
-def relative_path_length_error(g: Graph, g_hat: Graph) -> float:
-    """|l(G) - l(G_hat)| / l(G), each graph averaged over its own connected
-    pairs."""
-    if g.n != g_hat.n:
-        raise ValueError(f"node counts differ: {g.n} vs {g_hat.n}")
-    return _path_length_error(g, g_hat)[0]
-
-
-def _conductance_error(g: Graph, g_hat: Graph, s) -> tuple[float, float, float | None]:
-    """Both conductances of community s and their relative error; the error
-    is None when the original conductance is zero."""
-    phi_orig = conductance(g, s)
-    phi_rec = conductance(g_hat, s)
-    rel = None if phi_orig == 0.0 else abs(phi_orig - phi_rec) / phi_orig
-    return phi_orig, phi_rec, rel
-
-
-def relative_conductance_error(g: Graph, g_hat: Graph, s) -> float:
-    """|phi_G(S) - phi_Ghat(S)| / phi_G(S) for one community S."""
-    rel = _conductance_error(g, g_hat, s)[2]
-    if rel is None:
-        raise ValueError("original conductance is zero; relative error undefined")
-    return rel
+def _conductance_or_none(g: Graph, s) -> float | None:
+    """conductance(g, s), or None where it is undefined: s holds every node,
+    or the smaller side of the cut has zero volume."""
+    try:
+        return conductance(g, s)
+    except ValueError:
+        return None
 
 
 def recovery_report(
@@ -134,16 +111,24 @@ def recovery_report(
 ) -> RecoveryReport:
     """All three metrics over the top communities (largest first).
 
-    Communities whose original conductance is zero are flagged and excluded
-    from the average rather than silently biasing it. labels=None skips the
-    conductance section entirely.
+    err_l = |l(G) - l(G_hat)| / l(G), each graph averaged over its own
+    connected pairs; it is 1 when G_hat has no connected pair. A community's
+    rel_err is |phi_G(S) - phi_Ghat(S)| / phi_G(S). Communities whose
+    original conductance is zero, or whose conductance in either graph is
+    undefined (None), are flagged and excluded from the average rather than
+    silently biasing it. labels=None skips the conductance section entirely.
     """
     err_a = relative_frobenius_error(g, g_hat)
-    err_l, pairs_orig, pairs_rec = _path_length_error(g, g_hat)
+    l_orig, pairs_orig = average_path_length(g)
+    l_rec, pairs_rec = average_path_length(g_hat)
+    err_l = abs(l_orig - l_rec) / l_orig if pairs_rec else 1.0
     per_community: list[CommunityError] = []
     if labels is not None:
         for label, members in labels.top(TOP_COMMUNITIES):
-            phi_orig, phi_rec, rel = _conductance_error(g, g_hat, members)
+            phi_orig = _conductance_or_none(g, members)
+            phi_rec = _conductance_or_none(g_hat, members)
+            defined = phi_orig and phi_rec is not None  # phi_orig not None or 0
+            rel = abs(phi_orig - phi_rec) / phi_orig if defined else None
             per_community.append(
                 CommunityError(label, len(members), phi_orig, phi_rec, rel, rel is None)
             )

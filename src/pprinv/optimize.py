@@ -27,6 +27,7 @@ from .analytical import binarize
 from .graph import Graph
 from .proximity import (
     ProximityConfig,
+    _log_clamp,
     _normal_prefix,
     _polynomial,
     _similar_eigh,
@@ -206,10 +207,6 @@ def _horner_forward(
 ) -> np.ndarray:
     t = b_soft / row_sums[:, None]
     return collections.deque(_walk_partials(t, coeffs), maxlen=1).pop() / epsilon
-
-
-def _log_clamp(s_mat: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(s_mat, 1.0))
 
 
 def forward_proximity(

@@ -26,10 +26,6 @@ import numpy as np
 
 from .graph import Graph, _read_lines, _walk_operator
 
-# Entries at or below this before a log activation are emitted as 0 rather
-# than -inf; the outer max{0, .} would zero any such entry anyway.
-LOG_FLOOR = 1e-300
-
 IDENTITY = "identity"
 LOG = "log"
 ROW_L2 = "row_l2"
@@ -125,8 +121,9 @@ def _normal_prefix(coeffs: np.ndarray) -> np.ndarray:
     normal float (L = 0 when none is).
 
     A subnormal c_i adds less than 2^-1022 to an entry of a stochastic walk
-    sum, below LOG_FLOOR; a Horner scheme started there would push
-    subnormals through every product, which is several times slower.
+    sum, far below the 1 under which the log activation clamps to 0; a
+    Horner scheme started there would push subnormals through every
+    product, which is several times slower.
     """
     normal = np.flatnonzero(coeffs >= np.finfo(np.float64).tiny)
     return coeffs[: (normal[-1] if normal.size else 0) + 1]
@@ -219,14 +216,17 @@ def truncated_ppr(g: Graph, cfg: ProximityConfig) -> np.ndarray:
     return collections.deque(_walk_partials(p, coeffs), maxlen=1).pop()
 
 
+def _log_clamp(x: np.ndarray) -> np.ndarray:
+    """max{0, log x} elementwise: +0.0 for every entry at or below 1, zeros
+    and negatives included; a NaN stays NaN."""
+    return np.log(np.maximum(x, 1.0))
+
+
 def _apply_activation(scaled: np.ndarray, activation: str) -> np.ndarray:
     if activation == IDENTITY:
         return np.maximum(scaled, 0.0)
     if activation == LOG:
-        out = np.zeros_like(scaled)
-        mask = scaled > LOG_FLOOR
-        out[mask] = np.log(scaled[mask])
-        return np.maximum(out, 0.0)
+        return _log_clamp(scaled)
     norms = np.linalg.norm(scaled, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return np.maximum(scaled / norms, 0.0)

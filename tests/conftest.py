@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
-from pprinv.graph import Graph, all_pairs_distances
+from pprinv.graph import Graph, _walk_operator, all_pairs_distances
+
+# Every property runs without an example database, so no run replays another
+# run's failures, and without a per-example deadline; a failure prints the
+# blob that reproduces it with @reproduce_failure.
+settings.register_profile("pprinv", deadline=None, database=None, print_blob=True)
+settings.load_profile("pprinv")
+
+
+def transition_matrix(g):
+    """Dense row-stochastic random-walk matrix, the oracle for the CSR walk
+    operator; raises for an isolated node."""
+    return _walk_operator(g).toarray()
 
 
 def random_graph(n, p, seed):

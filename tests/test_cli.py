@@ -226,7 +226,28 @@ class TestEvaluateCommand:
         assert phi["L"]["phi_orig"] == pytest.approx(1 / 7)
         assert phi["L"]["phi_rec"] == pytest.approx(0.25)
 
-    @settings(max_examples=25, deadline=None, database=None)
+    def test_single_label_file_reports_null_conductance(self, tmp_path):
+        # One label for every node leaves the community no complement, so its
+        # conductance is undefined; err_A and err_l are still reported.
+        graph = tmp_path / "barbell.txt"
+        graph.write_text("0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("".join(f"{i} all\n" for i in range(6)))
+        out = tmp_path / "report.json"
+        rc = main([
+            "evaluate", "--graph", str(graph), "--recovered", str(graph),
+            "--labels", str(labels), "--out", str(out),
+        ])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["err_A"] == report["err_l"] == 0.0
+        assert report["err_phi_avg"] is None
+        assert report["per_community"] == [{
+            "label": "all", "size": 6, "phi_orig": None, "phi_rec": None,
+            "rel_err": None, "excluded": True,
+        }]
+
+    @settings(max_examples=25)
     @given(
         n=st.integers(3, 12),
         seed=st.integers(0, 10_000),

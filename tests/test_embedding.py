@@ -96,7 +96,7 @@ class TestPersistence:
         assert loaded.meta["dim"] == 5
         assert loaded.meta["seed"] == 1
 
-    @settings(max_examples=50, deadline=None, database=None)
+    @settings(max_examples=50)
     @given(
         data=st.data(),
         shape=st.tuples(st.integers(1, 6), st.integers(1, 4)),

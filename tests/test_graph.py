@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph, random_graph
+from conftest import random_connected_graph, random_graph, transition_matrix
 from pprinv.graph import (
     EdgeListError,
     Graph,
+    _walk_operator,
     all_pairs_distances,
     conductance,
     parse_edge_list,
     parse_labels,
     serialize_edge_list,
-    transition_matrix,
 )
 
 
@@ -90,7 +90,7 @@ class TestParseEdgeList:
             again = parse_edge_list(serialize_edge_list(g))
             assert named_edges(again) == named_edges(g)
 
-    @settings(max_examples=100, deadline=None, database=None)
+    @settings(max_examples=100)
     @given(
         n=st.integers(2, 15),
         seed=st.integers(0, 10_000),
@@ -181,7 +181,7 @@ class TestTransitionMatrix:
     def test_isolated_node_named_in_error(self):
         g = Graph.from_edges(3, [(0, 1)])
         with pytest.raises(ValueError, match="node 2"):
-            transition_matrix(g)
+            _walk_operator(g)
 
     def test_rows_sum_to_one(self):
         for seed in range(3):

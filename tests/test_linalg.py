@@ -108,7 +108,7 @@ class TestMatrixFiles:
         save_matrix(path, m)
         assert np.array_equal(load_matrix(path), m)
 
-    @settings(max_examples=100, deadline=None, database=None)
+    @settings(max_examples=100)
     @given(m=hnp.arrays(
         np.float64,
         hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),

@@ -6,15 +6,32 @@ from pprinv.graph import Graph, parse_labels
 from pprinv.metrics import (
     average_path_length,
     recovery_report,
-    relative_conductance_error,
     relative_frobenius_error,
-    relative_path_length_error,
 )
 from pprinv.optimize import OptConfig, forward_proximity, invert_optimize
 
 
 def complete_graph(n):
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def labels_for(g, label_of):
+    text = "\n".join(f"{i} {label_of(i)}" for i in range(g.n))
+    return parse_labels(text, g)
+
+
+def path_length_error(g, g_hat):
+    return recovery_report(g, g_hat, None).err_l
+
+
+def conductance_entry(g, g_hat, label_of, label):
+    """The per_community entry of recovery_report for one community."""
+    report = recovery_report(g, g_hat, labels_for(g, label_of))
+    return next(c for c in report.per_community if c.label == label)
+
+
+def barbell_sides(i):
+    return "left" if i < 3 else "right"
 
 
 class TestFrobeniusError:
@@ -61,7 +78,7 @@ class TestFrobeniusError:
 
 class TestPathLengthError:
     def test_identical(self, p3):
-        assert relative_path_length_error(p3, p3) == 0.0
+        assert path_length_error(p3, p3) == 0.0
 
     def test_p3_average_is_four_thirds(self, p3):
         l, pairs = average_path_length(p3)
@@ -69,57 +86,52 @@ class TestPathLengthError:
         assert pairs == 3
 
     def test_p3_vs_k3(self, p3, k3):
-        assert relative_path_length_error(p3, k3) == pytest.approx(0.25)
+        assert path_length_error(p3, k3) == pytest.approx(0.25)
 
     def test_k4_vs_k4_minus_edge(self):
         k4 = complete_graph(4)
         minus = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-        assert relative_path_length_error(k4, minus) == pytest.approx(1 / 6)
+        assert path_length_error(k4, minus) == pytest.approx(1 / 6)
 
     def test_each_graph_averages_its_own_connected_pairs(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])  # path, l = 10/6
         g_hat = Graph.from_edges(4, [(0, 1), (2, 3)])  # two pairs at distance 1
         want = abs(10 / 6 - 1.0) / (10 / 6)
-        assert relative_path_length_error(g, g_hat) == pytest.approx(want)
+        assert path_length_error(g, g_hat) == pytest.approx(want)
 
     def test_no_connected_pair_rejected(self):
+        # An original graph without a connected pair has no edges, which the
+        # edge error already rejects.
         empty = Graph.from_edges(3, [])
-        with pytest.raises(ValueError, match="connected pair"):
-            relative_path_length_error(empty, empty)
+        with pytest.raises(ValueError, match="no edges"):
+            path_length_error(empty, empty)
 
 
 class TestConductanceError:
     def test_identical(self, barbell):
-        assert relative_conductance_error(barbell, barbell, {0, 1, 2}) == 0.0
+        entry = conductance_entry(barbell, barbell, barbell_sides, "left")
+        assert entry.rel_err == 0.0
 
     def test_doubled_bridge(self, barbell):
         # Extra bridge (1,3): cut 2, vol(S) = 8 -> phi_hat = 1/4 vs 1/7.
         edited = Graph.from_edges(
             6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3), (1, 3)]
         )
-        err = relative_conductance_error(barbell, edited, {0, 1, 2})
-        assert err == pytest.approx(0.75)
+        entry = conductance_entry(barbell, edited, barbell_sides, "left")
+        assert (entry.phi_orig, entry.phi_rec) == (pytest.approx(1 / 7), 0.25)
+        assert entry.rel_err == pytest.approx(0.75)
 
     def test_fully_disconnected_community(self, barbell):
         split = Graph.from_edges(
             6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
         )
-        err = relative_conductance_error(barbell, split, {0, 1, 2})
-        assert err == pytest.approx(1.0)
-
-    def test_zero_original_conductance_rejected(self):
-        split = Graph.from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError, match="undefined"):
-            relative_conductance_error(split, split, {0, 1})
+        entry = conductance_entry(barbell, split, barbell_sides, "left")
+        assert entry.rel_err == pytest.approx(1.0)
 
 
 class TestRecoveryReport:
-    def labels_for(self, g, label_of):
-        text = "\n".join(f"{i} {label_of(i)}" for i in range(g.n))
-        return parse_labels(text, g)
-
     def test_identical_graphs_all_zero(self, barbell):
-        labels = self.labels_for(barbell, lambda i: "left" if i < 3 else "right")
+        labels = labels_for(barbell, barbell_sides)
         report = recovery_report(barbell, barbell, labels)
         assert report.err_a == 0.0
         assert report.err_l == 0.0
@@ -130,7 +142,7 @@ class TestRecoveryReport:
         edited = Graph.from_edges(
             6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (1, 3)]
         )
-        labels = self.labels_for(barbell, lambda i: "left" if i < 3 else "right")
+        labels = labels_for(barbell, barbell_sides)
         report = recovery_report(barbell, edited, labels)
         errs = [c.rel_err for c in report.per_community]
         assert report.err_phi_avg == pytest.approx(np.mean(errs))
@@ -138,7 +150,7 @@ class TestRecoveryReport:
 
     def test_top_four_of_many_communities(self):
         g, block_labels = sbm_graph(5, 8, 0.6, 0.05, 0)
-        labels = self.labels_for(g, lambda i: f"c{block_labels[i]}")
+        labels = labels_for(g, lambda i: f"c{block_labels[i]}")
         report = recovery_report(g, g, labels)
         assert len(report.per_community) == 4
         sizes = [c.size for c in report.per_community]
@@ -146,11 +158,29 @@ class TestRecoveryReport:
 
     def test_zero_conductance_community_excluded(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
-        labels = self.labels_for(g, lambda i: "tri" if i < 3 else "pair")
+        labels = labels_for(g, lambda i: "tri" if i < 3 else "pair")
         report = recovery_report(g, g, labels)
         flags = {c.label: c.excluded for c in report.per_community}
         assert flags == {"tri": True, "pair": True}
+        assert [c.phi_orig for c in report.per_community] == [0.0, 0.0]
         assert report.err_phi_avg is None
+
+    def test_isolated_recovered_community_excluded(self):
+        # Three triangles in a row; the recovered graph drops every edge at
+        # the first, so that community has zero volume there.
+        tri = [(0, 1), (0, 2), (1, 2)]
+        rest = [(u + k, v + k) for k in (3, 6) for u, v in tri] + [(5, 6)]
+        g = Graph.from_edges(9, tri + rest + [(2, 3)])
+        g_hat = Graph.from_edges(9, rest)
+        labels = labels_for(g, lambda i: "abc"[i // 3])
+        report = recovery_report(g, g_hat, labels)
+        entries = {c.label: c for c in report.per_community}
+        assert entries["a"].phi_orig == pytest.approx(1 / 7)
+        assert (entries["a"].phi_rec, entries["a"].rel_err) == (None, None)
+        assert [c.excluded for c in report.per_community] == [True, False, False]
+        want = np.mean([entries["b"].rel_err, entries["c"].rel_err])
+        assert report.err_phi_avg == pytest.approx(want)
+        assert np.isfinite(report.err_l)
 
     def test_labels_none_skips_conductance(self, barbell):
         report = recovery_report(barbell, barbell, None)
@@ -160,7 +190,7 @@ class TestRecoveryReport:
 
     def test_end_to_end_on_sbm_recovery(self):
         g, block_labels = sbm_graph(4, 15, 0.5, 0.04, 1)
-        labels = self.labels_for(g, lambda i: f"c{block_labels[i]}")
+        labels = labels_for(g, lambda i: f"c{block_labels[i]}")
         target = forward_proximity(g.adjacency(), 0.1, 1e-7, 10)
         cfg = OptConfig(
             target_volume=float(g.volume), alpha=0.1, epochs=40,

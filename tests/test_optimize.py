@@ -98,7 +98,7 @@ class TestVolumeShift:
         b = _soft_adjacency(logits, s)
         assert np.all(b.sum(axis=1) > 0)
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(
         n=st.integers(2, 12),
         seed=st.integers(0, 2**32 - 1),
@@ -264,7 +264,6 @@ class TestGradient:
             off = ~np.eye(8, dtype=bool)
             assert (np.abs(analytic - fd) / denom)[off].max() < 1e-5
 
-    @settings(deadline=None, database=None)
     @given(
         n=st.integers(3, 12),
         k_horizon=st.integers(0, 10),
@@ -338,6 +337,28 @@ class TestGradient:
         assert np.abs(m_hat).max() == 0.0
         m_target = np.full((8, 8), 3.0)
         assert np.abs(gradient(state, m_target, cfg)).max() == 0.0
+
+    def test_clamp_threshold_is_one(self):
+        # With epsilon the median off-diagonal walk sum, s = f(T) / epsilon
+        # puts half of the off-diagonal entries in (0.5, 1) and half above 1:
+        # the clamp zeroes the adjoint exactly where s <= 1, as the Horner
+        # reference does.
+        cfg = OptConfig(target_volume=20.0, alpha=0.5, k_horizon=4)
+        logits = symmetric_logits(8, 6)
+        shift = volume_shift(logits, cfg.target_volume, cfg.newton_iters)
+        b = _soft_adjacency(logits, shift)
+        coeffs = hop_coefficients(ProximityConfig.constant_alpha(
+            cfg.alpha, b=1.0, k_horizon=cfg.k_horizon, epsilon=1.0))
+        walk = list(_walk_partials(b / b.sum(axis=1, keepdims=True), coeffs))[-1]
+        off = ~np.eye(8, dtype=bool)
+        cfg = dataclasses.replace(cfg, epsilon=float(np.median(walk[off])))
+        s_mat = walk / cfg.epsilon
+        assert ((s_mat > 0.5) & (s_mat < 1.0)).sum() >= 20
+        assert (s_mat > 1.0).sum() >= 20
+        m_target = np.full((8, 8), 0.5)
+        got = gradient(OptState(logits=logits, shift=shift, b_soft=b), m_target, cfg)
+        want = horner_reference_gradient(b, m_target, cfg)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_gradient_symmetric_zero_diagonal(self):
         state, m_target, cfg = self.make_state(5)

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import random_connected_graph
-from pprinv.graph import Graph, _walk_operator, transition_matrix
+from conftest import random_connected_graph, transition_matrix
+from pprinv.graph import Graph, _walk_operator
 from pprinv.proximity import (
     LOG,
     ROW_L2,
     Preset,
     ProximityConfig,
+    _log_clamp,
     _normal_prefix,
     _spectral_walk_sum,
     _walk_partials,
@@ -207,7 +209,7 @@ class TestSpectralWalkSum:
         with pytest.raises(ValueError, match="within 1 hops"):
             deepwalk_log_proximity(cycle(4), 0.5, 1)
 
-    @settings(max_examples=150, deadline=None, database=None)
+    @settings(max_examples=150)
     @given(
         n=st.integers(2, 24),
         extra=st.floats(0.0, 0.6),
@@ -409,7 +411,35 @@ class TestPresetConfig:
             preset_config("lemane", epsilon=1e-7, k_horizon=10)
 
 
+def masked_log_activation(x):
+    """max{0, log x} in the masked form the LOG activation once used: the log
+    is taken only above 1e-300, and 0 stands elsewhere."""
+    out = np.zeros_like(x)
+    mask = x > 1e-300
+    out[mask] = np.log(x[mask])
+    return np.maximum(out, 0.0)
+
+
+TINY = np.finfo(np.float64).tiny
+CLAMP_EDGES = [
+    0.0, -0.0, -1.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+    5e-324, -5e-324, TINY / 2, TINY, 1e-300, np.nextafter(1e-300, 0.0),
+    np.nextafter(1e-300, 1.0), np.inf, -np.inf,
+]
+
+
 class TestLogOfZero:
+    @settings(max_examples=300)
+    @given(x=hnp.arrays(np.float64, st.integers(1, 64), elements=st.one_of(
+        st.sampled_from(CLAMP_EDGES), st.floats(allow_nan=False))))
+    def test_clamp_matches_masked_form_bitwise(self, x):
+        # Compared as bit patterns, so +0.0 and -0.0 differ.
+        got, want = _log_clamp(x), masked_log_activation(x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_clamp_propagates_nan(self):
+        assert np.isnan(_log_clamp(np.array([np.nan]))).all()
+
     def test_unreachable_pairs_emit_zero_not_nan(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         cfg = preset_config("strap", alpha=0.5, epsilon=1e-7, k_horizon=5)
