@@ -93,7 +93,10 @@ def binarize(soft_a: np.ndarray, m_edges: int) -> Graph:
     """Keep the m largest strictly-above-diagonal scores as edges.
 
     Ties break toward lexicographically smaller (row, col). The diagonal is
-    ignored; the result has exactly m_edges undirected edges.
+    ignored; the result has exactly m_edges undirected edges. A non-finite
+    score above the diagonal is an error. The m-th largest score is found by
+    partition, so only the pairs scoring at least that much are sorted:
+    O(n^2) for any m.
     """
     soft_a = np.asarray(soft_a, dtype=np.float64)
     n = soft_a.shape[0]
@@ -102,10 +105,19 @@ def binarize(soft_a: np.ndarray, m_edges: int) -> Graph:
     max_edges = n * (n - 1) // 2
     if not 0 <= m_edges <= max_edges:
         raise ValueError(f"m_edges={m_edges} exceeds the {max_edges} node pairs")
-    rows, cols = np.triu_indices(n, k=1)
-    values = soft_a[rows, cols]
-    order = np.lexsort((cols, rows, -values))[:m_edges]
-    return Graph.from_edges(n, zip(rows[order], cols[order]))
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    values = soft_a[upper]
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise ValueError(
+            f"soft adjacency has {bad} non-finite score(s) above the diagonal"
+        )
+    if m_edges == 0:
+        return Graph.from_edges(n, [])
+    values.partition(max_edges - m_edges)
+    rows, cols = np.nonzero(upper & (soft_a >= values[max_edges - m_edges]))
+    order = np.lexsort((cols, rows, -soft_a[rows, cols]))[:m_edges]
+    return Graph.from_edges(n, np.column_stack((rows[order], cols[order])))
 
 
 def invert_analytical(inputs: AnalyticalInputs) -> Graph:

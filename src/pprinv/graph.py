@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -30,7 +32,9 @@ class Graph:
     ``indptr``/``indices`` hold both orientations of every edge, so row ``u``
     of the CSR structure lists the neighbors of ``u``. ``node_names`` keeps
     the original ids from the input file (internal ids are dense 0..n-1 in
-    first-seen order); it is None for synthetic graphs.
+    first-seen order); it is None for synthetic graphs. Both arrays are
+    made read-only on construction, so values memoized on the instance
+    cannot go stale.
     """
 
     n: int
@@ -43,6 +47,8 @@ class Graph:
             raise ValueError("indptr must have length n+1")
         if self.indices.size != self.indptr[-1]:
             raise ValueError("indices inconsistent with indptr")
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
 
     @property
     def degrees(self) -> np.ndarray:
@@ -60,14 +66,33 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
+    def _upper_keys(self) -> np.ndarray:
+        """Sorted int64 keys u*n + v of the edges with u < v."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        upper = rows < self.indices
+        return rows[upper] * self.n + self.indices[upper]
+
     def edge_set(self) -> frozenset[tuple[int, int]]:
         """Canonical undirected edge set as (min, max) pairs."""
-        return frozenset(
-            (int(min(u, v)), int(max(u, v)))
-            for u in range(self.n)
-            for v in self.neighbors(u)
-            if u < v
-        )
+        lo, hi = np.divmod(self._upper_keys(), self.n)
+        return frozenset(zip(lo.tolist(), hi.tolist()))
+
+    @cached_property
+    def _path_length(self) -> tuple[float, int]:
+        """(mean BFS distance, count) over connected unordered pairs, computed
+        once per graph; metrics.average_path_length is the public entry.
+
+        The distance matrix is symmetric with a zero diagonal, so the
+        unordered-pair count and sum are half those of its off-diagonal
+        finite entries. Distances are integers and every partial sum stays
+        below 2**53, so the sum is exact in any order.
+        """
+        dist = all_pairs_distances(self)
+        finite = np.isfinite(dist)
+        count = (int(np.count_nonzero(finite)) - self.n) // 2
+        if count == 0:
+            return math.nan, 0
+        return float(np.sum(dist, where=finite) / 2 / count), count
 
     def adjacency(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (float64)."""
@@ -85,33 +110,33 @@ class Graph:
         edges,
         node_names: tuple[str, ...] | None = None,
     ) -> "Graph":
-        """Build a graph from undirected (u, v) pairs.
+        """Build a graph from undirected (u, v) pairs: any iterable of pairs,
+        or an (m, 2) integer array.
 
         Duplicate pairs and both-orientation listings collapse; self-loops
         are rejected. Nodes without incident edges are allowed (degree 0).
+        Each CSR row lists its neighbors in ascending order.
         """
-        canon = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop ({u},{u}) not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) outside node range 0..{n - 1}")
-            canon.add((min(u, v), max(u, v)))
-        counts = np.zeros(n, dtype=np.int64)
-        for u, v in canon:
-            counts[u] += 1
-            counts[v] += 1
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+        u, v = pairs.astype(np.int64).T
+        bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        if bad.any():
+            first = int(np.argmax(bad))
+            a, b = int(u[first]), int(v[first])
+            if a == b:
+                raise ValueError(f"self-loop ({a},{a}) not allowed")
+            raise ValueError(f"edge ({a},{b}) outside node range 0..{n - 1}")
+        lo, hi = np.divmod(np.unique(np.minimum(u, v) * n + np.maximum(u, v)), n)
+        rows = np.concatenate([lo, hi])
+        cols = np.concatenate([hi, lo])
+        order = np.lexsort((cols, rows))
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        indices = np.zeros(indptr[-1], dtype=np.int64)
-        cursor = indptr[:-1].copy()
-        for u, v in sorted(canon):
-            indices[cursor[u]] = v
-            cursor[u] += 1
-            indices[cursor[v]] = u
-            cursor[v] += 1
-        return cls(n=n, indptr=indptr, indices=indices, node_names=node_names)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        return cls(n=n, indptr=indptr, indices=cols[order], node_names=node_names)
 
 
 @dataclass(frozen=True)
@@ -241,21 +266,29 @@ def parse_recovered(text, g: Graph) -> Graph:
 def parse_labels(text, g: Graph) -> CommunityAssignment:
     """Parse 'node label' lines into a CommunityAssignment for g.
 
-    Every node of g must receive exactly one label; unknown node ids are an
-    error. Node ids are matched against g's original names when present,
-    else against the stringified internal index.
+    Every node of g must receive exactly one label; unknown node ids and a
+    node given two different labels are errors (an exact repeat of a line
+    is accepted). Node ids are matched against g's original names when
+    present, else against the stringified internal index.
     """
     ids = _name_table(g)
-    labels: dict[int, str] = {}
+    labels: dict[int, tuple[str, int]] = {}  # node -> (label, first line)
     for lineno, node, label in _pairs(text, "'node label'"):
-        labels[_node_index(ids, node, lineno)] = label
+        previous, first = labels.setdefault(
+            _node_index(ids, node, lineno), (label, lineno)
+        )
+        if previous != label:
+            raise EdgeListError(
+                f"line {lineno}: node {node!r} labelled {label!r}, but line "
+                f"{first} labelled it {previous!r}"
+            )
     missing = [i for i in range(g.n) if i not in labels]
     if missing:
         names = _names(g)
         shown = ", ".join(names[i] for i in missing[:10])
         raise EdgeListError(f"{len(missing)} node(s) missing a label: {shown}")
     members: dict[str, set[int]] = {}
-    for node, label in labels.items():
+    for node, (label, _) in labels.items():
         members.setdefault(label, set()).add(node)
     ordered = sorted(
         members.items(), key=lambda kv: (-len(kv[1]), _label_sort_key(kv[0]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import CommunityAssignment, Graph, all_pairs_distances, conductance
+from .graph import CommunityAssignment, Graph, conductance
 
 TOP_COMMUNITIES = 4
 
@@ -76,22 +76,20 @@ def relative_frobenius_error(g: Graph, g_hat: Graph) -> float:
     """
     if g.n != g_hat.n:
         raise ValueError(f"node counts differ: {g.n} vs {g_hat.n}")
-    edges = g.edge_set()
-    if not edges:
+    if g.num_edges == 0:
         raise ValueError("original graph has no edges (zero denominator)")
-    sym_diff = len(edges.symmetric_difference(g_hat.edge_set()))
-    return math.sqrt(sym_diff / len(edges))
+    sym_diff = np.setxor1d(g._upper_keys(), g_hat._upper_keys(), assume_unique=True)
+    return math.sqrt(sym_diff.size / g.num_edges)
 
 
 def average_path_length(g: Graph) -> tuple[float, int]:
-    """Mean BFS distance over connected unordered pairs, with the pair count."""
-    dist = all_pairs_distances(g)
-    iu = np.triu_indices(g.n, k=1)
-    finite = np.isfinite(dist[iu])
-    count = int(finite.sum())
-    if count == 0:
-        return math.nan, 0
-    return float(dist[iu][finite].mean()), count
+    """Mean BFS distance over connected unordered pairs, with the pair count;
+    (nan, 0) when no pair is connected.
+
+    Computed once per Graph and memoized on it (the CSR arrays are
+    read-only), so a graph scored against many recoveries runs one APSP.
+    """
+    return g._path_length
 
 
 def _conductance_or_none(g: Graph, s) -> float | None:

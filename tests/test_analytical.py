@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_connected_graph
 from pprinv.analytical import (
@@ -118,7 +120,44 @@ class TestRecoverAdjacency:
         assert np.abs(soft - g.adjacency()).max() < 1e-2
 
 
+def lexsort_binarize(soft_a, m_edges):
+    """The full-sort top-m that binarize replaced, kept as its reference:
+    (indptr, indices) of the m best upper-triangle pairs by (-value, row,
+    col)."""
+    n = soft_a.shape[0]
+    rows, cols = np.triu_indices(n, k=1)
+    order = np.lexsort((cols, rows, -soft_a[rows, cols]))[:m_edges]
+    g = Graph.from_edges(n, list(zip(rows[order], cols[order])))
+    return g.indptr, g.indices
+
+
+@st.composite
+def tied_scores(draw):
+    """(soft, m): an integer-valued score matrix from a small range, so most
+    scores tie, and an edge budget from 0 to every pair."""
+    n = draw(st.integers(1, 10))
+    values = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    m = draw(st.integers(0, n * (n - 1) // 2))
+    return np.array(values, dtype=np.float64).reshape(n, n), m
+
+
 class TestBinarize:
+    @settings(max_examples=300)
+    @given(case=tied_scores())
+    def test_matches_full_lexsort(self, case):
+        soft, m = case
+        indptr, indices = lexsort_binarize(soft, m)
+        g = binarize(soft, m)
+        assert np.array_equal(g.indptr, indptr)
+        assert np.array_equal(g.indices, indices)
+
+    def test_non_finite_scores_rejected(self):
+        soft = np.zeros((4, 4))
+        soft[0, 2] = np.nan
+        soft[1, 3] = np.inf
+        with pytest.raises(ValueError, match="2 non-finite"):
+            binarize(soft, 1)
+
     def test_top_m_selection(self):
         soft = np.zeros((3, 3))
         soft[0, 1] = 0.9

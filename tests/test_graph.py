@@ -122,6 +122,87 @@ class TestParseEdgeList:
             assert g.degrees.sum() == g.volume == 2 * g.num_edges
 
 
+def loop_from_edges(n, edges):
+    """The per-pair loop builder that Graph.from_edges replaced, kept as its
+    reference: (indptr, indices), raising on the first bad pair."""
+    canon = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise ValueError(f"self-loop ({u},{u}) not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) outside node range 0..{n - 1}")
+        canon.add((min(u, v), max(u, v)))
+    counts = np.zeros(n, dtype=np.int64)
+    for u, v in canon:
+        counts[u] += 1
+        counts[v] += 1
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.zeros(indptr[-1], dtype=np.int64)
+    cursor = indptr[:-1].copy()
+    for u, v in sorted(canon):
+        indices[cursor[u]] = v
+        cursor[u] += 1
+        indices[cursor[v]] = u
+        cursor[v] += 1
+    return indptr, indices
+
+
+@st.composite
+def pair_lists(draw, bad=False):
+    """(n, pairs): pairs over 0..n-1 with repeats and both orientations;
+    with bad=True, ids may also be self-loops or fall outside the range."""
+    n = draw(st.integers(1, 12))
+    ids = st.integers(-2, n + 1) if bad else st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=40))
+    if not bad:
+        pairs = [(u, v) for u, v in pairs if u != v]
+    flipped = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    return n, pairs + [(v, u) for u, v in flipped] + flipped
+
+
+class TestFromEdges:
+    @settings(max_examples=300)
+    @given(case=pair_lists())
+    def test_matches_loop_builder(self, case):
+        n, pairs = case
+        indptr, indices = loop_from_edges(n, pairs)
+        array = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        for edges in (pairs, iter(pairs), set(pairs), array):
+            g = Graph.from_edges(n, edges)
+            assert g.indptr.dtype == g.indices.dtype == np.int64
+            assert np.array_equal(g.indptr, indptr)
+            assert np.array_equal(g.indices, indices)
+
+    @settings(max_examples=300)
+    @given(case=pair_lists(bad=True))
+    def test_errors_match_loop_builder(self, case):
+        n, pairs = case
+        try:
+            want = loop_from_edges(n, pairs)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                Graph.from_edges(n, pairs)
+            assert str(got.value) == str(exc)
+        else:
+            g = Graph.from_edges(n, pairs)
+            assert np.array_equal(g.indptr, want[0])
+            assert np.array_equal(g.indices, want[1])
+
+    def test_error_messages(self):
+        with pytest.raises(ValueError, match=r"^self-loop \(1,1\) not allowed$"):
+            Graph.from_edges(3, [(0, 1), (1, 1), (0, 5)])
+        with pytest.raises(ValueError, match=r"^edge \(0,5\) outside node range 0..2$"):
+            Graph.from_edges(3, [(0, 1), (0, 5), (1, 1)])
+
+    def test_csr_arrays_read_only(self, k3):
+        with pytest.raises(ValueError, match="read-only"):
+            k3.indices[0] = 2
+        with pytest.raises(ValueError, match="read-only"):
+            k3.indptr[1] = 0
+
+
 class TestParseLabels:
     def test_two_communities_sorted_by_size(self, p3):
         g = parse_edge_list("0 1\n1 2\n")
@@ -156,6 +237,16 @@ class TestParseLabels:
         g = parse_edge_list("0 1\n")
         ca = parse_labels("# communities\n0 A\n\n1 B\n", g)
         assert len(ca.communities) == 2
+
+    def test_conflicting_labels_rejected(self, p3):
+        with pytest.raises(EdgeListError, match=(
+            r"line 4: node '0' labelled 'b', but line 1 labelled it 'a'"
+        )):
+            parse_labels("0 a\n1 a\n2 b\n0 b\n", p3)
+
+    def test_repeated_line_accepted(self, p3):
+        ca = parse_labels("0 a\n1 a\n2 b\n0 a\n", p3)
+        assert ca.communities == (("a", frozenset({0, 1})), ("b", frozenset({2})))
 
     def test_four_synthetic_communities(self):
         # Label-count parity with the Euro dataset (4 communities).

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import barbell_graph, random_connected_graph, sbm_graph
-from pprinv.graph import Graph, parse_labels
+from conftest import barbell_graph, random_connected_graph, random_graph, sbm_graph
+from pprinv import graph as graph_module
+from pprinv.graph import Graph, all_pairs_distances, parse_labels
 from pprinv.metrics import (
     average_path_length,
     recovery_report,
@@ -34,7 +39,29 @@ def barbell_sides(i):
     return "left" if i < 3 else "right"
 
 
+def triu_average_path_length(g):
+    """The upper-triangle reduction that average_path_length replaced, kept
+    as its reference."""
+    dist = all_pairs_distances(g)
+    iu = np.triu_indices(g.n, k=1)
+    finite = np.isfinite(dist[iu])
+    count = int(finite.sum())
+    if count == 0:
+        return math.nan, 0
+    return float(dist[iu][finite].mean()), count
+
+
 class TestFrobeniusError:
+    @settings(max_examples=100)
+    @given(n=st.integers(2, 30), p=st.floats(0.05, 0.9), seeds=st.tuples(
+        st.integers(0, 10_000), st.integers(0, 10_000)))
+    def test_matches_dense_symmetric_difference(self, n, p, seeds):
+        g, g_hat = (random_graph(n, p, seed) for seed in seeds)
+        if g.num_edges == 0:
+            return
+        sym_diff = np.count_nonzero(np.triu(g.adjacency() != g_hat.adjacency(), 1))
+        assert relative_frobenius_error(g, g_hat) == math.sqrt(sym_diff / g.num_edges)
+
     def test_identical_graphs(self, k3):
         assert relative_frobenius_error(k3, k3) == 0.0
 
@@ -84,6 +111,35 @@ class TestPathLengthError:
         l, pairs = average_path_length(p3)
         assert l == pytest.approx(4 / 3)
         assert pairs == 3
+
+    @settings(max_examples=100)
+    @given(n=st.integers(1, 60), p=st.floats(0.0, 0.5), seed=st.integers(0, 10_000))
+    def test_bitwise_equal_to_triu_form(self, n, p, seed):
+        # Sparse draws are often disconnected; p = 0 gives an edgeless graph.
+        want_mean, want_count = triu_average_path_length(random_graph(n, p, seed))
+        mean, count = average_path_length(random_graph(n, p, seed))
+        assert count == want_count
+        assert np.array(mean).tobytes() == np.array(want_mean).tobytes()
+
+    def test_edgeless_graph(self):
+        mean, count = average_path_length(Graph.from_edges(4, []))
+        assert math.isnan(mean) and count == 0
+
+    def test_original_graph_apsp_runs_once(self, monkeypatch):
+        calls = []
+
+        def counting(h):
+            calls.append(h)
+            return all_pairs_distances(h)
+
+        monkeypatch.setattr(graph_module, "all_pairs_distances", counting)
+        g = random_connected_graph(20, 0.2, 4)
+        g_hat = random_connected_graph(20, 0.2, 5)
+        first = recovery_report(g, g_hat, None)
+        second = recovery_report(g, g, None)
+        assert sum(h is g for h in calls) == 1
+        assert sum(h is g_hat for h in calls) == 1
+        assert first.connected_pairs_orig == second.connected_pairs_orig == 190
 
     def test_p3_vs_k3(self, p3, k3):
         assert path_length_error(p3, k3) == pytest.approx(0.25)
