@@ -18,7 +18,7 @@ from .graph import Graph
 from .linalg import pseudoinverse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalyticalInputs:
     """Inputs to the closed-form recovery.
 

@@ -26,6 +26,8 @@ from .optimize import OptConfig, invert_optimize
 
 log = logging.getLogger("pprinv")
 
+_K_HORIZON = 10
+
 
 def _load_graph(path: str) -> gr.Graph:
     with open(path, "rb") as fh:
@@ -90,13 +92,12 @@ def _load_target(args) -> tuple[np.ndarray, dict]:
     raise ValueError("supply --embedding DIR or --proximity FILE")
 
 
-def _meta_default(args, meta: dict, key: str):
-    value = getattr(args, key)
-    if value is None:
-        value = meta.get(key)
-    if value is None:
-        raise ValueError(f"--{key.replace('_', '-')} required (not in metadata)")
-    return value
+def _meta_default(args, meta: dict, key: str, fallback=None):
+    """The flag if given, else the embedding's metadata, else fallback."""
+    for value in (getattr(args, key), meta.get(key), fallback):
+        if value is not None:
+            return value
+    raise ValueError(f"--{key.replace('_', '-')} required (not in metadata)")
 
 
 def _invert(method, target, degrees, alpha, k_horizon, epsilon, args):
@@ -110,7 +111,6 @@ def _invert(method, target, degrees, alpha, k_horizon, epsilon, args):
             target_volume=volume,
             alpha=alpha,
             epochs=args.epochs,
-            newton_iters=args.newton_iters,
             epsilon=epsilon,
             k_horizon=k_horizon,
             step_size=args.step_size,
@@ -143,7 +143,7 @@ def cmd_invert(args) -> int:
             f"{degrees.size} degrees for a {target.shape[0]}-node target proximity"
         )
     alpha = float(_meta_default(args, meta, "alpha"))
-    k_horizon = int(_meta_default(args, meta, "k_horizon"))
+    k_horizon = int(_meta_default(args, meta, "k_horizon", _K_HORIZON))
     recovered, losses = _invert(
         args.method, target, degrees, alpha, k_horizon,
         getattr(args, "epsilon", None), args,
@@ -241,13 +241,15 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_proximity_flags(p, epsilon: bool = True) -> None:
+def _add_proximity_flags(p, epsilon: bool = True, from_meta: bool = False) -> None:
     p.add_argument("--alpha", type=float, default=None,
                    help="stopping probability (0.7 for the flight graphs, 0.1 "
                         "for the large social graphs)")
     if epsilon:
         p.add_argument("--epsilon", type=float, default=1e-7)
-    p.add_argument("--k-horizon", type=int, default=10, dest="k_horizon")
+    # invert resolves a missing --k-horizon from meta.json, then _K_HORIZON.
+    p.add_argument("--k-horizon", type=int, dest="k_horizon",
+                   default=None if from_meta else _K_HORIZON)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,12 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph", default=None,
                        help="original graph (degrees and node names)")
         p.add_argument("--degrees", default=None, help="one degree per line")
-        _add_proximity_flags(p, epsilon=method == "optimize")
+        _add_proximity_flags(p, epsilon=method == "optimize", from_meta=True)
         p.add_argument("--out", required=True)
         p.set_defaults(func=cmd_invert)
     # p is now the optimize parser; the flags below are its own.
     p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--newton-iters", type=int, default=10, dest="newton_iters")
     p.add_argument("--step-size", type=float, default=0.1, dest="step_size")
     p.add_argument("--loss-trace", default=None, dest="loss_trace",
                    help="CSV out-file with epoch,loss rows")
@@ -309,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optimizer threshold when it differs from the preset's")
     p.add_argument("--alpha-schedule", default=None)
     p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--newton-iters", type=int, default=10, dest="newton_iters")
     p.add_argument("--step-size", type=float, default=0.1, dest="step_size")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

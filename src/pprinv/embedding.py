@@ -29,7 +29,7 @@ META_KEYS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingPair:
     x: np.ndarray
     y: np.ndarray

@@ -25,7 +25,7 @@ class EdgeListError(ValueError):
     """Malformed edge-list or label input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple undirected graph in CSR form.
 
@@ -34,7 +34,8 @@ class Graph:
     the original ids from the input file (internal ids are dense 0..n-1 in
     first-seen order); it is None for synthetic graphs. Both arrays are
     made read-only on construction, so values memoized on the instance
-    cannot go stale.
+    cannot go stale. Equality and hashing are by identity; compare
+    ``edge_set()`` for structure.
     """
 
     n: int

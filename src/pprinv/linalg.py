@@ -21,7 +21,7 @@ _DEFAULT_POWER_ITERS = 2
 _PINV_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdResult:
     """Truncated SVD factors with m ~ u @ diag(sigma) @ v.T."""
 

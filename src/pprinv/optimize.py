@@ -74,19 +74,19 @@ class OptConfig:
 
 @dataclass
 class OptState:
-    """Mutable per-run state: shared symmetric logits and the derived
-    soft adjacency B = sigmoid(logits + shift) with zero diagonal."""
+    """A point at which to take the gradient: shared symmetric logits, their
+    volume shift and, optionally, the derived soft adjacency
+    B = sigmoid(logits + shift) with zero diagonal."""
 
     logits: np.ndarray
     shift: float = 0.0
     b_soft: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimizeResult:
     graph: Graph
     losses: tuple[float, ...] = field(repr=False)
-    soft_adjacency: np.ndarray = field(repr=False)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -102,12 +102,15 @@ def _soft_adjacency(logits: np.ndarray, shift: float) -> np.ndarray:
     return b
 
 
-def volume_shift(logits: np.ndarray, target_volume: float, newton_iters: int) -> float:
+def volume_shift(
+    logits: np.ndarray, target_volume: float, newton_iters: int, start: float = 0.0
+) -> float:
     """Scalar shift s with sum(sigmoid(logits + s)) = target over off-diagonal
-    entries, found by Newton iteration from s = 0.
+    entries, found by Newton iteration from s = start.
 
     The logits must be symmetric: only the strict upper triangle is read, and
-    each of its entries stands for both (u, v) and (v, u).
+    each of its entries stands for both (u, v) and (v, u), so every total and
+    slope is taken on the half problem against target_volume / 2.
 
     The map s -> sum(B) is strictly increasing with derivative
     sum(B * (1 - B)). When the logits saturate the derivative collapses and a
@@ -119,18 +122,6 @@ def volume_shift(logits: np.ndarray, target_volume: float, newton_iters: int) ->
     logits + s is coarser than the target needs).
     """
     upper = logits[np.triu_indices(logits.shape[0], 1)]
-    return _solve_shift(upper, target_volume, newton_iters, 0.0)
-
-
-def _solve_shift(
-    upper: np.ndarray, target_volume: float, newton_iters: int, start: float
-) -> float:
-    """volume_shift over the strict upper triangle of the logits, with the
-    bracket search and Newton started at `start` instead of 0.
-
-    Each upper entry counts twice in the volume, so every total and slope is
-    taken on the half problem against target_volume / 2.
-    """
     capacity = 2 * upper.size
     if not 0.0 < target_volume < capacity:
         raise ValueError(
@@ -140,28 +131,21 @@ def _solve_shift(
     half = target_volume / 2.0
     tolerance = 0.5e-12 * max(1.0, target_volume)
 
-    def total(s: float) -> float:
-        return float(_sigmoid(upper + s).sum())
-
     b = _sigmoid(upper + start)
     t0 = float(b.sum())
-    step = 1.0
-    if t0 < half:
-        lo, hi = start, start + step
-        while total(hi) < half:
-            if hi > 1e9:
-                raise ValueError(f"target volume {target_volume} infeasible for s <= 1e9")
-            step *= 2.0
-            lo, hi = hi, start + step
-    elif t0 > half:
-        lo, hi = start - step, start
-        while total(lo) > half:
-            if lo < -1e9:
-                raise ValueError(f"target volume {target_volume} infeasible for s >= -1e9")
-            step *= 2.0
-            lo, hi = start - step, lo
-    else:
+    if t0 == half:
         return start
+    # Step away from start toward the target, doubling the step, until the
+    # far end passes the target; the last two ends bracket it.
+    sign = 1.0 if t0 < half else -1.0
+    step, near, far = 1.0, start, start + sign
+    while sign * (half - float(_sigmoid(upper + far).sum())) > 0.0:
+        if sign * far > 1e9:
+            bound = "s <= 1e9" if sign > 0 else "s >= -1e9"
+            raise ValueError(f"target volume {target_volume} infeasible for {bound}")
+        step *= 2.0
+        near, far = far, start + sign * step
+    lo, hi = min(near, far), max(near, far)
 
     s = start
     for _ in range(newton_iters):
@@ -335,8 +319,7 @@ def invert_optimize(
     n = m_target.shape[0]
     if m_target.shape != (n, n):
         raise ValueError("target proximity must be square")
-    state = OptState(logits=np.zeros((n, n)))
-    upper = np.triu_indices(n, 1)
+    logits = np.zeros((n, n))
     adam_m = np.zeros((n, n))
     adam_v = np.zeros((n, n))
     scratch = np.empty((n, n))
@@ -344,11 +327,11 @@ def invert_optimize(
     losses = []
     # Each later solve warm-starts from the previous epoch's shift, which the
     # step moves little.
-    state.shift = volume_shift(state.logits, cfg.target_volume, cfg.newton_iters)
+    shift = volume_shift(logits, cfg.target_volume, cfg.newton_iters)
     coeffs = _walk_coefficients(cfg.alpha, cfg.epsilon, cfg.k_horizon)
     for epoch in range(1, cfg.epochs + 1):
-        state.b_soft = _soft_adjacency(state.logits, state.shift)
-        epoch_loss, grad = _spectral_epoch(state.b_soft, coeffs, m_target, cfg.epsilon)
+        b_soft = _soft_adjacency(logits, shift)
+        epoch_loss, grad = _spectral_epoch(b_soft, coeffs, m_target, cfg.epsilon)
         losses.append(epoch_loss)
         # Adam, in place, in the operation order of
         #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
@@ -365,13 +348,8 @@ def invert_optimize(
         np.sqrt(grad, out=grad)
         grad += tiny
         scratch /= grad
-        state.logits -= scratch
-        np.fill_diagonal(state.logits, 0.0)
-        state.shift = _solve_shift(
-            state.logits[upper], cfg.target_volume, cfg.newton_iters, state.shift
-        )
-    state.b_soft = _soft_adjacency(state.logits, state.shift)
-    recovered = binarize(state.b_soft, m_edges)
-    return OptimizeResult(
-        graph=recovered, losses=tuple(losses), soft_adjacency=state.b_soft
-    )
+        logits -= scratch
+        np.fill_diagonal(logits, 0.0)
+        shift = volume_shift(logits, cfg.target_volume, cfg.newton_iters, shift)
+    recovered = binarize(_soft_adjacency(logits, shift), m_edges)
+    return OptimizeResult(graph=recovered, losses=tuple(losses))

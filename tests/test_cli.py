@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph
+from pprinv import cli
 from pprinv.cli import main
 from pprinv.embedding import load_embedding
 from pprinv.graph import Graph, parse_edge_list, serialize_edge_list
@@ -115,7 +116,7 @@ class TestInvertCommand:
         trace = tmp_path / "trace.csv"
         rc = main([
             "invert", "optimize", "--proximity", str(mat), "--graph", path,
-            "--alpha", "0.5", "--epochs", "40", "--newton-iters", "10",
+            "--alpha", "0.5", "--epochs", "40",
             "--out", str(tmp_path / "rec.txt"), "--loss-trace", str(trace),
         ])
         assert rc == 0
@@ -141,6 +142,27 @@ class TestInvertCommand:
         assert rc == 0
         recovered = parse_edge_list(out.read_text())
         assert recovered.num_edges == g.num_edges
+
+    def test_optimize_k_horizon_from_embedding_meta(self, small_graph, tmp_path, monkeypatch):
+        _, path = small_graph
+        emb_dir = tmp_path / "emb"
+        main([
+            "embed", "--graph", path, "--preset", "strap", "--alpha", "0.5",
+            "--k-horizon", "20", "--dim", "10", "--out", str(emb_dir),
+        ])
+        original, horizons = cli.invert_optimize, []
+
+        def capture(target, cfg, m_edges):
+            horizons.append(cfg.k_horizon)
+            return original(target, cfg, m_edges)
+
+        monkeypatch.setattr(cli, "invert_optimize", capture)
+        rc = main([
+            "invert", "optimize", "--embedding", str(emb_dir), "--graph", path,
+            "--epochs", "2", "--out", str(tmp_path / "rec.txt"),
+        ])
+        assert rc == 0
+        assert horizons == [20]
 
     def test_analytical_requires_degrees(self, tmp_path, capsys):
         mat = tmp_path / "m.mat"

@@ -202,6 +202,14 @@ class TestFromEdges:
         with pytest.raises(ValueError, match="read-only"):
             k3.indptr[1] = 0
 
+    def test_identity_equality_and_hash(self):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        twin = Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert (g == twin) is False
+        assert (g == g) is True
+        assert {g, twin, g} == {g, twin}
+        assert {g: 1, twin: 2}[g] == 1
+
 
 class TestParseLabels:
     def test_two_communities_sorted_by_size(self, p3):

@@ -15,7 +15,6 @@ from pprinv.optimize import (
     OptConfig,
     OptState,
     _soft_adjacency,
-    _solve_shift,
     forward_proximity,
     gradient,
     invert_optimize,
@@ -109,12 +108,10 @@ class TestVolumeShift:
     def test_warm_start_reaches_target_or_raises(self, n, seed, scale, fraction, start):
         logits = symmetric_logits(n, seed, scale=scale)
         target = fraction * n * (n - 1)
-        upper = logits[np.triu_indices(n, 1)]
         shifts = []
-        for solve in (lambda: volume_shift(logits, target, 100),
-                      lambda: _solve_shift(upper, target, 100, start)):
+        for begin in (0.0, start):
             try:
-                s = solve()
+                s = volume_shift(logits, target, 100, begin)
             except ValueError:
                 continue
             assert abs(offdiag_sum(logits, s) - target) <= 1e-8 * target
@@ -367,6 +364,20 @@ class TestGradient:
         assert np.abs(np.diag(g)).max() == 0.0
 
 
+def traced_invert(monkeypatch, m_target, cfg, m_edges):
+    """invert_optimize with each volume_shift call recorded as
+    (logits at the call, start, returned shift)."""
+    solve, calls = pprinv.optimize.volume_shift, []
+
+    def record(logits, target_volume, newton_iters, start=0.0):
+        shift = solve(logits, target_volume, newton_iters, start)
+        calls.append((logits.copy(), start, shift))
+        return shift
+
+    monkeypatch.setattr(pprinv.optimize, "volume_shift", record)
+    return invert_optimize(m_target, cfg, m_edges), calls
+
+
 class TestInvertOptimize:
     def self_consistent_setup(self, seed, n=10):
         g = random_connected_graph(n, 0.35, seed)
@@ -394,21 +405,32 @@ class TestInvertOptimize:
         assert result.losses[-1] <= 0.01 * result.losses[0]
         assert result.graph.edge_set() == g.edge_set()
 
-    def test_soft_adjacency_symmetric_zero_diagonal_in_range(self):
+    def test_every_shift_solve_is_volume_shift(self, monkeypatch):
+        # One cold solve, then one per epoch warm-started from the last.
+        g, target, cfg = self.self_consistent_setup(5)
+        cfg.epochs = 6
+        _, calls = traced_invert(monkeypatch, target, cfg, g.num_edges)
+        assert len(calls) == cfg.epochs + 1
+        shifts = [shift for _, _, shift in calls]
+        assert [start for _, start, _ in calls] == [0.0, *shifts[:-1]]
+
+    def test_soft_adjacency_symmetric_zero_diagonal_in_range(self, monkeypatch):
         g, target, cfg = self.self_consistent_setup(2)
         cfg.epochs = 15
-        result = invert_optimize(target, cfg, g.num_edges)
-        b = result.soft_adjacency
+        _, calls = traced_invert(monkeypatch, target, cfg, g.num_edges)
+        logits, _, shift = calls[-1]
+        b = _soft_adjacency(logits, shift)
         assert np.array_equal(b, b.T)
         assert np.abs(np.diag(b)).max() == 0.0
         off = ~np.eye(b.shape[0], dtype=bool)
         assert np.all((b[off] > 0) & (b[off] < 1))
 
-    def test_volume_constraint_after_shift(self):
+    def test_volume_constraint_after_shift(self, monkeypatch):
         g, target, cfg = self.self_consistent_setup(3)
         cfg.epochs = 25
-        result = invert_optimize(target, cfg, g.num_edges)
-        total = result.soft_adjacency.sum()
+        _, calls = traced_invert(monkeypatch, target, cfg, g.num_edges)
+        logits, _, shift = calls[-1]
+        total = _soft_adjacency(logits, shift).sum()
         assert abs(total - g.volume) / g.volume < 1e-8
 
     def test_loss_trace_reproducible(self):
@@ -444,22 +466,22 @@ class TestInvertOptimize:
         assert result.losses[-1] <= 0.5 * result.losses[0]
 
     @pytest.mark.parametrize("target", ["self_consistent", "embedding"])
-    def test_epoch_loss_matches_horner_oracle(self, target):
+    def test_epoch_loss_matches_horner_oracle(self, target, monkeypatch):
         # The loop evaluates its forward on the spectrum of T; each epoch's
         # loss must still be the Horner forward_proximity loss of the soft
-        # adjacency the previous epochs left behind.
+        # adjacency the previous epochs left behind: the logits and shift of
+        # the solve after them.
         if target == "self_consistent":
             g, m_target, cfg = self.self_consistent_setup(1)
         else:
             g, m_target, cfg = self.embedding_setup()
+        result, calls = traced_invert(
+            monkeypatch, m_target, dataclasses.replace(cfg, epochs=21), g.num_edges)
         for e in (1, 5, 20):
-            before = invert_optimize(
-                m_target, dataclasses.replace(cfg, epochs=e), g.num_edges)
-            after = invert_optimize(
-                m_target, dataclasses.replace(cfg, epochs=e + 1), g.num_edges)
-            want = loss(forward_proximity(before.soft_adjacency, cfg.alpha,
+            logits, _, shift = calls[e]
+            want = loss(forward_proximity(_soft_adjacency(logits, shift), cfg.alpha,
                                           cfg.epsilon, cfg.k_horizon), m_target)
-            assert abs(after.losses[e] - want) <= 1e-12 * want
+            assert abs(result.losses[e] - want) <= 1e-12 * want
 
 
 def test_import_does_not_load_scipy_special():
