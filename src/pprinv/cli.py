@@ -41,13 +41,13 @@ def _load_labels(path: str | None, g: gr.Graph) -> gr.CommunityAssignment | None
         return gr.parse_labels(fh, g)
 
 
-def _build_config(args, g: gr.Graph) -> prox.ProximityConfig:
+def _build_config(preset: str, args, g: gr.Graph) -> prox.ProximityConfig:
     schedule = None
     if args.alpha_schedule:
         with open(args.alpha_schedule) as fh:
             schedule = prox.parse_alpha_schedule(fh.read(), args.k_horizon)
     return prox.preset_config(
-        args.preset,
+        preset,
         alpha=args.alpha,
         epsilon=args.epsilon,
         k_horizon=args.k_horizon,
@@ -60,7 +60,7 @@ def cmd_embed(args) -> int:
     g = _load_graph(args.graph)
     if args.dim > g.n:
         raise ValueError("dimension exceeds node count")
-    cfg = _build_config(args, g)
+    cfg = _build_config(args.preset, args, g)
     t0 = time.perf_counter()
     m = prox.build_proximity(g, cfg)
     t_build = time.perf_counter() - t0
@@ -83,15 +83,6 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _load_target(args) -> tuple[np.ndarray, dict]:
-    if args.embedding:
-        pair = emb.load_embedding(args.embedding)
-        return emb.reconstruct_proximity(pair), dict(pair.meta)
-    if args.proximity:
-        return linalg.load_matrix(args.proximity), {}
-    raise ValueError("supply --embedding DIR or --proximity FILE")
-
-
 def _meta_default(args, meta: dict, key: str, fallback=None):
     """The flag if given, else the embedding's metadata, else fallback."""
     for value in (getattr(args, key), meta.get(key), fallback):
@@ -100,13 +91,13 @@ def _meta_default(args, meta: dict, key: str, fallback=None):
     raise ValueError(f"--{key.replace('_', '-')} required (not in metadata)")
 
 
-def _invert(method, target, degrees, alpha, k_horizon, epsilon, args):
-    """Run one inversion method; returns the recovered graph and the
-    per-epoch losses (empty for the closed form)."""
+def _invert(args, target, degrees, alpha, k_horizon, epsilon):
+    """Run the inversion method args.method names; returns the recovered
+    graph and the per-epoch losses (empty for the closed form)."""
     degrees = np.asarray(degrees, dtype=np.float64)
     volume = float(degrees.sum())
     m_edges = int(volume) // 2
-    if method == "optimize":
+    if args.method == "optimize":
         cfg = OptConfig(
             target_volume=volume,
             alpha=alpha,
@@ -129,13 +120,22 @@ def _invert(method, target, degrees, alpha, k_horizon, epsilon, args):
 
 
 def cmd_invert(args) -> int:
-    target, meta = _load_target(args)
+    if args.embedding:
+        pair = emb.load_embedding(args.embedding)
+        target, meta = emb.reconstruct_proximity(pair), dict(pair.meta)
+    elif args.proximity:
+        target, meta = linalg.load_matrix(args.proximity), {}
+    else:
+        raise ValueError("supply --embedding DIR or --proximity FILE")
     names = None
     if args.graph:
         g = _load_graph(args.graph)
         degrees, names = g.degrees, g.node_names
     elif args.degrees:
         degrees = np.loadtxt(args.degrees, dtype=np.float64, ndmin=1)
+        whole = np.isfinite(degrees) & (degrees >= 0) & (degrees == np.floor(degrees))
+        if not whole.all() or degrees.sum() % 2:
+            raise ValueError("degrees must be non-negative integers with an even sum")
     else:
         raise ValueError(f"{args.method} method requires the degree sequence")
     if degrees.shape != target.shape[:1]:
@@ -145,8 +145,7 @@ def cmd_invert(args) -> int:
     alpha = float(_meta_default(args, meta, "alpha"))
     k_horizon = int(_meta_default(args, meta, "k_horizon", _K_HORIZON))
     recovered, losses = _invert(
-        args.method, target, degrees, alpha, k_horizon,
-        getattr(args, "epsilon", None), args,
+        args, target, degrees, alpha, k_horizon, getattr(args, "epsilon", None)
     )
     # Target rows follow the --graph file's node order, as its degrees do.
     recovered = dataclasses.replace(recovered, node_names=names)
@@ -184,18 +183,28 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _sweep_cell(g, labels, m, args, dim):
+_SWEEP_COLUMNS = (
+    "preset", "method", "dim", "err_A", "err_l", "err_phi_avg", "final_loss",
+    "status",
+)
+
+
+def _sweep_cell(g, labels, m, args, dim) -> dict[str, str]:
+    """One cell's error columns, leaving out each undefined one."""
     pair = emb.factorize(m, dim, args.seed)
     epsilon = args.opt_epsilon if args.opt_epsilon is not None else args.epsilon
     recovered, losses = _invert(
-        args.method, emb.reconstruct_proximity(pair), g.degrees, args.alpha,
-        args.k_horizon, epsilon, args,
+        args, emb.reconstruct_proximity(pair), g.degrees, args.alpha,
+        args.k_horizon, epsilon,
     )
     report = met.recovery_report(g, recovered, labels)
-    row = report.csv_row()
-    row["final_loss"] = f"{losses[-1]:.9g}" if losses else ""
-    row["status"] = "ok"
-    return row
+    values = {
+        "err_A": report.err_a,
+        "err_l": report.err_l,
+        "err_phi_avg": report.err_phi_avg,
+        "final_loss": losses[-1] if losses else None,
+    }
+    return {key: f"{v:.9g}" for key, v in values.items() if v is not None}
 
 
 def cmd_sweep(args) -> int:
@@ -208,48 +217,68 @@ def cmd_sweep(args) -> int:
     dims = [int(d) for d in args.dims.split(",") if d]
     if not dims:
         raise ValueError("dims list must be nonempty")
-    presets = [p.strip() for p in args.presets.split(",") if p.strip()]
-    results = []
-    for preset_name in presets:
-        preset_args = argparse.Namespace(**vars(args))
-        preset_args.preset = preset_name
-        cfg = _build_config(preset_args, g)
+    # Every preset's config is checked before the first cell runs.
+    configs = [
+        (name, _build_config(name, args, g))
+        for name in (p.strip() for p in args.presets.split(","))
+        if name
+    ]
+    rows = []
+    for preset, cfg in configs:
         # Proximity is dimension-independent: build once per preset.
         m = prox.build_proximity(g, cfg)
         for dim in dims:
             try:
-                row = _sweep_cell(g, labels, m, args, dim)
+                row, status = _sweep_cell(g, labels, m, args, dim), "ok"
             except Exception as exc:  # cell failures must not kill the sweep
-                row = {
-                    "err_A": "", "err_l": "", "err_phi_avg": "", "final_loss": "",
-                    "status": f"error: {exc}",
-                }
-            results.append((preset_name, dim, row))
-    results.sort(key=lambda item: (item[0], item[1]))
+                row, status = {}, f"error: {exc}"
+            rows.append({
+                "preset": preset, "method": args.method, "dim": dim, **row,
+                "status": status,
+            })
+    rows.sort(key=lambda row: (row["preset"], row["dim"]))
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["preset", "method", "dim", "err_A", "err_l", "err_phi_avg",
-             "final_loss", "status"]
-        )
-        for preset_name, dim, row in results:
-            writer.writerow(
-                [preset_name, args.method, dim, row["err_A"], row["err_l"],
-                 row["err_phi_avg"], row["final_loss"], row["status"]]
-            )
-    print(f"wrote {len(results)} sweep rows to {args.out}")
+        writer = csv.DictWriter(fh, _SWEEP_COLUMNS, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
+    print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 
 
-def _add_proximity_flags(p, epsilon: bool = True, from_meta: bool = False) -> None:
-    p.add_argument("--alpha", type=float, default=None,
-                   help="stopping probability (0.7 for the flight graphs, 0.1 "
-                        "for the large social graphs)")
-    if epsilon:
-        p.add_argument("--epsilon", type=float, default=1e-7)
-    # invert resolves a missing --k-horizon from meta.json, then _K_HORIZON.
-    p.add_argument("--k-horizon", type=int, dest="k_horizon",
-                   default=None if from_meta else _K_HORIZON)
+# Every flag of every subcommand, declared once: option -> add_argument
+# keywords. A subcommand takes flags by name and may override a keyword.
+_FLAGS = {
+    "--graph": dict(required=True),
+    "--preset": dict(required=True, choices=[x.value for x in prox.Preset]),
+    "--presets": dict(required=True, help="comma-separated preset names"),
+    "--labels": dict(),
+    "--recovered": dict(required=True),
+    "--embedding": dict(),
+    "--proximity": dict(help="PPREIM1 matrix file"),
+    "--degrees": dict(help="one degree per line: non-negative integers, even sum"),
+    "--method": dict(choices=["optimize", "analytical"], default="optimize"),
+    "--alpha": dict(type=float, help="stopping probability (0.7 for the flight "
+                                     "graphs, 0.1 for the large social graphs)"),
+    "--alpha-schedule": dict(help="file with one stopping probability per line "
+                                  "(lemane)"),
+    "--epsilon": dict(type=float, default=1e-7),
+    "--opt-epsilon": dict(type=float, help="optimizer threshold when it differs "
+                                           "from the preset's"),
+    "--k-horizon": dict(type=int, default=_K_HORIZON),
+    "--dim": dict(type=int, required=True),
+    "--dims": dict(required=True, help="comma-separated dimensions"),
+    "--epochs": dict(type=int, default=40),
+    "--step-size": dict(type=float, default=0.1),
+    "--loss-trace": dict(help="CSV out-file with epoch,loss rows"),
+    "--seed": dict(type=int, default=0),
+    "--out": dict(required=True),
+}
+
+
+def _add_flags(container, *options: str, **overrides) -> None:
+    """Add the named _FLAGS to a parser or group, each with overrides."""
+    for option in options:
+        container.add_argument(option, **{**_FLAGS[option], **overrides})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,15 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("embed", help="build a proximity matrix and factorize it")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--preset", required=True,
-                   choices=[x.value for x in prox.Preset])
-    _add_proximity_flags(p)
-    p.add_argument("--alpha-schedule", default=None,
-                   help="file with one stopping probability per line (lemane)")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    _add_flags(p, "--graph", "--preset", "--alpha", "--epsilon", "--k-horizon",
+               "--alpha-schedule", "--dim", "--seed", "--out")
     p.set_defaults(func=cmd_embed)
 
     inv = sub.add_parser("invert", help="recover a graph from embeddings")
@@ -276,43 +298,28 @@ def build_parser() -> argparse.ArgumentParser:
     for method, summary in (("analytical", "closed-form recovery"),
                             ("optimize", "gradient-descent recovery")):
         p = inv_sub.add_parser(method, help=summary)
-        p.add_argument("--embedding", default=None)
-        p.add_argument("--proximity", default=None, help="PPREIM1 matrix file")
-        p.add_argument("--graph", default=None,
-                       help="original graph (degrees and node names)")
-        p.add_argument("--degrees", default=None, help="one degree per line")
-        _add_proximity_flags(p, epsilon=method == "optimize", from_meta=True)
-        p.add_argument("--out", required=True)
+        # Neither group is required: cmd_invert reports a missing target or
+        # degree sequence itself, with exit code 1.
+        _add_flags(p.add_mutually_exclusive_group(), "--embedding", "--proximity")
+        degrees = p.add_mutually_exclusive_group()
+        _add_flags(degrees, "--graph", required=False,
+                   help="original graph (degrees and node names)")
+        _add_flags(degrees, "--degrees")
+        # A missing --k-horizon falls back to meta.json, then _K_HORIZON.
+        _add_flags(p, "--k-horizon", default=None)
+        _add_flags(p, "--alpha", "--out")
         p.set_defaults(func=cmd_invert)
     # p is now the optimize parser; the flags below are its own.
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--step-size", type=float, default=0.1, dest="step_size")
-    p.add_argument("--loss-trace", default=None, dest="loss_trace",
-                   help="CSV out-file with epoch,loss rows")
+    _add_flags(p, "--epsilon", "--epochs", "--step-size", "--loss-trace")
 
     p = sub.add_parser("evaluate", help="compare recovered vs original graph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--recovered", required=True)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--out", required=True)
+    _add_flags(p, "--graph", "--recovered", "--labels", "--out")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="embed/invert/evaluate over dimensions")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--presets", required=True,
-                   help="comma-separated preset names")
-    p.add_argument("--dims", required=True, help="comma-separated dimensions")
-    p.add_argument("--method", choices=["optimize", "analytical"],
-                   default="optimize")
-    _add_proximity_flags(p)
-    p.add_argument("--opt-epsilon", type=float, default=None, dest="opt_epsilon",
-                   help="optimizer threshold when it differs from the preset's")
-    p.add_argument("--alpha-schedule", default=None)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--step-size", type=float, default=0.1, dest="step_size")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    _add_flags(p, "--graph", "--labels", "--presets", "--dims", "--method",
+               "--alpha", "--epsilon", "--k-horizon", "--opt-epsilon",
+               "--alpha-schedule", "--epochs", "--step-size", "--seed", "--out")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -64,9 +64,6 @@ class Graph:
     def num_edges(self) -> int:
         return self.volume // 2
 
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u] : self.indptr[u + 1]]
-
     def _upper_keys(self) -> np.ndarray:
         """Sorted int64 keys u*n + v of the edges with u < v."""
         rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
@@ -311,10 +308,6 @@ def _walk_operator(g: Graph) -> csr_matrix:
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """BFS hop distances for all ordered pairs; inf marks unreachable pairs."""
-    if g.volume == 0:
-        d = np.full((g.n, g.n), np.inf)
-        np.fill_diagonal(d, 0.0)
-        return d
     adj = g._csr(np.ones(g.volume))
     return shortest_path(adj, method="D", directed=False, unweighted=True)
 
@@ -327,7 +320,8 @@ def conductance(g: Graph, s) -> float:
     size = int(mask.sum())
     if size == 0 or size == g.n:
         raise ValueError("community must be a nonempty proper subset of the nodes")
-    cut = sum(int(np.count_nonzero(~mask[g.neighbors(u)])) for u in np.flatnonzero(mask))
+    # Stored entries (u, v) of the CSR structure with u in s and v outside it.
+    cut = int(np.count_nonzero(np.repeat(mask, g.degrees) & ~mask[g.indices]))
     vol_s = int(g.degrees[mask].sum())
     denom = min(vol_s, g.volume - vol_s)
     if denom == 0:

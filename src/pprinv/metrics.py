@@ -9,7 +9,7 @@ the only place the path-length and conductance errors are computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,30 +38,12 @@ class RecoveryReport:
     connected_pairs_rec: int
     meta: dict = field(default_factory=dict)
 
-    def csv_row(self) -> dict[str, str]:
-        """Flat string-valued row for sweep aggregation."""
-        return {
-            "err_A": f"{self.err_a:.9g}",
-            "err_l": f"{self.err_l:.9g}",
-            "err_phi_avg": "" if self.err_phi_avg is None else f"{self.err_phi_avg:.9g}",
-        }
-
     def to_dict(self) -> dict:
         return {
             "err_A": self.err_a,
             "err_l": self.err_l,
             "err_phi_avg": self.err_phi_avg,
-            "per_community": [
-                {
-                    "label": c.label,
-                    "size": c.size,
-                    "phi_orig": c.phi_orig,
-                    "phi_rec": c.phi_rec,
-                    "rel_err": c.rel_err,
-                    "excluded": c.excluded,
-                }
-                for c in self.per_community
-            ],
+            "per_community": [asdict(c) for c in self.per_community],
             "connected_pairs_orig": self.connected_pairs_orig,
             "connected_pairs_rec": self.connected_pairs_rec,
             "meta": self.meta,

@@ -280,6 +280,19 @@ def deepwalk_log_proximity(g: Graph, alpha: float, k_horizon: int) -> np.ndarray
     return np.log(inner)
 
 
+# The closed form act((b/(epsilon*K)) * D^beta sum_i c_i P^i D^gamma) of each
+# published method: (b as a function of epsilon and K, beta, gamma, k_start,
+# activation).
+_PRESETS = {
+    Preset.STRAP: (lambda eps, k: 2.0 * k, 0.0, 0.0, 0, LOG),
+    Preset.APPROX_PPR: (lambda eps, k: eps * k, 0.0, 0.0, 1, IDENTITY),
+    Preset.NRP: (lambda eps, k: eps * k, 1.0, 1.0, 1, IDENTITY),
+    Preset.LEMANE: (lambda eps, k: 2.0 * k, 0.0, 0.0, 0, LOG),
+    Preset.SENSEI: (lambda eps, k: eps * k, 0.0, 0.0, 0, ROW_L2),
+    Preset.DEEPWALK: (lambda eps, k: 1.0, 0.0, -1.0, 1, LOG),
+}
+
+
 def preset_config(
     preset: Preset | str,
     *,
@@ -297,58 +310,33 @@ def preset_config(
     per-hop stopping-probability schedule instead of a constant alpha.
     """
     preset = Preset(preset)
-    k = k_horizon
-
-    def constant(**kw):
-        if alpha is None:
-            raise ValueError(f"{preset.value} preset requires alpha")
-        return ProximityConfig.constant_alpha(alpha, k_horizon=k, **kw)
-
-    def need_epsilon() -> float:
-        if epsilon is None:
-            raise ValueError(f"{preset.value} preset requires epsilon")
-        return epsilon
-
-    if preset is Preset.STRAP:
-        return constant(b=2.0 * k, epsilon=need_epsilon(), activation=LOG)
-    if preset is Preset.APPROX_PPR:
-        eps = need_epsilon()
-        return constant(b=eps * k, k_start=1, epsilon=eps, activation=IDENTITY)
-    if preset is Preset.NRP:
-        eps = need_epsilon()
-        return constant(
-            b=eps * k, beta=1.0, gamma=1.0, k_start=1, epsilon=eps,
-            activation=IDENTITY,
-        )
-    if preset is Preset.LEMANE:
-        if alpha_schedule is None:
-            raise ValueError("lemane preset requires an alpha schedule")
-        return ProximityConfig(
-            b=2.0 * k,
-            beta=0.0,
-            gamma=0.0,
-            k_start=0,
-            k_horizon=k,
-            alphas=tuple(alpha_schedule),
-            epsilon=need_epsilon(),
-            activation=LOG,
-        )
-    if preset is Preset.SENSEI:
-        eps = need_epsilon()
-        return constant(b=eps * k, epsilon=eps, activation=ROW_L2)
+    if preset is Preset.LEMANE and alpha_schedule is None:
+        raise ValueError("lemane preset requires an alpha schedule")
     if preset is Preset.DEEPWALK:
         if alpha is None:
             raise ValueError("deepwalk preset requires alpha")
         if volume is None:
             raise ValueError("deepwalk preset requires the graph volume")
-        return constant(
-            b=1.0,
-            gamma=-1.0,
-            k_start=1,
-            epsilon=(1.0 - alpha) / volume,
-            activation=LOG,
-        )
-    raise ValueError(f"unknown preset {preset!r}")
+        epsilon = (1.0 - alpha) / volume
+    elif epsilon is None:
+        raise ValueError(f"{preset.value} preset requires epsilon")
+    if preset is Preset.LEMANE:
+        alphas = tuple(alpha_schedule)
+    elif alpha is None:
+        raise ValueError(f"{preset.value} preset requires alpha")
+    else:
+        alphas = (alpha,) * (k_horizon + 1)
+    b, beta, gamma, k_start, activation = _PRESETS[preset]
+    return ProximityConfig(
+        b=b(epsilon, k_horizon),
+        beta=beta,
+        gamma=gamma,
+        k_start=k_start,
+        k_horizon=k_horizon,
+        alphas=alphas,
+        epsilon=epsilon,
+        activation=activation,
+    )
 
 
 def parse_alpha_schedule(text, k_horizon: int) -> tuple[float, ...]:

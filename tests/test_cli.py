@@ -206,6 +206,33 @@ class TestInvertCommand:
         ])
         assert rc == 0
 
+    @pytest.mark.parametrize("flags", [
+        ["--embedding", "emb", "--proximity", "m.mat"],
+        ["--graph", "g.txt", "--degrees", "deg.txt"],
+    ], ids=["target", "degrees"])
+    def test_conflicting_inputs_rejected(self, tmp_path, capsys, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["invert", "analytical", *flags, "--out", str(tmp_path / "rec.txt")])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("degrees", [
+        "2\n3\n2\n2\n", "2.5\n3\n2\n2.5\n", "-2\n2\n2\n2\n",
+    ], ids=["odd-sum", "fractional", "negative"])
+    def test_invalid_degree_file_rejected(self, tmp_path, capsys, degrees):
+        mat = tmp_path / "m.mat"
+        save_matrix(mat, np.zeros((4, 4)))
+        deg = tmp_path / "deg.txt"
+        deg.write_text(degrees)
+        out = tmp_path / "rec.txt"
+        rc = main([
+            "invert", "optimize", "--proximity", str(mat), "--degrees", str(deg),
+            "--alpha", "0.5", "--epochs", "2", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "non-negative integers with an even sum" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEvaluateCommand:
     def test_identical_graphs_zero_report(self, small_graph, tmp_path):
@@ -366,6 +393,22 @@ class TestSweepCommand:
         ])
         assert rc == 1
         assert "--alpha" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_preset_rejected_before_any_cell(
+        self, small_graph, tmp_path, capsys, monkeypatch
+    ):
+        _, path = small_graph
+        calls = []
+        monkeypatch.setattr(cli, "invert_optimize", lambda *a: calls.append(a))
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", "--graph", path, "--presets", "strap,node2vec",
+            "--dims", "4", "--alpha", "0.1", "--epochs", "5", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "'node2vec' is not a valid Preset" in capsys.readouterr().err
+        assert calls == []
         assert not out.exists()
 
     def test_labels_populate_phi_column(self, tmp_path):

@@ -347,6 +347,27 @@ class TestConductance:
         with pytest.raises(ValueError, match="zero volume"):
             conductance(g, {2})
 
+    @settings(max_examples=100)
+    @given(
+        n=st.integers(2, 30),
+        p=st.floats(0.0, 0.9),
+        seed=st.integers(0, 10_000),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_matches_dense_cut(self, n, p, seed, rnd):
+        g = random_graph(n, p, seed)
+        mask = np.zeros(n, dtype=bool)
+        mask[rnd.sample(range(n), rnd.randint(1, n - 1))] = True
+        a = g.adjacency()
+        vol_s = a[mask].sum()
+        denom = min(vol_s, g.volume - vol_s)
+        if denom == 0:
+            with pytest.raises(ValueError, match="zero volume"):
+                conductance(g, np.flatnonzero(mask))
+        else:
+            cut = a[np.ix_(mask, ~mask)].sum()
+            assert conductance(g, np.flatnonzero(mask)) == cut / denom
+
     def test_complement_symmetry(self):
         for seed in range(3):
             g = random_connected_graph(12, 0.3, seed)

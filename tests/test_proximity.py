@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import random_connected_graph, transition_matrix
 from pprinv.graph import Graph, _walk_operator
 from pprinv.proximity import (
+    IDENTITY,
     LOG,
     ROW_L2,
     Preset,
@@ -376,7 +377,34 @@ class TestPresetEquivalence:
                 assert build_proximity(g, cfg).min() >= 0.0
 
 
+SCHEDULE = tuple(0.1 + 0.05 * i for i in range(11))
+HALF = (0.5,) * 11
+# Every field of each preset's config at alpha=0.5, epsilon=1e-7, K=10,
+# volume=100 and the schedule above: (b, beta, gamma, k_start, alphas,
+# epsilon, activation).
+PRESET_FIELDS = {
+    Preset.STRAP: (20.0, 0.0, 0.0, 0, HALF, 1e-7, LOG),
+    Preset.APPROX_PPR: (1e-6, 0.0, 0.0, 1, HALF, 1e-7, IDENTITY),
+    Preset.NRP: (1e-6, 1.0, 1.0, 1, HALF, 1e-7, IDENTITY),
+    Preset.LEMANE: (20.0, 0.0, 0.0, 0, SCHEDULE, 1e-7, LOG),
+    Preset.SENSEI: (1e-6, 0.0, 0.0, 0, HALF, 1e-7, ROW_L2),
+    Preset.DEEPWALK: (1.0, 0.0, -1.0, 1, HALF, 0.5 / 100, LOG),
+}
+
+
 class TestPresetConfig:
+    @pytest.mark.parametrize("preset", list(Preset), ids=lambda p: p.value)
+    def test_every_field(self, preset):
+        cfg = preset_config(
+            preset.value, alpha=0.5, epsilon=1e-7, k_horizon=10, volume=100,
+            alpha_schedule=SCHEDULE,
+        )
+        b, beta, gamma, k_start, alphas, epsilon, activation = PRESET_FIELDS[preset]
+        assert cfg == ProximityConfig(
+            b=b, beta=beta, gamma=gamma, k_start=k_start, k_horizon=10,
+            alphas=alphas, epsilon=epsilon, activation=activation,
+        )
+
     def test_strap_parameters(self):
         cfg = preset_config("strap", alpha=0.5, epsilon=1e-7, k_horizon=10)
         assert (cfg.b, cfg.beta, cfg.gamma, cfg.k_start) == (20.0, 0.0, 0.0, 0)
@@ -409,6 +437,11 @@ class TestPresetConfig:
             preset_config("deepwalk", alpha=0.5, k_horizon=10)
         with pytest.raises(ValueError, match="schedule"):
             preset_config("lemane", epsilon=1e-7, k_horizon=10)
+        # With two inputs missing, the error names the one checked first.
+        with pytest.raises(ValueError, match="strap preset requires epsilon"):
+            preset_config("strap", k_horizon=10)
+        with pytest.raises(ValueError, match="lemane preset requires an alpha schedule"):
+            preset_config("lemane", k_horizon=10)
 
 
 def masked_log_activation(x):
