@@ -16,6 +16,7 @@ import numpy as np
 
 from .graph import Graph
 from .linalg import pseudoinverse
+from .proximity import _check_horizon
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,8 +52,7 @@ def estimate_m_infinity(m_k: np.ndarray, k_horizon: int) -> np.ndarray:
     M_K = log((J + M_inf)/K) once the dropped geometric tail has decayed,
     so exponentiating and rescaling recovers M_inf directly.
     """
-    if k_horizon < 1:
-        raise ValueError("k_horizon must be >= 1")
+    _check_horizon(k_horizon)
     return k_horizon * np.exp(np.asarray(m_k, dtype=np.float64)) - 1.0
 
 

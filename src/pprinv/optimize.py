@@ -1,9 +1,12 @@
 """Gradient-based adjacency recovery.
 
-Treats a symmetric logit matrix as the trainable soft adjacency, matches the
-graph volume each epoch with a scalar Newton-solved logistic shift, rebuilds
-the log-form walk proximity from the soft adjacency, and descends the
-squared Frobenius gap to the target proximity.
+Treats a symmetric logit matrix as the trainable soft adjacency B, matches
+the graph volume each epoch with a scalar Newton-solved logistic shift, and
+descends the squared Frobenius gap to the target proximity from the forward
+model (_forward_model): the ProximityConfig with b = K, beta = gamma = 0,
+k_start = 0, a constant alpha and the log activation, evaluated on
+T = D^-1 B (D the soft row sums) by the kernel build_proximity uses. STRAP
+has b = 2K, so a STRAP target is inverted at half its embedding's epsilon.
 
 Per epoch the shift solve reads only the strict upper triangle of the logits
 and warm-starts from the previous epoch's shift. One symmetric
@@ -26,11 +29,14 @@ import numpy as np
 from .analytical import binarize
 from .graph import Graph
 from .proximity import (
+    LOG,
     ProximityConfig,
-    _log_clamp,
+    _apply_activation,
+    _check_horizon,
+    _closed_form,
     _normal_prefix,
-    _polynomial,
     _similar_eigh,
+    _spectral_walk_sum,
     _walk_partials,
     hop_coefficients,
 )
@@ -66,10 +72,7 @@ class OptConfig:
             raise ValueError("step_size must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.k_horizon < 0:
-            raise ValueError("k_horizon must be >= 0")
+        _forward_model(self.alpha, self.epsilon, self.k_horizon)  # checks epsilon, K
 
 
 @dataclass
@@ -181,16 +184,25 @@ def _row_sums(b_soft: np.ndarray) -> np.ndarray:
     return np.maximum(row_sums, _ROW_SUM_FLOOR)
 
 
-def _walk_coefficients(alpha: float, epsilon: float, k_horizon: int) -> np.ndarray:
-    return _normal_prefix(hop_coefficients(ProximityConfig.constant_alpha(
-        alpha, b=1.0, k_horizon=k_horizon, epsilon=epsilon)))
+def _forward_model(alpha: float, epsilon: float, k_horizon: int) -> ProximityConfig:
+    """The closed form the optimizer fits, whose scale b/(epsilon*K) is 1/epsilon."""
+    _check_horizon(k_horizon)  # b = K = 0 would fail as "b must be positive"
+    return ProximityConfig.constant_alpha(
+        alpha, b=float(k_horizon), k_horizon=k_horizon, epsilon=epsilon, activation=LOG)
 
 
-def _horner_forward(
-    b_soft: np.ndarray, row_sums: np.ndarray, coeffs: np.ndarray, epsilon: float
-) -> np.ndarray:
-    t = b_soft / row_sums[:, None]
-    return collections.deque(_walk_partials(t, coeffs), maxlen=1).pop() / epsilon
+def _forward(b_soft: np.ndarray, row_sums: np.ndarray, model: ProximityConfig,
+             eig=None) -> np.ndarray:
+    """The model's closed form on T = D^-1 B, D = diag(row_sums), before
+    activation. Its walk sum comes from T's spectrum when eig =
+    _similar_eigh(B, D) is given, else from Horner's scheme."""
+    coeffs = _normal_prefix(hop_coefficients(model))
+    if eig is None:
+        t = b_soft / row_sums[:, None]
+        walk = collections.deque(_walk_partials(t, coeffs), maxlen=1).pop()
+    else:
+        walk = _spectral_walk_sum(eig, coeffs)
+    return _closed_form(walk, row_sums, model)
 
 
 def forward_proximity(
@@ -198,14 +210,14 @@ def forward_proximity(
 ) -> np.ndarray:
     """Log-form walk proximity of a soft adjacency.
 
-    Row-normalizes B by its own row sums, evaluates
-    (1/epsilon) * sum_i alpha (1-alpha)^i T^i by Horner's scheme, and
-    returns max{0, log(.)} elementwise. This is the finite-difference oracle
-    for the optimizer, whose loop takes the same sum from T's spectrum.
+    Row-normalizes B by its own row sums and evaluates the optimizer's
+    forward model, max{0, log((1/epsilon) sum_i alpha (1-alpha)^i T^i)},
+    by Horner's scheme. This is the finite-difference oracle for the
+    optimizer, whose loop takes the same sum from T's spectrum.
     """
     b_soft = np.asarray(b_soft, dtype=np.float64)
-    coeffs = _walk_coefficients(alpha, epsilon, k_horizon)
-    return _log_clamp(_horner_forward(b_soft, _row_sums(b_soft), coeffs, epsilon))
+    model = _forward_model(alpha, epsilon, k_horizon)
+    return _apply_activation(_forward(b_soft, _row_sums(b_soft), model), model.activation)
 
 
 def loss(m_hat: np.ndarray, m_target: np.ndarray) -> float:
@@ -235,29 +247,30 @@ def _divided_differences(lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _loss_and_gradient(
-    b_soft: np.ndarray, row_sums: np.ndarray, eig: tuple, coeffs: np.ndarray,
-    s_mat: np.ndarray, m_target: np.ndarray, epsilon: float,
+    b_soft: np.ndarray, m_target: np.ndarray, model: ProximityConfig,
+    *, horner: bool = False,
 ) -> tuple[float, np.ndarray]:
-    """Loss of m_hat = max{0, log s} and its gradient w.r.t. the shared
-    logits, given the forward's s = f(T) / epsilon at T = D^-1 B.
-
-    Reverse mode through the log clamp, the walk sum, row normalization and
-    the logistic. eig = (lam, V, ratio) is _similar_eigh of B: with
-    R = D^(1/2), S = R^-1 B R^-1 = V diag(lam) V^T and T = R^-1 S R, so the
-    Daleckii-Krein formula gives the walk-sum adjoint of G as
-    R V (Gamma o (V^T (R^-1 G R) V)) V^T R^-1: four matmuls for any horizon
-    K. Every intermediate is n x n, so memory is O(n^2).
+    """Loss of m_hat = max{0, log s}, s = _forward(B) with beta = gamma = 0,
+    and its gradient w.r.t. the shared logits, from one eig = (lam, V,
+    ratio) = _similar_eigh of B: the forward's walk sum (Horner instead when
+    horner) and the reverse mode through the log clamp, the walk sum, row
+    normalization and the logistic. With R = D^(1/2), S = R^-1 B R^-1 =
+    V diag(lam) V^T and T = R^-1 S R, the Daleckii-Krein formula gives the
+    walk-sum adjoint of G as R V (Gamma o (V^T (R^-1 G R) V)) V^T R^-1: four
+    matmuls for any K. Every intermediate is n x n, so memory is O(n^2).
     """
-    lam, v, ratio = eig
-    g_h = _log_clamp(s_mat)  # m_hat, overwritten in place by its adjoint
+    row_sums = _row_sums(b_soft)
+    eig = lam, v, ratio = _similar_eigh(b_soft, row_sums)
+    s_mat = _forward(b_soft, row_sums, model, None if horner else eig)
+    g_h = _apply_activation(s_mat, model.activation)  # m_hat, then its adjoint
     value = loss(g_h, m_target)
     g_h -= m_target
     g_h *= 2.0
     g_h = np.divide(g_h, s_mat, out=np.zeros_like(g_h), where=s_mat > 1.0)
-    g_h /= epsilon
+    g_h *= model.scale
     g_h *= ratio
     inner = v.T @ g_h @ v
-    inner *= _divided_differences(lam, coeffs)
+    inner *= _divided_differences(lam, _normal_prefix(hop_coefficients(model)))
     g_t = v @ inner @ v.T
     g_t /= ratio
     # T = D^-1 B, so dT/dB contributes (G_T - rowsum(G_T o T)) / D.
@@ -281,26 +294,8 @@ def gradient(state: OptState, m_target: np.ndarray, cfg: OptConfig) -> np.ndarra
     b_soft = state.b_soft
     if b_soft is None:
         b_soft = _soft_adjacency(state.logits, state.shift)
-    row_sums = _row_sums(b_soft)
-    coeffs = _walk_coefficients(cfg.alpha, cfg.epsilon, cfg.k_horizon)
-    s_mat = _horner_forward(b_soft, row_sums, coeffs, cfg.epsilon)
-    eig = _similar_eigh(b_soft, row_sums)
-    return _loss_and_gradient(
-        b_soft, row_sums, eig, coeffs, s_mat, m_target, cfg.epsilon)[1]
-
-
-def _spectral_epoch(
-    b_soft: np.ndarray, coeffs: np.ndarray, m_target: np.ndarray, epsilon: float
-) -> tuple[float, np.ndarray]:
-    """_loss_and_gradient from one eigh: the forward is the NetMF closed
-    form f(T) = (V f(lam) V^T) o ratio, and the backward reuses the
-    decomposition."""
-    row_sums = _row_sums(b_soft)
-    eig = lam, v, ratio = _similar_eigh(b_soft, row_sums)
-    s_mat = (v * _polynomial(coeffs, lam)) @ v.T
-    s_mat *= ratio
-    s_mat /= epsilon
-    return _loss_and_gradient(b_soft, row_sums, eig, coeffs, s_mat, m_target, epsilon)
+    model = _forward_model(cfg.alpha, cfg.epsilon, cfg.k_horizon)
+    return _loss_and_gradient(b_soft, m_target, model, horner=True)[1]
 
 
 def invert_optimize(
@@ -328,10 +323,10 @@ def invert_optimize(
     # Each later solve warm-starts from the previous epoch's shift, which the
     # step moves little.
     shift = volume_shift(logits, cfg.target_volume, cfg.newton_iters)
-    coeffs = _walk_coefficients(cfg.alpha, cfg.epsilon, cfg.k_horizon)
+    model = _forward_model(cfg.alpha, cfg.epsilon, cfg.k_horizon)
     for epoch in range(1, cfg.epochs + 1):
         b_soft = _soft_adjacency(logits, shift)
-        epoch_loss, grad = _spectral_epoch(b_soft, coeffs, m_target, cfg.epsilon)
+        epoch_loss, grad = _loss_and_gradient(b_soft, m_target, model)
         losses.append(epoch_loss)
         # Adam, in place, in the operation order of
         #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;

@@ -14,6 +14,10 @@ symmetric eigendecomposition and one matmul, O(n^3) whatever the horizon.
 The spectral form is taken when L * nnz >= n^2, and kept only when every
 entry clears a floor set by its round-off; otherwise Horner runs, so exact
 zeros (pairs more than K hops apart, parity on bipartite graphs) stay exact.
+
+One kernel, _closed_form, scales a walk sum f(T) over T = D^-1 B to
+(b/(epsilon*K)) D^beta f(T) D^gamma, D the row sums of B: a graph's for
+build_proximity; a soft adjacency's for the optimizer's ProximityConfig.
 """
 
 from __future__ import annotations
@@ -30,6 +34,12 @@ IDENTITY = "identity"
 LOG = "log"
 ROW_L2 = "row_l2"
 _ACTIVATIONS = (IDENTITY, LOG, ROW_L2)
+
+
+def _check_horizon(k_horizon: int) -> None:
+    """The proximity scalar b/(epsilon*K) needs at least one hop."""
+    if k_horizon < 1:
+        raise ValueError(f"k_horizon must be >= 1, got {k_horizon}")
 
 
 class Preset(enum.Enum):
@@ -75,6 +85,12 @@ class ProximityConfig:
             raise ValueError("stopping probabilities must lie in (0, 1]")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+
+    @property
+    def scale(self) -> float:
+        """The scalar b/(epsilon*K) in front of the walk sum."""
+        _check_horizon(self.k_horizon)
+        return self.b / (self.epsilon * self.k_horizon)
 
     @classmethod
     def constant_alpha(
@@ -163,15 +179,6 @@ def _similar_eigh(b: np.ndarray, row_sums: np.ndarray):
     return lam, v, ratio
 
 
-def _polynomial(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """f(x) = sum_i c_i x^i elementwise, by Horner's scheme."""
-    f = np.full_like(x, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        f *= x
-        f += c
-    return f
-
-
 # Round-off in V f(lam) V^T is absolute: every entry, whatever its size,
 # carries an error of up to a few eps * max|f(lam)| (at most 8.3 measured on
 # ER graphs, n = 50..800, alpha = 0.01..0.9, K = 10..1000). A walk-sum entry
@@ -183,19 +190,20 @@ def _polynomial(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
 _SPECTRAL_FLOOR = 1e10
 
 
-def _spectral_walk_sum(g: Graph, coeffs: np.ndarray) -> np.ndarray | None:
-    """sum_i c_i P^i as R^-1 V f(Lambda) V^T R, or None when some entry does
-    not clear the round-off floor (see _SPECTRAL_FLOOR).
-
-    f(lam) = sum_i c_i lam^i is evaluated by Horner's scheme on the
-    eigenvalues of S = D^-1/2 A D^-1/2, which lie in [-1, 1].
-    """
-    lam, v, ratio = _similar_eigh(g.adjacency(), g.degrees)
-    f = _polynomial(coeffs, lam)
+def _spectral_walk_sum(eig, coeffs: np.ndarray, *, guard: bool = False):
+    """f(T) = (V f(lam) V^T) o ratio for eig = _similar_eigh(B, D), with
+    f(x) = sum_i c_i x^i by Horner's scheme on the eigenvalues; with guard,
+    None when some entry does not clear the round-off floor."""
+    lam, v, ratio = eig
+    f = np.full_like(lam, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        f *= lam
+        f += c
     x = (v * f) @ v.T
-    if x.min() < _SPECTRAL_FLOOR * np.finfo(np.float64).eps * np.abs(f).max():
+    if guard and x.min() < _SPECTRAL_FLOOR * np.finfo(np.float64).eps * np.abs(f).max():
         return None
-    return x * ratio
+    x *= ratio
+    return x
 
 
 def truncated_ppr(g: Graph, cfg: ProximityConfig) -> np.ndarray:
@@ -210,7 +218,8 @@ def truncated_ppr(g: Graph, cfg: ProximityConfig) -> np.ndarray:
     p = _walk_operator(g)
     coeffs = _normal_prefix(hop_coefficients(cfg))
     if coeffs.size * p.nnz >= g.n * g.n:
-        walk_sum = _spectral_walk_sum(g, coeffs)
+        eig = _similar_eigh(g.adjacency(), g.degrees)
+        walk_sum = _spectral_walk_sum(eig, coeffs, guard=True)
         if walk_sum is not None:
             return walk_sum
     return collections.deque(_walk_partials(p, coeffs), maxlen=1).pop()
@@ -232,29 +241,25 @@ def _apply_activation(scaled: np.ndarray, activation: str) -> np.ndarray:
     return np.maximum(scaled / norms, 0.0)
 
 
-def _scaled_walk(g: Graph, cfg: ProximityConfig) -> np.ndarray:
-    """(b/(epsilon*K)) * D^beta (sum_i c_i P^i) D^gamma, before activation."""
-    if cfg.k_horizon < 1:
-        raise ValueError("proximity scalar b/(epsilon*K) requires k_horizon >= 1")
-    core = truncated_ppr(g, cfg)
-    deg = g.degrees.astype(np.float64)
+def _closed_form(walk: np.ndarray, row_sums, cfg: ProximityConfig) -> np.ndarray:
+    """(b/(epsilon*K)) * D^beta walk D^gamma with D = diag(row_sums), before
+    activation. Scales walk in place and returns it."""
+    d = np.asarray(row_sums, dtype=np.float64)
     if cfg.beta != 0.0:
-        core = deg[:, None] ** cfg.beta * core
+        walk *= d[:, None] ** cfg.beta
     if cfg.gamma != 0.0:
-        core = core * deg[None, :] ** cfg.gamma
-    return (cfg.b / (cfg.epsilon * cfg.k_horizon)) * core
+        walk *= d[None, :] ** cfg.gamma
+    walk *= cfg.scale
+    return walk
 
 
 def build_proximity(g: Graph, cfg: ProximityConfig) -> np.ndarray:
-    """Evaluate the full proximity pipeline for one configuration.
-
-    Degree scaling D^beta (left) and D^gamma (right) wrap the truncated walk
-    sum, the scalar b/(epsilon*K) rescales it, then the activation and the
-    zero clamp apply. Row-L2 normalization replaces the elementwise
-    activation when selected. Entries that are exactly zero before a log
-    map to 0 (the clamp would zero them regardless), never to -inf.
-    """
-    return _apply_activation(_scaled_walk(g, cfg), cfg.activation)
+    """act((b/(epsilon*K)) D^beta (sum_i c_i P^i) D^gamma) for one
+    configuration: _closed_form on truncated_ppr and the degrees, then the
+    activation and the zero clamp (row-L2 normalization for ROW_L2). Entries
+    exactly zero before a log map to 0, never to -inf."""
+    walk = _closed_form(truncated_ppr(g, cfg), g.degrees, cfg)
+    return _apply_activation(walk, cfg.activation)
 
 
 def deepwalk_log_proximity(g: Graph, alpha: float, k_horizon: int) -> np.ndarray:
@@ -266,12 +271,10 @@ def deepwalk_log_proximity(g: Graph, alpha: float, k_horizon: int) -> np.ndarray
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if k_horizon < 1:
-        raise ValueError("k_horizon must be >= 1")
     cfg = preset_config(
         Preset.DEEPWALK, alpha=alpha, k_horizon=k_horizon, volume=g.volume
     )
-    inner = _scaled_walk(g, cfg)
+    inner = _closed_form(truncated_ppr(g, cfg), g.degrees, cfg)
     if np.any(inner <= 0.0):
         raise ValueError(
             "walk sum has non-positive entries; graph must connect every "
@@ -326,6 +329,7 @@ def preset_config(
         raise ValueError(f"{preset.value} preset requires alpha")
     else:
         alphas = (alpha,) * (k_horizon + 1)
+    _check_horizon(k_horizon)
     b, beta, gamma, k_start, activation = _PRESETS[preset]
     return ProximityConfig(
         b=b(epsilon, k_horizon),

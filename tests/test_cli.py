@@ -234,6 +234,31 @@ class TestInvertCommand:
         assert not out.exists()
 
 
+def test_k_horizon_below_one_rejected_everywhere(small_graph, tmp_path, capsys):
+    # Every command that evaluates b/(epsilon*K) fails with the same message.
+    _, path = small_graph
+    emb_dir, out = str(tmp_path / "emb"), str(tmp_path / "out")
+    assert main(["embed", "--graph", path, "--preset", "strap", "--alpha", "0.5",
+                 "--dim", "4", "--out", emb_dir]) == 0
+    schedule = tmp_path / "schedule.txt"
+    schedule.write_text("1.0\n")
+    runs = [
+        ["embed", "--graph", path, "--preset", preset, "--alpha", "0.5",
+         "--dim", "4", "--out", out]
+        + (["--alpha-schedule", str(schedule)] if preset == "lemane" else [])
+        for preset in ("strap", "approxppr", "nrp", "lemane", "sensei", "deepwalk")
+    ]
+    runs += [["invert", method, "--embedding", emb_dir, "--graph", path,
+              "--out", out] for method in ("optimize", "analytical")]
+    runs.append(["sweep", "--graph", path, "--presets", "strap", "--dims", "4",
+                 "--alpha", "0.5", "--out", out])
+    capsys.readouterr()
+    for argv in runs:
+        assert main([*argv, "--k-horizon", "0"]) == 1, argv
+        assert "k_horizon must be >= 1, got 0" in capsys.readouterr().err, argv
+    assert not Path(out).exists()
+
+
 class TestEvaluateCommand:
     def test_identical_graphs_zero_report(self, small_graph, tmp_path):
         _, path = small_graph

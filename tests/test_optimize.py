@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 import pprinv
 from conftest import random_connected_graph
+from test_proximity import tree_plus_edges
 from pprinv.optimize import (
     OptConfig,
     OptState,
+    _forward,
     _soft_adjacency,
     forward_proximity,
     gradient,
@@ -23,9 +25,12 @@ from pprinv.optimize import (
 )
 from pprinv.proximity import (
     ProximityConfig,
+    _closed_form,
     _walk_partials,
     build_proximity,
     hop_coefficients,
+    preset_config,
+    truncated_ppr,
 )
 
 
@@ -124,16 +129,57 @@ class TestVolumeShift:
 class TestForwardProximity:
     ALPHA, EPS, K = 0.5, 1e-7, 10
 
-    def test_true_adjacency_matches_unified_build(self, k3):
-        # Same formula through the generic proximity path: b=K, beta=gamma=0,
-        # k_start=0, log activation.
-        cfg = ProximityConfig.constant_alpha(
-            self.ALPHA, b=float(self.K), k_horizon=self.K, epsilon=self.EPS,
+    @given(
+        n=st.integers(3, 30),
+        extra=st.floats(0.0, 0.2),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.05, 0.95),
+        shape=st.sampled_from(["strap", "approxppr", "nrp", "deepwalk", "generic"]),
+        beta=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+        gamma=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+        k_start=st.integers(0, 1),
+        data=st.data(),
+    )
+    def test_true_adjacency_matches_unified_build(
+        self, n, extra, seed, alpha, shape, beta, gamma, k_start, data
+    ):
+        # One closed form on both operands: the kernel on the dense 0/1
+        # adjacency with its float row sums (the optimizer's walk over
+        # T = D^-1 B) equals the graph path of build_proximity before
+        # activation. Horizons stay on truncated_ppr's Horner branch
+        # ((K + 1) * nnz < n^2), so both walk sums are Horner's.
+        g = tree_plus_edges(n, extra, False, seed)
+        k_max = min(12, (n * n - 1) // g.volume - 1)
+        assume(k_max >= 1)
+        k_horizon = data.draw(st.integers(1, k_max), label="k_horizon")
+        if shape == "generic":
+            cfg = ProximityConfig.constant_alpha(
+                alpha, b=3.0, beta=beta, gamma=gamma, k_start=k_start,
+                k_horizon=k_horizon, epsilon=self.EPS,
+            )
+        else:
+            cfg = preset_config(shape, alpha=alpha, epsilon=self.EPS,
+                                k_horizon=k_horizon, volume=g.volume)
+        a = g.adjacency()
+        d = a.sum(axis=1)
+        got = _forward(a, d, cfg)
+        want = _closed_form(truncated_ppr(g, cfg), g.degrees, cfg)
+        assert np.array_equal(got == 0.0, want == 0.0)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        t = a / d[:, None]
+        naive = sum(c * np.linalg.matrix_power(t, i)
+                    for i, c in enumerate(hop_coefficients(cfg)))
+        naive = d[:, None] ** cfg.beta * naive * d[None, :] ** cfg.gamma
+        naive *= cfg.b / (cfg.epsilon * k_horizon)
+        assert np.all(np.abs(want - naive) <= 1e-10 * naive)
+        # The optimizer's forward model is that closed form at b = K,
+        # beta = gamma = 0, k_start = 0 and the log activation.
+        model = ProximityConfig.constant_alpha(
+            alpha, b=float(k_horizon), k_horizon=k_horizon, epsilon=self.EPS,
             activation="log",
         )
-        via_build = build_proximity(k3, cfg)
-        via_forward = forward_proximity(k3.adjacency(), self.ALPHA, self.EPS, self.K)
-        assert np.abs(via_build - via_forward).max() < 1e-12
+        via_forward = forward_proximity(a, alpha, self.EPS, k_horizon)
+        assert np.abs(build_proximity(g, model) - via_forward).max() < 1e-12
 
     def test_uniform_soft_matrix_equals_triangle(self, k3):
         b = 0.5 * (np.ones((3, 3)) - np.eye(3))
@@ -263,7 +309,7 @@ class TestGradient:
 
     @given(
         n=st.integers(3, 12),
-        k_horizon=st.integers(0, 10),
+        k_horizon=st.integers(1, 10),
         alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         scale=st.sampled_from([0.0, 0.3, 1.0, 2.0]),
         fraction=st.floats(0.1, 0.9),
@@ -299,7 +345,7 @@ class TestGradient:
         assert (np.abs(analytic - fd) / denom)[off].max() < 1e-5
 
     @pytest.mark.parametrize("spectrum", ["generic", "degenerate", "near_degenerate"])
-    @pytest.mark.parametrize("k_horizon", [0, 1, 4, 10])
+    @pytest.mark.parametrize("k_horizon", [1, 4, 10])
     @pytest.mark.parametrize("n", [5, 30])
     def test_matches_horner_reference(self, n, k_horizon, spectrum):
         # Uniform logits make the eigenvalue -1/(n-1) of S = R^-1 B R^-1
@@ -391,6 +437,12 @@ class TestInvertOptimize:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError, match="epochs"):
             OptConfig(target_volume=4.0, alpha=0.5, epochs=0)
+
+    def test_horizon_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k_horizon must be >= 1"):
+            OptConfig(target_volume=4.0, alpha=0.5, k_horizon=0)
+        with pytest.raises(ValueError, match="k_horizon must be >= 1"):
+            forward_proximity(np.ones((3, 3)) - np.eye(3), 0.5, 1e-7, 0)
 
     def test_single_epoch_single_update(self):
         g, target, cfg = self.self_consistent_setup(0)

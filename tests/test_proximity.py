@@ -16,6 +16,7 @@ from pprinv.proximity import (
     ProximityConfig,
     _log_clamp,
     _normal_prefix,
+    _similar_eigh,
     _spectral_walk_sum,
     _walk_partials,
     build_proximity,
@@ -45,6 +46,12 @@ class TestConfigValidation:
             constant_cfg(0.5, 2, b=0.0)
         with pytest.raises(ValueError, match="epsilon"):
             constant_cfg(0.5, 2, epsilon=0.0)
+
+    def test_scale_needs_a_hop(self):
+        assert constant_cfg(0.5, 2, b=4.0, epsilon=0.5).scale == 4.0
+        # K = 0 is a valid walk sum (c_0 I) but has no scale b/(epsilon*K).
+        with pytest.raises(ValueError, match="k_horizon must be >= 1"):
+            constant_cfg(0.5, 0).scale
 
     def test_rejects_bad_hop_window(self):
         with pytest.raises(ValueError, match="k_start"):
@@ -141,6 +148,12 @@ def spectral_selected(g, cfg):
     return _normal_prefix(hop_coefficients(cfg)).size * g.volume >= g.n * g.n
 
 
+def spectral_form(g, cfg):
+    """truncated_ppr's guarded spectral walk sum, or None when rejected."""
+    eig = _similar_eigh(g.adjacency(), g.degrees)
+    return _spectral_walk_sum(eig, _normal_prefix(hop_coefficients(cfg)), guard=True)
+
+
 def long_barbell(clique, path):
     """Two `clique`-cliques joined through `path` extra nodes (path + 1 edges)."""
     edges = [(i, j) for i in range(clique) for j in range(i + 1, clique)]
@@ -191,7 +204,7 @@ class TestSpectralWalkSum:
         assert spectral_selected(g, cfg)
         ref = horner_walk_sum(g, cfg)
         assert np.count_nonzero(ref == 0.0) == 4176
-        assert _spectral_walk_sum(g, _normal_prefix(hop_coefficients(cfg))) is None
+        assert spectral_form(g, cfg) is None
         assert np.array_equal(truncated_ppr(g, cfg), ref)
         with pytest.raises(ValueError, match="within 10 hops"):
             deepwalk_log_proximity(g, alpha, 10)
@@ -246,8 +259,7 @@ class TestSpectralWalkSum:
                 cfg = constant_cfg(alpha, k_horizon, k_start=k_start)
         ref = horner_walk_sum(g, cfg)
         zero = ref == 0.0
-        for out in (truncated_ppr(g, cfg),
-                    _spectral_walk_sum(g, _normal_prefix(hop_coefficients(cfg)))):
+        for out in (truncated_ppr(g, cfg), spectral_form(g, cfg)):
             if out is None:
                 continue
             assert np.all(out[zero] == 0.0)
