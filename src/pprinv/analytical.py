@@ -104,7 +104,7 @@ def binarize(soft_a: np.ndarray, m_edges: int) -> Graph:
         raise ValueError("soft adjacency must be square")
     max_edges = n * (n - 1) // 2
     if not 0 <= m_edges <= max_edges:
-        raise ValueError(f"m_edges={m_edges} exceeds the {max_edges} node pairs")
+        raise ValueError(f"m_edges={m_edges} must lie in [0, {max_edges}]")
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     values = soft_a[upper]
     bad = values.size - np.count_nonzero(np.isfinite(values))

@@ -30,22 +30,20 @@ _K_HORIZON = 10
 
 
 def _load_graph(path: str) -> gr.Graph:
-    with open(path, "rb") as fh:
-        return gr.parse_edge_list(fh)
+    return gr.parse_edge_list(Path(path).read_bytes())
 
 
 def _load_labels(path: str | None, g: gr.Graph) -> gr.CommunityAssignment | None:
     if not path:
         return None
-    with open(path, "rb") as fh:
-        return gr.parse_labels(fh, g)
+    return gr.parse_labels(Path(path).read_bytes(), g)
 
 
 def _build_config(preset: str, args, g: gr.Graph) -> prox.ProximityConfig:
     schedule = None
     if args.alpha_schedule:
-        with open(args.alpha_schedule) as fh:
-            schedule = prox.parse_alpha_schedule(fh.read(), args.k_horizon)
+        text = Path(args.alpha_schedule).read_bytes()
+        schedule = prox.parse_alpha_schedule(text, args.k_horizon)
     return prox.preset_config(
         preset,
         alpha=args.alpha,
@@ -132,7 +130,8 @@ def cmd_invert(args) -> int:
         g = _load_graph(args.graph)
         degrees, names = g.degrees, g.node_names
     elif args.degrees:
-        degrees = np.loadtxt(args.degrees, dtype=np.float64, ndmin=1)
+        lines = gr._fields(Path(args.degrees).read_bytes(), 1, "one degree")
+        degrees = np.array([float(d) for _, (d,) in lines])
         whole = np.isfinite(degrees) & (degrees >= 0) & (degrees == np.floor(degrees))
         if not whole.all() or degrees.sum() % 2:
             raise ValueError("degrees must be non-negative integers with an even sum")
@@ -167,8 +166,7 @@ def cmd_invert(args) -> int:
 
 def cmd_evaluate(args) -> int:
     g = _load_graph(args.graph)
-    with open(args.recovered, "rb") as fh:
-        g_hat = gr.parse_recovered(fh, g)
+    g_hat = gr.parse_recovered(Path(args.recovered).read_bytes(), g)
     labels = _load_labels(args.labels, g)
     meta = {"graph": args.graph}
     if labels is None:

@@ -2,7 +2,8 @@
 
 An embedding pair (X, Y) satisfies X @ Y.T ~ M for the proximity matrix M it
 was built from. Embeddings persist as a directory holding X.mat / Y.mat in
-the PPREIM1 binary format plus a meta.json with the build parameters, so an
+the PPREIM1 binary format plus a meta.json holding the pair's meta as given.
+`pprinv embed` (cli.cmd_embed) fills meta with the build parameters, so an
 inversion run can recover alpha, epsilon, and the horizon without
 re-specification.
 """
@@ -16,17 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import load_matrix, randomized_svd, save_matrix
-
-META_KEYS = (
-    "preset",
-    "alpha",
-    "epsilon",
-    "k_horizon",
-    "dim",
-    "seed",
-    "graph_n",
-    "graph_volume",
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,10 +50,8 @@ def save_embedding(directory, pair: EmbeddingPair) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     save_matrix(directory / "X.mat", pair.x)
     save_matrix(directory / "Y.mat", pair.y)
-    meta = {key: pair.meta.get(key) for key in META_KEYS}
-    meta.update(pair.meta)
     with open(directory / "meta.json", "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
+        json.dump(pair.meta, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

@@ -8,7 +8,6 @@ structure directly.
 
 from __future__ import annotations
 
-import io
 import logging
 import math
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ log = logging.getLogger(__name__)
 
 
 class EdgeListError(ValueError):
-    """Malformed edge-list or label input."""
+    """Malformed text input: edge list, labels, alpha schedule or degrees."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,44 +157,43 @@ def _label_sort_key(label: str):
         return (1, 0, label)
 
 
-def _read_lines(text) -> list[str]:
+def _fields(text, width: int, expected: str):
+    """Yield (line number, tokens) for each data line of a text input.
+
+    text is str, bytes, or a file opened in either mode; bytes are decoded
+    as UTF-8 and a leading byte-order mark is dropped. Blank lines and '#'
+    comments are skipped; every other line must hold exactly width
+    whitespace-separated tokens.
+    """
+    if hasattr(text, "read"):
+        text = text.read()
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    elif isinstance(text, io.IOBase) or hasattr(text, "read"):
-        text = text.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-    return text.splitlines()
-
-
-def _pairs(text, expected: str):
-    """Yield (line number, first token, second token) for each data line;
-    blank lines and '#' comments are skipped."""
-    for lineno, line in enumerate(_read_lines(text), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), 1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = stripped.split()
-        if len(tokens) != 2:
+        if len(tokens) != width:
             raise EdgeListError(
                 f"line {lineno}: expected {expected}, got {len(tokens)} tokens"
             )
-        yield lineno, tokens[0], tokens[1]
+        yield lineno, tokens
 
 
 def parse_edge_list(text) -> Graph:
     """Parse whitespace-separated edge pairs into a Graph.
 
-    Accepts str, bytes, or a file-like object. Lines starting with '#' and
-    blank lines are ignored. Node ids (arbitrary tokens) are remapped to
-    dense 0..n-1 in first-seen order. Duplicate edges collapse silently;
-    self-loops are dropped with a logged count. A node appearing only in
-    dropped self-loops would be isolated and is rejected.
+    Accepts str, bytes, or a file-like object; bytes are UTF-8 and a leading
+    byte-order mark is dropped. Lines starting with '#' and blank lines are
+    ignored. Node ids (arbitrary tokens) are remapped to dense 0..n-1 in
+    first-seen order. Duplicate edges collapse silently; self-loops are
+    dropped with a logged count. A node appearing only in dropped self-loops
+    would be isolated and is rejected.
     """
     ids: dict[str, int] = {}
     edges: set[tuple[int, int]] = set()
     n_loops = 0
-    for _, a, b in _pairs(text, "two node ids"):
+    for _, (a, b) in _fields(text, 2, "two node ids"):
         u = ids.setdefault(a, len(ids))
         v = ids.setdefault(b, len(ids))
         if u == v:
@@ -253,7 +251,7 @@ def parse_recovered(text, g: Graph) -> Graph:
     """
     ids = _name_table(g)
     edges = []
-    for lineno, a, b in _pairs(text, "two node ids"):
+    for lineno, (a, b) in _fields(text, 2, "two node ids"):
         u, v = _node_index(ids, a, lineno), _node_index(ids, b, lineno)
         if u == v:
             raise EdgeListError(f"line {lineno}: self-loop on node {a!r}")
@@ -271,7 +269,7 @@ def parse_labels(text, g: Graph) -> CommunityAssignment:
     """
     ids = _name_table(g)
     labels: dict[int, tuple[str, int]] = {}  # node -> (label, first line)
-    for lineno, node, label in _pairs(text, "'node label'"):
+    for lineno, (node, label) in _fields(text, 2, "'node label'"):
         previous, first = labels.setdefault(
             _node_index(ids, node, lineno), (label, lineno)
         )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -57,7 +58,7 @@ class OptConfig:
     target_volume: float
     alpha: float
     epochs: int = 40
-    newton_iters: int = 10
+    newton_iters: ClassVar[int] = 10
     epsilon: float = 1e-7
     k_horizon: int = 10
     step_size: float = 0.1
@@ -66,8 +67,6 @@ class OptConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.newton_iters < 1:
-            raise ValueError("newton_iters must be >= 1")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
         if not 0.0 < self.alpha < 1.0:
@@ -78,12 +77,12 @@ class OptConfig:
 @dataclass
 class OptState:
     """A point at which to take the gradient: shared symmetric logits, their
-    volume shift and, optionally, the derived soft adjacency
-    B = sigmoid(logits + shift) with zero diagonal."""
+    volume shift and the derived soft adjacency B = sigmoid(logits + shift)
+    with zero diagonal."""
 
     logits: np.ndarray
-    shift: float = 0.0
-    b_soft: np.ndarray | None = None
+    shift: float
+    b_soft: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,11 +290,8 @@ def gradient(state: OptState, m_target: np.ndarray, cfg: OptConfig) -> np.ndarra
     The loss is that of forward_proximity (Horner), so finite differences
     of it check this gradient; the backward is the optimizer loop's own.
     """
-    b_soft = state.b_soft
-    if b_soft is None:
-        b_soft = _soft_adjacency(state.logits, state.shift)
     model = _forward_model(cfg.alpha, cfg.epsilon, cfg.k_horizon)
-    return _loss_and_gradient(b_soft, m_target, model, horner=True)[1]
+    return _loss_and_gradient(state.b_soft, m_target, model, horner=True)[1]
 
 
 def invert_optimize(

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _read_lines, _walk_operator
+from .graph import Graph, _fields, _walk_operator
 
 IDENTITY = "identity"
 LOG = "log"
@@ -318,8 +318,10 @@ def preset_config(
     if preset is Preset.DEEPWALK:
         if alpha is None:
             raise ValueError("deepwalk preset requires alpha")
-        if volume is None:
-            raise ValueError("deepwalk preset requires the graph volume")
+        if volume is None or volume <= 0:
+            raise ValueError(
+                f"deepwalk preset needs a positive graph volume, got {volume}"
+            )
         epsilon = (1.0 - alpha) / volume
     elif epsilon is None:
         raise ValueError(f"{preset.value} preset requires epsilon")
@@ -345,7 +347,8 @@ def preset_config(
 
 def parse_alpha_schedule(text, k_horizon: int) -> tuple[float, ...]:
     """Read one stopping probability per line; must supply K+1 values."""
-    values = [float(line) for line in _read_lines(text) if line.strip()]
+    lines = _fields(text, 1, "one stopping probability")
+    values = [float(value) for _, (value,) in lines]
     if len(values) != k_horizon + 1:
         raise ValueError(
             f"alpha schedule has {len(values)} entries, need {k_horizon + 1}"

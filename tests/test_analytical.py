@@ -187,8 +187,12 @@ class TestBinarize:
         assert g.edge_set() == {(0, 1)}
 
     def test_too_many_edges_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match=r"m_edges=4 must lie in \[0, 3\]"):
             binarize(np.zeros((3, 3)), 4)
+
+    def test_negative_edge_count_rejected(self):
+        with pytest.raises(ValueError, match=r"m_edges=-1 must lie in \[0, 3\]"):
+            binarize(np.zeros((3, 3)), -1)
 
 
 class TestInvertAnalytical:

@@ -91,6 +91,30 @@ class TestEmbedCommand:
         ])
         assert rc == 0
 
+    @pytest.mark.parametrize(
+        "preset", ["strap", "approxppr", "nrp", "lemane", "sensei", "deepwalk"]
+    )
+    def test_meta_keys_per_preset(self, small_graph, tmp_path, preset):
+        _, path = small_graph
+        schedule = tmp_path / "alphas.txt"
+        schedule.write_text("0.5\n" * 11)
+        out = tmp_path / "emb"
+        rc = main([
+            "embed", "--graph", path, "--preset", preset, "--dim", "4",
+            "--out", str(out),
+            *(["--alpha-schedule", str(schedule)] if preset == "lemane"
+              else ["--alpha", "0.5"]),
+        ])
+        assert rc == 0
+        meta = json.loads((out / "meta.json").read_text())
+        keys = {"preset", "alpha", "epsilon", "k_horizon", "dim", "seed",
+                "graph_n", "graph_volume"}
+        if preset == "lemane":
+            keys.add("alpha_schedule")
+            assert meta["alpha"] is None
+        assert set(meta) == keys
+        assert meta["preset"] == preset
+
 
 class TestInvertCommand:
     def test_optimize_self_consistent_target(self, small_graph, tmp_path):
@@ -232,6 +256,18 @@ class TestInvertCommand:
         assert rc == 1
         assert "non-negative integers with an even sum" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_degrees_on_one_line_rejected(self, tmp_path, capsys):
+        mat = tmp_path / "m.mat"
+        save_matrix(mat, np.zeros((2, 2)))
+        deg = tmp_path / "deg.txt"
+        deg.write_text("2 2\n")
+        rc = main([
+            "invert", "optimize", "--proximity", str(mat), "--degrees", str(deg),
+            "--alpha", "0.5", "--out", str(tmp_path / "rec.txt"),
+        ])
+        assert rc == 1
+        assert "line 1: expected one degree, got 2 tokens" in capsys.readouterr().err
 
 
 def test_k_horizon_below_one_rejected_everywhere(small_graph, tmp_path, capsys):

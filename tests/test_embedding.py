@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import random_connected_graph
 from pprinv.embedding import (
-    META_KEYS,
     EmbeddingPair,
     factorize,
     load_embedding,
@@ -101,7 +100,7 @@ class TestPersistence:
         data=st.data(),
         shape=st.tuples(st.integers(1, 6), st.integers(1, 4)),
         meta=st.dictionaries(
-            st.one_of(st.sampled_from(META_KEYS), st.text(max_size=8)),
+            st.text(max_size=8),
             st.one_of(
                 st.none(), st.booleans(), st.integers(),
                 st.floats(allow_nan=False, allow_infinity=False), st.text(),
@@ -118,8 +117,7 @@ class TestPersistence:
             loaded = load_embedding(Path(tmp, "emb"))
         assert loaded.x.tobytes() == x.tobytes() and loaded.x.shape == shape
         assert loaded.y.tobytes() == y.tobytes() and loaded.y.shape == shape
-        # Every META_KEYS entry is written, null when the pair lacks it.
-        assert loaded.meta == {**dict.fromkeys(META_KEYS), **meta}
+        assert loaded.meta == meta
 
     def test_shape_mismatch_rejected(self, tmp_path):
         from pprinv.linalg import save_matrix

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import logging
 
 import numpy as np
@@ -15,6 +16,7 @@ from pprinv.graph import (
     conductance,
     parse_edge_list,
     parse_labels,
+    parse_recovered,
     serialize_edge_list,
 )
 
@@ -61,6 +63,19 @@ class TestParseEdgeList:
     def test_bytes_input(self):
         g = parse_edge_list(b"0 1\n1 2\n")
         assert g.num_edges == 2
+
+    @pytest.mark.parametrize("wrap", [
+        lambda text: text,
+        str.encode,
+        lambda text: io.BytesIO(text.encode()),
+        io.StringIO,
+    ], ids=["str", "bytes", "binary-file", "text-file"])
+    def test_byte_order_mark_dropped(self, wrap):
+        plain = parse_edge_list(wrap("0 1\n0 2\n"))
+        marked = parse_edge_list(wrap("\ufeff0 1\n0 2\n"))
+        assert marked.n == plain.n == 3
+        assert marked.edge_set() == plain.edge_set()
+        assert marked.node_names == plain.node_names == ("0", "1", "2")
 
     def test_euro_scale_file(self):
         # Synthetic file matching the Euro dataset's published size
@@ -246,6 +261,11 @@ class TestParseLabels:
         ca = parse_labels("# communities\n0 A\n\n1 B\n", g)
         assert len(ca.communities) == 2
 
+    def test_byte_order_mark_dropped(self):
+        g = parse_edge_list("0 1\n1 2\n")
+        ca = parse_labels("\ufeff0 A\n1 A\n2 B\n".encode(), g)
+        assert ca == parse_labels("0 A\n1 A\n2 B\n", g)
+
     def test_conflicting_labels_rejected(self, p3):
         with pytest.raises(EdgeListError, match=(
             r"line 4: node '0' labelled 'b', but line 1 labelled it 'a'"
@@ -263,6 +283,14 @@ class TestParseLabels:
         labels = "\n".join(f"{i} c{i % 4}" for i in range(8))
         ca = parse_labels(labels, g)
         assert len(ca.communities) == 4
+
+
+class TestParseRecovered:
+    def test_byte_order_mark_dropped(self):
+        g = parse_edge_list("a b\nb c\n")
+        h = parse_recovered("\ufeffa c\n".encode(), g)
+        assert h.edge_set() == {(0, 2)}
+        assert h.node_names == g.node_names
 
 
 class TestTransitionMatrix:

@@ -442,6 +442,10 @@ class TestPresetConfig:
         with pytest.raises(ValueError):
             preset_config("node2vec", alpha=0.5, epsilon=1e-7, k_horizon=10)
 
+    def test_deepwalk_zero_volume_rejected(self):
+        with pytest.raises(ValueError, match="positive graph volume, got 0"):
+            preset_config("deepwalk", alpha=0.5, k_horizon=3, volume=0)
+
     def test_missing_requirements(self):
         with pytest.raises(ValueError, match="alpha"):
             preset_config("strap", epsilon=1e-7, k_horizon=10)
@@ -515,3 +519,11 @@ class TestAlphaSchedule:
     def test_wrong_length(self):
         with pytest.raises(ValueError, match="need 4"):
             parse_alpha_schedule("0.1\n0.2\n", 3)
+
+    def test_comments_and_blank_lines_skipped(self):
+        assert parse_alpha_schedule("# stops\n0.5\n\n0.5\n", 1) == (0.5, 0.5)
+        assert parse_alpha_schedule(b"\xef\xbb\xbf0.5\n0.5\n", 1) == (0.5, 0.5)
+
+    def test_two_values_on_one_line_rejected(self):
+        with pytest.raises(ValueError, match="line 2: expected one stopping probability"):
+            parse_alpha_schedule("0.5\n0.5 0.5\n", 2)
