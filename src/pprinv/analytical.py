@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .linalg import pseudoinverse
+from .linalg import _spd_inverse, pseudoinverse
 from .proximity import _check_horizon
 
 
@@ -62,9 +62,13 @@ def recover_laplacian(
     """Normalized Laplacian implied by the infinite-horizon proximity.
 
     Inverts m_inf = (alpha*vol/(1-alpha)) D^{-1/2} (Z - I) D^{-1/2} - J with
-    Z = ((1-alpha) L + alpha I)^+ : rebuild Z, pseudoinvert, and peel off the
-    alpha shift. The result is symmetrized to absorb floating-point
-    asymmetry from the eigendecomposition.
+    Z = ((1-alpha) L + alpha I)^{-1}: rebuild Z, invert it, and peel off the
+    alpha shift. For exact inputs Z is symmetric positive definite (its
+    eigenvalues lie in [1/(2-alpha), 1/alpha]), so it is inverted by
+    Cholesky; a Z that is not positive definite or is near singular, as a
+    noisy low-rank target can give, is pseudoinverted instead. The result
+    is symmetrized to absorb the floating-point asymmetry of the
+    pseudoinverse.
     """
     m_inf = np.asarray(m_inf, dtype=np.float64)
     deg = np.asarray(degrees, dtype=np.float64)
@@ -75,9 +79,11 @@ def recover_laplacian(
     z = ((1.0 - alpha) / (alpha * volume)) * (
         root[:, None] * (m_inf + 1.0) * root[None, :]
     ) + np.eye(n)
-    lap = pseudoinverse((z + z.T) / 2.0) / (1.0 - alpha) - (
-        alpha / (1.0 - alpha)
-    ) * np.eye(n)
+    z = (z + z.T) / 2.0
+    z_inv = _spd_inverse(z)
+    if z_inv is None:
+        z_inv = pseudoinverse(z)
+    lap = z_inv / (1.0 - alpha) - (alpha / (1.0 - alpha)) * np.eye(n)
     return (lap + lap.T) / 2.0
 
 

@@ -130,8 +130,7 @@ def cmd_invert(args) -> int:
         g = _load_graph(args.graph)
         degrees, names = g.degrees, g.node_names
     elif args.degrees:
-        lines = gr._fields(Path(args.degrees).read_bytes(), 1, "one degree")
-        degrees = np.array([float(d) for _, (d,) in lines])
+        degrees = np.array(gr._numbers(Path(args.degrees).read_bytes(), "one degree"))
         whole = np.isfinite(degrees) & (degrees >= 0) & (degrees == np.floor(degrees))
         if not whole.all() or degrees.sum() % 2:
             raise ValueError("degrees must be non-negative integers with an even sum")

@@ -1,5 +1,6 @@
 """Dense-matrix kernels: randomized truncated SVD, symmetric pseudoinverse,
-and the binary matrix file format.
+the Cholesky inverse of a symmetric positive definite matrix, and the binary
+matrix file format.
 
 Everything works on float64 numpy arrays. The randomized SVD follows the
 standard Gaussian range-finder recipe (oversampling 10, two QR-stabilized
@@ -19,6 +20,7 @@ MATRIX_MAGIC = b"PPREIM1\x00"
 _DEFAULT_OVERSAMPLE = 10
 _DEFAULT_POWER_ITERS = 2
 _PINV_RTOL = 1e-10
+_TRI_INV_LEAF = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +71,46 @@ def pseudoinverse(m: np.ndarray) -> np.ndarray:
     inv_w = np.zeros_like(w)
     inv_w[keep] = 1.0 / w[keep]
     return (vecs * inv_w) @ vecs.T
+
+
+def _lower_inverse(l: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix, by halves:
+    [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]].
+
+    Blocks of up to _TRI_INV_LEAF rows go to np.linalg.inv. Above that most
+    of the n^3/3 flops are matmuls: at n=1600 this took 0.07 s against
+    0.24 s for np.linalg.inv of the whole matrix, an LU solve blind to the
+    zeros (2-core x86_64 VM, OpenBLAS 0.3.31).
+    """
+    n = len(l)
+    if n <= _TRI_INV_LEAF:
+        return np.linalg.inv(l)
+    h = n // 2
+    a, b = _lower_inverse(l[:h, :h]), _lower_inverse(l[h:, h:])
+    inv = np.zeros_like(l)
+    inv[:h, :h], inv[h:, h:] = a, b
+    inv[h:, :h] = -(b @ (l[h:, :h] @ a))
+    return inv
+
+
+def _spd_inverse(m: np.ndarray) -> np.ndarray | None:
+    """Inverse of a symmetric positive definite matrix by Cholesky,
+    m^-1 = L^-T L^-1 with m = L L^T; None when m is not positive definite, or
+    when its 1-norm condition number reaches 1/_PINV_RTOL, where
+    pseudoinverse would start dropping eigenvalues.
+
+    It stays on numpy's BLAS on purpose. scipy's LAPACK (potrf, potri) links
+    a second OpenBLAS whose threads keep spinning after a call; on a 2-core
+    machine that doubled the time of the next numpy eigh.
+    """
+    try:
+        factor = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+    factor_inv = _lower_inverse(factor)
+    inv = factor_inv.T @ factor_inv
+    cond = np.abs(m).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
+    return inv if cond * _PINV_RTOL < 1.0 else None
 
 
 def save_matrix(path, m: np.ndarray) -> None:

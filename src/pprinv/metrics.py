@@ -69,7 +69,8 @@ def average_path_length(g: Graph) -> tuple[float, int]:
     (nan, 0) when no pair is connected.
 
     Computed once per Graph and memoized on it (the CSR arrays are
-    read-only), so a graph scored against many recoveries runs one APSP.
+    read-only), so a graph scored against many recoveries runs one
+    all-sources BFS.
     """
     return g._path_length
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _fields, _walk_operator
+from .graph import Graph, _numbers, _walk_operator
 
 IDENTITY = "identity"
 LOG = "log"
@@ -347,8 +347,7 @@ def preset_config(
 
 def parse_alpha_schedule(text, k_horizon: int) -> tuple[float, ...]:
     """Read one stopping probability per line; must supply K+1 values."""
-    lines = _fields(text, 1, "one stopping probability")
-    values = [float(value) for _, (value,) in lines]
+    values = _numbers(text, "one stopping probability")
     if len(values) != k_horizon + 1:
         raise ValueError(
             f"alpha schedule has {len(values)} entries, need {k_horizon + 1}"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph
+from pprinv import analytical as analytical_module
 from pprinv.analytical import (
     AnalyticalInputs,
     binarize,
@@ -31,6 +32,27 @@ def closed_form_m_infinity(g, alpha):
     return (alpha * g.volume / (1 - alpha)) * (z - np.eye(g.n)) / np.outer(
         root, root
     ) - 1.0
+
+
+def pinv_laplacian(m_inf, degrees, volume, alpha):
+    """recover_laplacian with Z pseudoinverted: the reference for its
+    Cholesky route and the exact expected output of its fallback."""
+    n = degrees.size
+    root = np.sqrt(degrees)
+    z = ((1.0 - alpha) / (alpha * volume)) * (
+        root[:, None] * (m_inf + 1.0) * root[None, :]
+    ) + np.eye(n)
+    lap = pseudoinverse((z + z.T) / 2.0) / (1.0 - alpha) - (
+        alpha / (1.0 - alpha)
+    ) * np.eye(n)
+    return (lap + lap.T) / 2.0
+
+
+def m_inf_for_z(z, degrees, volume, alpha):
+    """The m_inf from which recover_laplacian rebuilds z (up to round-off)."""
+    root = np.sqrt(degrees)
+    scale = (1.0 - alpha) / (alpha * volume)
+    return (z - np.eye(z.shape[0])) / (scale * np.outer(root, root)) - 1.0
 
 
 class TestEstimateMInfinity:
@@ -99,6 +121,55 @@ class TestRecoverLaplacian:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             recover_laplacian(np.zeros((3, 3)), np.ones(4), 4.0, 0.5)
+
+    @staticmethod
+    def count_pseudoinverse(monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            analytical_module,
+            "pseudoinverse",
+            lambda m: calls.append(m) or pseudoinverse(m),
+        )
+        return calls
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(2, 40),
+        p=st.floats(0.1, 0.8),
+        alpha=st.floats(0.05, 0.95),
+        seed=st.integers(0, 10_000),
+    )
+    def test_cholesky_matches_pseudoinverse(self, n, p, alpha, seed):
+        g = random_connected_graph(n, p, seed)
+        deg, vol = g.degrees.astype(float), float(g.volume)
+        m_inf = closed_form_m_infinity(g, alpha)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = self.count_pseudoinverse(mp)
+            lap = recover_laplacian(m_inf, deg, vol, alpha)
+        assert not calls
+        want = pinv_laplacian(m_inf, deg, vol, alpha)
+        assert np.abs(lap - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(lap, lap.T)
+
+    @pytest.mark.parametrize("kind", ["indefinite", "singular"])
+    def test_fallback_is_the_pseudoinverse_route(self, kind, monkeypatch):
+        rng = np.random.default_rng(8)
+        n, alpha = 12, 0.6
+        deg = rng.integers(1, 6, size=n).astype(float)
+        vol = float(deg.sum())
+        if kind == "indefinite":
+            m = rng.normal(size=(n, n))
+            z = (m + m.T) / 2
+        else:
+            b = rng.normal(size=(n, n - 1))
+            z = b @ b.T
+        assert np.linalg.eigvalsh(z).min() < 1e-10
+        m_inf = m_inf_for_z(z, deg, vol, alpha)
+        calls = self.count_pseudoinverse(monkeypatch)
+        lap = recover_laplacian(m_inf, deg, vol, alpha)
+        assert len(calls) == 1
+        want = pinv_laplacian(m_inf, deg, vol, alpha)
+        assert lap.tobytes() == want.tobytes()
 
 
 class TestRecoverAdjacency:

@@ -269,6 +269,18 @@ class TestInvertCommand:
         assert rc == 1
         assert "line 1: expected one degree, got 2 tokens" in capsys.readouterr().err
 
+    def test_non_numeric_degree_rejected_with_its_line(self, tmp_path, capsys):
+        mat = tmp_path / "m.mat"
+        save_matrix(mat, np.zeros((2, 2)))
+        deg = tmp_path / "deg.txt"
+        deg.write_text("1\nx\n")
+        rc = main([
+            "invert", "optimize", "--proximity", str(mat), "--degrees", str(deg),
+            "--alpha", "0.5", "--out", str(tmp_path / "rec.txt"),
+        ])
+        assert rc == 1
+        assert "line 2: 'x' is not a number" in capsys.readouterr().err
+
 
 def test_k_horizon_below_one_rejected_everywhere(small_graph, tmp_path, capsys):
     # Every command that evaluates b/(epsilon*K) fails with the same message.

@@ -1,13 +1,15 @@
 import dataclasses
 import io
 import logging
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph, random_graph, transition_matrix
+from conftest import random_connected_graph, random_graph, sbm_graph, transition_matrix
+from pprinv import graph as graph_module
 from pprinv.graph import (
     EdgeListError,
     Graph,
@@ -350,6 +352,76 @@ class TestAllPairsDistances:
         g = random_connected_graph(20, 0.2, 3)
         d = all_pairs_distances(g)
         assert np.array_equal(d, d.T)
+
+
+def apsp_path_length(g):
+    """(mean, count) over connected unordered pairs from the dense distance
+    matrix: the oracle for Graph._path_length."""
+    dist = all_pairs_distances(g)
+    finite = np.isfinite(dist)
+    count = (int(np.count_nonzero(finite)) - g.n) // 2
+    if count == 0:
+        return math.nan, 0
+    return float(np.sum(dist, where=finite) / 2 / count), count
+
+
+def path_graph(n):
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+class TestPathLength:
+    @staticmethod
+    def assert_matches_oracle(g):
+        mean, count = g._path_length
+        want_mean, want_count = apsp_path_length(g)
+        assert count == want_count
+        assert np.array(mean).tobytes() == np.array(want_mean).tobytes()
+
+    @staticmethod
+    def route(monkeypatch, g):
+        """Which side of the cost rule g's path length took."""
+        dijkstra = []
+        monkeypatch.setattr(
+            graph_module,
+            "all_pairs_distances",
+            lambda h: dijkstra.append(h) or all_pairs_distances(h),
+        )
+        g._path_length
+        return "dijkstra" if dijkstra else "bfs"
+
+    # Mean degrees below ~1 give disconnected graphs with isolated nodes;
+    # n = 63, 64, 65 put the sources in one word, one full word, and two.
+    @settings(max_examples=100)
+    @given(
+        n=st.integers(1, 200),
+        mean_degree=st.floats(0.0, 12.0),
+        seed=st.integers(0, 10_000),
+    )
+    @example(n=1, mean_degree=0.0, seed=0)
+    @example(n=63, mean_degree=1.0, seed=1)
+    @example(n=64, mean_degree=3.0, seed=2)
+    @example(n=65, mean_degree=0.5, seed=3)
+    def test_equals_apsp_oracle(self, n, mean_degree, seed):
+        self.assert_matches_oracle(random_graph(n, min(1.0, mean_degree / n), seed))
+
+    def test_shallow_sbm_takes_bit_bfs(self, monkeypatch):
+        g, _ = sbm_graph(4, 100, 0.25, 0.018, 1)
+        assert self.route(monkeypatch, g) == "bfs"
+        self.assert_matches_oracle(g)
+
+    def test_long_path_hands_over_to_dijkstra(self, monkeypatch):
+        g = path_graph(1600)
+        assert self.route(monkeypatch, g) == "dijkstra"
+        self.assert_matches_oracle(g)
+
+    def test_dense_graph_runs_sources_in_blocks(self, monkeypatch):
+        # One word of every edge end's frontier overflows the byte limit, so
+        # the 150 sources run in three blocks of one word each.
+        monkeypatch.setattr(graph_module, "_BFS_GATHER_BYTES", 8 * 400)
+        g = random_graph(150, 0.05, 4)
+        assert g.volume > 400
+        assert self.route(monkeypatch, g) == "bfs"
+        self.assert_matches_oracle(g)
 
 
 class TestConductance:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pprinv.linalg import (
+    _TRI_INV_LEAF,
+    _spd_inverse,
     load_matrix,
     pseudoinverse,
     randomized_svd,
@@ -98,6 +100,32 @@ class TestPseudoinverse:
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
             pseudoinverse(m)
+
+
+class TestSpdInverse:
+    # Sizes on each side of the leaf, and one that splits unevenly twice.
+    @pytest.mark.parametrize("n", [1, 7, _TRI_INV_LEAF, _TRI_INV_LEAF + 1, 300])
+    def test_matches_pseudoinverse(self, n):
+        rng = np.random.default_rng(n)
+        b = rng.normal(size=(n, n)) / np.sqrt(n)
+        m = b @ b.T + 0.5 * np.eye(n)
+        inv = _spd_inverse(m)
+        assert np.array_equal(inv, inv.T)
+        want = pseudoinverse(m)
+        assert np.abs(inv - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.diag([1.0, -1.0, 2.0]),
+            np.diag([1.0, 0.0, 2.0]),
+            np.diag([1.0, 1e-12, 2.0]),
+            np.full((2, 2), np.nan),
+        ],
+        ids=["indefinite", "singular", "near-singular", "nan"],
+    )
+    def test_rejects_what_pseudoinverse_must_handle(self, m):
+        assert _spd_inverse(m) is None
 
 
 class TestMatrixFiles:

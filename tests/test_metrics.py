@@ -125,14 +125,15 @@ class TestPathLengthError:
         mean, count = average_path_length(Graph.from_edges(4, []))
         assert math.isnan(mean) and count == 0
 
-    def test_original_graph_apsp_runs_once(self, monkeypatch):
+    def test_original_graph_path_length_runs_once(self, monkeypatch):
         calls = []
+        kernel = graph_module._bfs_distance_sums
 
         def counting(h):
             calls.append(h)
-            return all_pairs_distances(h)
+            return kernel(h)
 
-        monkeypatch.setattr(graph_module, "all_pairs_distances", counting)
+        monkeypatch.setattr(graph_module, "_bfs_distance_sums", counting)
         g = random_connected_graph(20, 0.2, 4)
         g_hat = random_connected_graph(20, 0.2, 5)
         first = recovery_report(g, g_hat, None)

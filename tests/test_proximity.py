@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import random_connected_graph, transition_matrix
-from pprinv.graph import Graph, _walk_operator
+from pprinv.graph import EdgeListError, Graph, _walk_operator
 from pprinv.proximity import (
     IDENTITY,
     LOG,
@@ -527,3 +527,7 @@ class TestAlphaSchedule:
     def test_two_values_on_one_line_rejected(self):
         with pytest.raises(ValueError, match="line 2: expected one stopping probability"):
             parse_alpha_schedule("0.5\n0.5 0.5\n", 2)
+
+    def test_non_numeric_token_rejected_with_its_line(self):
+        with pytest.raises(EdgeListError, match="line 3: 'abc' is not a number"):
+            parse_alpha_schedule("# stops\n0.5\nabc\n", 1)
