@@ -62,20 +62,16 @@ def cmd_embed(args) -> int:
     t0 = time.perf_counter()
     m = prox.build_proximity(g, cfg)
     t_build = time.perf_counter() - t0
-    meta = {
-        "preset": prox.Preset(args.preset).value,
-        "alpha": args.alpha,
-        "epsilon": cfg.epsilon,
-        "k_horizon": args.k_horizon,
-        "graph_n": g.n,
-        "graph_volume": g.volume,
-    }
+    # meta.json: the build flags as given, then what they resolved to.
+    flags = ("preset", "dim", "seed", "alpha", "k_horizon")
+    meta = {key: getattr(args, key) for key in flags}
+    meta.update(epsilon=cfg.epsilon, graph_n=g.n, graph_volume=g.volume)
     if args.preset == "lemane":
         meta["alpha_schedule"] = list(cfg.alphas)
     t0 = time.perf_counter()
-    pair = emb.factorize(m, args.dim, args.seed, meta=meta)
+    pair = emb.factorize(m, args.dim, args.seed)
     t_svd = time.perf_counter() - t0
-    emb.save_embedding(args.out, pair)
+    emb.save_embedding(args.out, emb.EmbeddingPair(pair.x, pair.y, meta))
     log.info("proximity build %.3fs, svd %.3fs", t_build, t_svd)
     print(f"wrote embedding (n={g.n}, d={args.dim}) to {args.out}")
     return 0

@@ -26,7 +26,7 @@ class EmbeddingPair:
     meta: dict = field(default_factory=dict)
 
 
-def factorize(m: np.ndarray, d: int, seed: int, meta: dict | None = None) -> EmbeddingPair:
+def factorize(m: np.ndarray, d: int, seed: int) -> EmbeddingPair:
     """Split m into X = U sqrt(S), Y = V sqrt(S) from a rank-d randomized SVD."""
     m = np.asarray(m, dtype=np.float64)
     n = m.shape[0]
@@ -34,10 +34,7 @@ def factorize(m: np.ndarray, d: int, seed: int, meta: dict | None = None) -> Emb
         raise ValueError(f"embedding dimension {d} out of range for n={n}")
     svd = randomized_svd(m, d, seed)
     root = np.sqrt(svd.sigma)
-    full_meta = {"dim": d, "seed": seed}
-    if meta:
-        full_meta.update(meta)
-    return EmbeddingPair(x=svd.u * root, y=svd.v * root, meta=full_meta)
+    return EmbeddingPair(x=svd.u * root, y=svd.v * root)
 
 
 def reconstruct_proximity(pair: EmbeddingPair) -> np.ndarray:

@@ -121,14 +121,19 @@ class Graph:
         or an (m, 2) integer array.
 
         Duplicate pairs and both-orientation listings collapse; self-loops
-        are rejected. Nodes without incident edges are allowed (degree 0).
-        Each CSR row lists its neighbors in ascending order.
+        and non-whole ids are rejected. Nodes without incident edges are
+        allowed (degree 0). Each CSR row lists its neighbors in ascending order.
         """
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+        if pairs.dtype.kind == "f":
+            whole = (np.isfinite(pairs) & (np.trunc(pairs) == pairs)).all(axis=1)
+            if not whole.all():
+                pair = tuple(pairs[np.argmin(whole)].tolist())
+                raise ValueError(f"edge {pair} has a node id that is not a whole number")
         u, v = pairs.astype(np.int64).T
         bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
         if bad.any():

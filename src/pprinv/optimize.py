@@ -21,7 +21,6 @@ the loop's finite-difference oracle.
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -35,10 +34,10 @@ from .proximity import (
     _apply_activation,
     _check_horizon,
     _closed_form,
+    _horner,
     _normal_prefix,
     _similar_eigh,
     _spectral_walk_sum,
-    _walk_partials,
     hop_coefficients,
 )
 
@@ -134,12 +133,9 @@ def volume_shift(
     tolerance = 0.5e-12 * max(1.0, target_volume)
 
     b = _sigmoid(upper + start)
-    t0 = float(b.sum())
-    if t0 == half:
-        return start
     # Step away from start toward the target, doubling the step, until the
     # far end passes the target; the last two ends bracket it.
-    sign = 1.0 if t0 < half else -1.0
+    sign = 1.0 if b.sum() < half else -1.0
     step, near, far = 1.0, start, start + sign
     while sign * (half - float(_sigmoid(upper + far).sum())) > 0.0:
         if sign * far > 1e9:
@@ -197,8 +193,7 @@ def _forward(b_soft: np.ndarray, row_sums: np.ndarray, model: ProximityConfig,
     _similar_eigh(B, D) is given, else from Horner's scheme."""
     coeffs = _normal_prefix(hop_coefficients(model))
     if eig is None:
-        t = b_soft / row_sums[:, None]
-        walk = collections.deque(_walk_partials(t, coeffs), maxlen=1).pop()
+        walk = _horner(b_soft / row_sums[:, None], coeffs)
     else:
         walk = _spectral_walk_sum(eig, coeffs)
     return _closed_form(walk, row_sums, model)
@@ -299,10 +294,11 @@ def invert_optimize(
 ) -> OptimizeResult:
     """Recover a graph whose walk proximity matches m_target.
 
-    Per epoch: rebuild B from the logits and the current volume shift,
-    evaluate the loss and its reverse-mode gradient from one
-    eigendecomposition, step the logits, and re-solve the shift starting
-    from its last value. Each epoch's loss agrees with
+    From zero logits, per epoch: rebuild B from the logits and the current
+    volume shift, evaluate the loss and its reverse-mode gradient from one
+    eigendecomposition, take a bias-corrected Adam step (0.9, 0.999, 1e-8)
+    on the logits, whose diagonal stays 0 as the gradient's is 0, and
+    re-solve the shift from its last value. Each epoch's loss agrees with
     loss(forward_proximity(B, ...), m_target) to round-off. After the final
     epoch the soft adjacency binarizes to exactly m_edges edges.
     """
@@ -311,9 +307,7 @@ def invert_optimize(
     if m_target.shape != (n, n):
         raise ValueError("target proximity must be square")
     logits = np.zeros((n, n))
-    adam_m = np.zeros((n, n))
-    adam_v = np.zeros((n, n))
-    scratch = np.empty((n, n))
+    adam_m = adam_v = 0.0
     beta1, beta2, tiny = 0.9, 0.999, 1e-8
     losses = []
     # Each later solve warm-starts from the previous epoch's shift, which the
@@ -324,23 +318,10 @@ def invert_optimize(
         b_soft = _soft_adjacency(logits, shift)
         epoch_loss, grad = _loss_and_gradient(b_soft, m_target, model)
         losses.append(epoch_loss)
-        # Adam, in place, in the operation order of
-        #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
-        #   logits -= step (m / c1) / (sqrt(v / c2) + tiny).
-        adam_m *= beta1
-        adam_m += np.multiply(1.0 - beta1, grad, out=scratch)
-        np.multiply(1.0 - beta2, grad, out=scratch)
-        scratch *= grad
-        adam_v *= beta2
-        adam_v += scratch
-        np.divide(adam_m, 1.0 - beta1**epoch, out=scratch)
-        scratch *= cfg.step_size
-        np.divide(adam_v, 1.0 - beta2**epoch, out=grad)
-        np.sqrt(grad, out=grad)
-        grad += tiny
-        scratch /= grad
-        logits -= scratch
-        np.fill_diagonal(logits, 0.0)
+        adam_m = beta1 * adam_m + (1.0 - beta1) * grad
+        adam_v = beta2 * adam_v + (1.0 - beta2) * grad * grad
+        logits -= cfg.step_size * (adam_m / (1.0 - beta1**epoch)) / (
+            np.sqrt(adam_v / (1.0 - beta2**epoch)) + tiny)
         shift = volume_shift(logits, cfg.target_volume, cfg.newton_iters, shift)
     recovered = binarize(_soft_adjacency(logits, shift), m_edges)
     return OptimizeResult(graph=recovered, losses=tuple(losses))

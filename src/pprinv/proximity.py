@@ -22,7 +22,6 @@ build_proximity; a soft adjacency's for the optimizer's ProximityConfig.
 
 from __future__ import annotations
 
-import collections
 import enum
 from dataclasses import dataclass
 
@@ -145,24 +144,21 @@ def _normal_prefix(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[: (normal[-1] if normal.size else 0) + 1]
 
 
-def _walk_partials(p, coeffs: np.ndarray):
-    """Horner partials H_i = sum_{j>=i} c_j p^{j-i}, yielded for i = L..0.
+def _horner(p, coeffs: np.ndarray) -> np.ndarray:
+    """The walk sum sum_i c_i p^i by Horner's scheme, H <- c_i I + p @ H.
 
     p is a square walk operator, a dense array or a scipy CSR matrix; each
-    step is one product p @ H_{i+1}, which is dense either way. The last
-    partial H_0 is the walk sum sum_i c_i p^i. L is the last hop whose
-    coefficient is a normal float (see _normal_prefix).
+    step is one product p @ H, which is dense either way. Callers pass the
+    coefficients through _normal_prefix, so no subnormal tail is pushed.
     """
-    coeffs = _normal_prefix(coeffs)
     n = p.shape[0]
     diag = np.diag_indices(n)
     h = np.zeros((n, n))
     h[diag] = coeffs[-1]
-    yield h
     for c in coeffs[-2::-1]:
         h = p @ h
         h[diag] += c
-        yield h
+    return h
 
 
 def _similar_eigh(b: np.ndarray, row_sums: np.ndarray):
@@ -222,7 +218,7 @@ def truncated_ppr(g: Graph, cfg: ProximityConfig) -> np.ndarray:
         walk_sum = _spectral_walk_sum(eig, coeffs, guard=True)
         if walk_sum is not None:
             return walk_sum
-    return collections.deque(_walk_partials(p, coeffs), maxlen=1).pop()
+    return _horner(p, coeffs)
 
 
 def _log_clamp(x: np.ndarray) -> np.ndarray:

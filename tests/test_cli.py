@@ -144,7 +144,7 @@ class TestInvertCommand:
             "--out", str(tmp_path / "rec.txt"), "--loss-trace", str(trace),
         ])
         assert rc == 0
-        rows = list(csv.reader(trace.open()))
+        rows = list(csv.reader(trace.read_text().splitlines()))
         assert rows[0] == ["epoch", "loss"]
         assert len(rows) == 41
         losses = [float(r[1]) for r in rows[1:]]

@@ -82,11 +82,11 @@ class TestReconstruct:
 class TestPersistence:
     def test_round_trip_with_meta(self, tmp_path):
         m = strap_matrix(seed=7)
-        pair = factorize(
-            m, 5, seed=1,
-            meta={"preset": "strap", "alpha": 0.3, "epsilon": 1e-6,
-                  "k_horizon": 8, "graph_n": 30, "graph_volume": 100},
-        )
+        pair = factorize(m, 5, seed=1)
+        pair = EmbeddingPair(pair.x, pair.y, {
+            "preset": "strap", "dim": 5, "seed": 1, "alpha": 0.3, "epsilon": 1e-6,
+            "k_horizon": 8, "graph_n": 30, "graph_volume": 100,
+        })
         save_embedding(tmp_path / "emb", pair)
         loaded = load_embedding(tmp_path / "emb")
         assert np.array_equal(loaded.x, pair.x)

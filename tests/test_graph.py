@@ -2,6 +2,7 @@ import dataclasses
 import io
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,19 @@ class TestFromEdges:
             Graph.from_edges(3, [(0, 1), (1, 1), (0, 5)])
         with pytest.raises(ValueError, match=r"^edge \(0,5\) outside node range 0..2$"):
             Graph.from_edges(3, [(0, 1), (0, 5), (1, 1)])
+
+    def test_non_whole_ids_rejected(self):
+        # The first pair holding a fractional or non-finite id is named.
+        cases = [([(0, 1.9)], "(0.0, 1.9)"),
+                 (np.array([[0.5, 2.0]]), "(0.5, 2.0)"),
+                 ([(0, 1), (2, 0.5), (1.5, 2)], "(2.0, 0.5)"),
+                 ([(0, 1), (1, float("nan"))], "(1.0, nan)")]
+        for edges, pair in cases:
+            message = f"^edge {re.escape(pair)} has a node id that is not a whole number$"
+            with pytest.raises(ValueError, match=message):
+                Graph.from_edges(3, edges)
+        g = Graph.from_edges(3, np.array([[0.0, 1.0], [2.0, 1.0]]))
+        assert g.edge_set() == {(0, 1), (1, 2)}
 
     def test_csr_arrays_read_only(self, k3):
         with pytest.raises(ValueError, match="read-only"):

@@ -16,6 +16,8 @@ from pprinv.optimize import (
     OptConfig,
     OptState,
     _forward,
+    _forward_model,
+    _loss_and_gradient,
     _soft_adjacency,
     forward_proximity,
     gradient,
@@ -26,7 +28,8 @@ from pprinv.optimize import (
 from pprinv.proximity import (
     ProximityConfig,
     _closed_form,
-    _walk_partials,
+    _horner,
+    _normal_prefix,
     build_proximity,
     hop_coefficients,
     preset_config,
@@ -257,9 +260,13 @@ def horner_reference_gradient(b_soft, m_target, cfg):
     (K+1) n^2 of storage. The reference for the spectral backward."""
     row_sums = b_soft.sum(axis=1)
     t = b_soft / row_sums[:, None]
-    coeffs = hop_coefficients(ProximityConfig.constant_alpha(
-        cfg.alpha, b=1.0, k_horizon=cfg.k_horizon, epsilon=cfg.epsilon))
-    horner = list(_walk_partials(t, coeffs))[::-1]
+    coeffs = _normal_prefix(hop_coefficients(ProximityConfig.constant_alpha(
+        cfg.alpha, b=1.0, k_horizon=cfg.k_horizon, epsilon=cfg.epsilon)))
+    # horner[i] = H_i = sum_{j>=i} c_j t^{j-i}, built from H_L = c_L I down.
+    horner = [coeffs[-1] * np.eye(len(t))]
+    for c in coeffs[-2::-1]:
+        horner.append(t @ horner[-1] + c * np.eye(len(t)))
+    horner.reverse()
     s_mat = horner[0] / cfg.epsilon
     unclamped = s_mat > 1.0
     m_hat = np.zeros_like(s_mat)
@@ -327,7 +334,7 @@ class TestGradient:
         # approximate its subgradient; the steps below move log s by < 3e-3.
         coeffs = hop_coefficients(ProximityConfig.constant_alpha(
             alpha, b=1.0, k_horizon=k_horizon, epsilon=cfg.epsilon))
-        walk = list(_walk_partials(b / b.sum(axis=1, keepdims=True), coeffs))[-1]
+        walk = _horner(b / b.sum(axis=1, keepdims=True), _normal_prefix(coeffs))
         with np.errstate(divide="ignore"):
             assume(np.abs(np.log(walk / cfg.epsilon)).min() > 1e-2)
         rng = np.random.default_rng(seed)
@@ -392,7 +399,7 @@ class TestGradient:
         b = _soft_adjacency(logits, shift)
         coeffs = hop_coefficients(ProximityConfig.constant_alpha(
             cfg.alpha, b=1.0, k_horizon=cfg.k_horizon, epsilon=1.0))
-        walk = list(_walk_partials(b / b.sum(axis=1, keepdims=True), coeffs))[-1]
+        walk = _horner(b / b.sum(axis=1, keepdims=True), _normal_prefix(coeffs))
         off = ~np.eye(8, dtype=bool)
         cfg = dataclasses.replace(cfg, epsilon=float(np.median(walk[off])))
         s_mat = walk / cfg.epsilon
@@ -476,6 +483,25 @@ class TestInvertOptimize:
         assert np.abs(np.diag(b)).max() == 0.0
         off = ~np.eye(b.shape[0], dtype=bool)
         assert np.all((b[off] > 0) & (b[off] < 1))
+
+    def test_logits_follow_textbook_adam(self, monkeypatch):
+        # Each solve's logits are the last solve's after one bias-corrected
+        # Adam step (beta1 = 0.9, beta2 = 0.999, 1e-8) on the gradient at the
+        # last solve's logits and shift, bit for bit; the diagonal stays 0.
+        g, target, cfg = self.self_consistent_setup(5)
+        cfg.epochs = 6
+        _, calls = traced_invert(monkeypatch, target, cfg, g.num_edges)
+        model = _forward_model(cfg.alpha, cfg.epsilon, cfg.k_horizon)
+        m = v = np.zeros_like(target)
+        for t in range(1, cfg.epochs + 1):
+            logits, _, shift = calls[t - 1]
+            _, grad = _loss_and_gradient(_soft_adjacency(logits, shift), target, model)
+            m = 0.9 * m + (1.0 - 0.9) * grad
+            v = 0.999 * v + (1.0 - 0.999) * grad * grad
+            m_hat, v_hat = m / (1.0 - 0.9**t), v / (1.0 - 0.999**t)
+            want = logits - cfg.step_size * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert np.array_equal(calls[t][0], want)
+            assert not np.diag(calls[t][0]).any()
 
     def test_volume_constraint_after_shift(self, monkeypatch):
         g, target, cfg = self.self_consistent_setup(3)

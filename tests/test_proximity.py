@@ -1,5 +1,3 @@
-import collections
-
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
@@ -14,11 +12,11 @@ from pprinv.proximity import (
     ROW_L2,
     Preset,
     ProximityConfig,
+    _horner,
     _log_clamp,
     _normal_prefix,
     _similar_eigh,
     _spectral_walk_sum,
-    _walk_partials,
     build_proximity,
     deepwalk_log_proximity,
     hop_coefficients,
@@ -132,15 +130,14 @@ class TestTruncatedPpr:
             w * np.linalg.matrix_power(p, i) for i, w in enumerate(weights)
         )
         # The CSR walk operator, then the same kernel on the dense matrix.
-        *_, dense = _walk_partials(p, hop_coefficients(cfg))
+        dense = _horner(p, _normal_prefix(hop_coefficients(cfg)))
         for out in (truncated_ppr(g, cfg), dense):
             assert np.abs(out - oracle).max() < 1e-12
 
 
 def horner_walk_sum(g, cfg):
     """Reference walk sum: Horner's scheme over the CSR walk operator."""
-    partials = _walk_partials(_walk_operator(g), hop_coefficients(cfg))
-    return collections.deque(partials, maxlen=1).pop()
+    return _horner(_walk_operator(g), _normal_prefix(hop_coefficients(cfg)))
 
 
 def spectral_selected(g, cfg):
