@@ -20,7 +20,7 @@ from .graph import (
     parse_labels,
     serialize_edge_list,
 )
-from .linalg import SvdResult, load_matrix, pseudoinverse, randomized_svd, save_matrix
+from .linalg import load_matrix, pseudoinverse, randomized_svd, save_matrix
 from .metrics import (
     RecoveryReport,
     recovery_report,

@@ -28,13 +28,9 @@ class EmbeddingPair:
 
 def factorize(m: np.ndarray, d: int, seed: int) -> EmbeddingPair:
     """Split m into X = U sqrt(S), Y = V sqrt(S) from a rank-d randomized SVD."""
-    m = np.asarray(m, dtype=np.float64)
-    n = m.shape[0]
-    if not 1 <= d <= n:
-        raise ValueError(f"embedding dimension {d} out of range for n={n}")
-    svd = randomized_svd(m, d, seed)
-    root = np.sqrt(svd.sigma)
-    return EmbeddingPair(x=svd.u * root, y=svd.v * root)
+    u, sigma, v = randomized_svd(m, d, seed)
+    root = np.sqrt(sigma)
+    return EmbeddingPair(x=u * root, y=v * root)
 
 
 def reconstruct_proximity(pair: EmbeddingPair) -> np.ndarray:

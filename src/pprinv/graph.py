@@ -118,13 +118,18 @@ class Graph:
         node_names: tuple[str, ...] | None = None,
     ) -> "Graph":
         """Build a graph from undirected (u, v) pairs: any iterable of pairs,
-        or an (m, 2) integer array.
+        or an (m, 2) array.
 
-        Duplicate pairs and both-orientation listings collapse; self-loops
-        and non-whole ids are rejected. Nodes without incident edges are
-        allowed (degree 0). Each CSR row lists its neighbors in ascending order.
+        Ids are integers or whole-valued floats; any other dtype (strings,
+        bytes, bools, objects) is rejected. Duplicate pairs and
+        both-orientation listings collapse; self-loops, non-whole ids and ids
+        outside 0..n-1 are rejected, the error naming the first bad pair as
+        given. Nodes without incident edges are allowed (degree 0). Each CSR
+        row lists its neighbors in ascending order.
         """
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if pairs.dtype.kind not in "iuf":
+            raise ValueError(f"node ids must be integers, got dtype {pairs.dtype}")
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -134,14 +139,15 @@ class Graph:
             if not whole.all():
                 pair = tuple(pairs[np.argmin(whole)].tolist())
                 raise ValueError(f"edge {pair} has a node id that is not a whole number")
-        u, v = pairs.astype(np.int64).T
+        # Checked before the int64 cast, which would wrap an id beyond its range.
+        u, v = pairs.T
         bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
         if bad.any():
-            first = int(np.argmax(bad))
-            a, b = int(u[first]), int(v[first])
+            a, b = pairs[np.argmax(bad)].tolist()
             if a == b:
                 raise ValueError(f"self-loop ({a},{a}) not allowed")
             raise ValueError(f"edge ({a},{b}) outside node range 0..{n - 1}")
+        u, v = pairs.astype(np.int64).T
         lo, hi = np.divmod(np.unique(np.minimum(u, v) * n + np.maximum(u, v)), n)
         rows = np.concatenate([lo, hi])
         cols = np.concatenate([hi, lo])
@@ -160,9 +166,6 @@ class CommunityAssignment:
     """
 
     communities: tuple[tuple[str, frozenset[int]], ...]
-
-    def top(self, k: int) -> tuple[tuple[str, frozenset[int]], ...]:
-        return self.communities[:k]
 
 
 def _label_sort_key(label: str):
@@ -218,7 +221,7 @@ def parse_edge_list(text) -> Graph:
     would be isolated and is rejected.
     """
     ids: dict[str, int] = {}
-    edges: set[tuple[int, int]] = set()
+    edges = []
     n_loops = 0
     for _, (a, b) in _fields(text, 2, "two node ids"):
         u = ids.setdefault(a, len(ids))
@@ -226,7 +229,7 @@ def parse_edge_list(text) -> Graph:
         if u == v:
             n_loops += 1
             continue
-        edges.add((min(u, v), max(u, v)))
+        edges.append((u, v))
     if not ids:
         raise EdgeListError("empty edge list")
     if n_loops:

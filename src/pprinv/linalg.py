@@ -10,7 +10,6 @@ power iterations) and is deterministic for a fixed seed.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,17 +22,11 @@ _PINV_RTOL = 1e-10
 _TRI_INV_LEAF = 128
 
 
-@dataclass(frozen=True, eq=False)
-class SvdResult:
-    """Truncated SVD factors with m ~ u @ diag(sigma) @ v.T."""
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-
-
-def randomized_svd(m: np.ndarray, d: int, seed: int) -> SvdResult:
-    """Rank-d approximation via a Gaussian range finder.
+def randomized_svd(
+    m: np.ndarray, d: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank-d approximation via a Gaussian range finder: the factors
+    (u, sigma, v) with m ~ u @ diag(sigma) @ v.T, sigma descending.
 
     Oversamples the sketch by ``_DEFAULT_OVERSAMPLE`` columns and applies
     ``_DEFAULT_POWER_ITERS`` QR-stabilized passes of m @ m.T to sharpen the
@@ -52,7 +45,7 @@ def randomized_svd(m: np.ndarray, d: int, seed: int) -> SvdResult:
     q, _ = np.linalg.qr(y)
     u_small, sigma, vt = np.linalg.svd(q.T @ m, full_matrices=False)
     u = q @ u_small
-    return SvdResult(u=u[:, :d], sigma=sigma[:d], v=vt[:d].T)
+    return u[:, :d], sigma[:d], vt[:d].T
 
 
 def pseudoinverse(m: np.ndarray) -> np.ndarray:

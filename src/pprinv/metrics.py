@@ -105,7 +105,7 @@ def recovery_report(
     err_l = abs(l_orig - l_rec) / l_orig if pairs_rec else 1.0
     per_community: list[CommunityError] = []
     if labels is not None:
-        for label, members in labels.top(TOP_COMMUNITIES):
+        for label, members in labels.communities[:TOP_COMMUNITIES]:
             phi_orig = _conductance_or_none(g, members)
             phi_rec = _conductance_or_none(g_hat, members)
             defined = phi_orig and phi_rec is not None  # phi_orig not None or 0

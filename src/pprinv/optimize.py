@@ -35,13 +35,10 @@ from .proximity import (
     _check_horizon,
     _closed_form,
     _horner,
-    _normal_prefix,
     _similar_eigh,
     _spectral_walk_sum,
     hop_coefficients,
 )
-
-_ROW_SUM_FLOOR = 1e-12
 
 
 @dataclass
@@ -176,7 +173,7 @@ def _row_sums(b_soft: np.ndarray) -> np.ndarray:
     row_sums = b_soft.sum(axis=1)
     if np.any(row_sums <= 0.0):
         raise ValueError("soft adjacency has an all-zero row")
-    return np.maximum(row_sums, _ROW_SUM_FLOOR)
+    return row_sums
 
 
 def _forward_model(alpha: float, epsilon: float, k_horizon: int) -> ProximityConfig:
@@ -191,7 +188,7 @@ def _forward(b_soft: np.ndarray, row_sums: np.ndarray, model: ProximityConfig,
     """The model's closed form on T = D^-1 B, D = diag(row_sums), before
     activation. Its walk sum comes from T's spectrum when eig =
     _similar_eigh(B, D) is given, else from Horner's scheme."""
-    coeffs = _normal_prefix(hop_coefficients(model))
+    coeffs = hop_coefficients(model)
     if eig is None:
         walk = _horner(b_soft / row_sums[:, None], coeffs)
     else:
@@ -264,7 +261,7 @@ def _loss_and_gradient(
     g_h *= model.scale
     g_h *= ratio
     inner = v.T @ g_h @ v
-    inner *= _divided_differences(lam, _normal_prefix(hop_coefficients(model)))
+    inner *= _divided_differences(lam, hop_coefficients(model))
     g_t = v @ inner @ v.T
     g_t /= ratio
     # T = D^-1 B, so dT/dB contributes (G_T - rowsum(G_T o T)) / D.

@@ -117,10 +117,16 @@ class ProximityConfig:
 
 
 def hop_coefficients(cfg: ProximityConfig) -> np.ndarray:
-    """Walk-stop weights c_l = alpha_l * prod_{j<l}(1 - alpha_j).
+    """Walk-stop weights c_l = alpha_l * prod_{j<l}(1 - alpha_j), for
+    l = 0..L, where L is the last hop whose weight is a normal float (L = 0
+    when none is).
 
     Hops below k_start get coefficient 0. For a constant schedule this is
-    the geometric alpha * (1-alpha)^l.
+    the geometric alpha * (1-alpha)^l. The subnormal tail is dropped: such a
+    c_l adds less than 2^-1022 to an entry of a stochastic walk sum, far
+    below the 1 under which the log activation clamps to 0, and a Horner
+    scheme started there would push subnormals through every product,
+    which is several times slower.
     """
     coeffs = np.zeros(cfg.k_horizon + 1)
     survive = 1.0
@@ -128,18 +134,6 @@ def hop_coefficients(cfg: ProximityConfig) -> np.ndarray:
         if l >= cfg.k_start:
             coeffs[l] = alpha * survive
         survive *= 1.0 - alpha
-    return coeffs
-
-
-def _normal_prefix(coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients c_0..c_L, where L is the last hop whose coefficient is a
-    normal float (L = 0 when none is).
-
-    A subnormal c_i adds less than 2^-1022 to an entry of a stochastic walk
-    sum, far below the 1 under which the log activation clamps to 0; a
-    Horner scheme started there would push subnormals through every
-    product, which is several times slower.
-    """
     normal = np.flatnonzero(coeffs >= np.finfo(np.float64).tiny)
     return coeffs[: (normal[-1] if normal.size else 0) + 1]
 
@@ -148,8 +142,8 @@ def _horner(p, coeffs: np.ndarray) -> np.ndarray:
     """The walk sum sum_i c_i p^i by Horner's scheme, H <- c_i I + p @ H.
 
     p is a square walk operator, a dense array or a scipy CSR matrix; each
-    step is one product p @ H, which is dense either way. Callers pass the
-    coefficients through _normal_prefix, so no subnormal tail is pushed.
+    step is one product p @ H, which is dense either way. Callers pass
+    hop_coefficients, so no subnormal tail is pushed.
     """
     n = p.shape[0]
     diag = np.diag_indices(n)
@@ -206,13 +200,13 @@ def truncated_ppr(g: Graph, cfg: ProximityConfig) -> np.ndarray:
     """Sum of c_i * P^i for i in [k_start, K].
 
     Spectral (_spectral_walk_sum) when L * nnz >= n^2, with L the number of
-    normal coefficients (see _normal_prefix) and nnz the walk operator's
+    hop coefficients (see hop_coefficients) and nnz the walk operator's
     stored entries; Horner over the CSR walk operator otherwise, and also
     when the spectral result has an entry below its round-off floor, so
     pairs that no walk of the allowed lengths connects stay exactly 0.
     """
     p = _walk_operator(g)
-    coeffs = _normal_prefix(hop_coefficients(cfg))
+    coeffs = hop_coefficients(cfg)
     if coeffs.size * p.nnz >= g.n * g.n:
         eig = _similar_eigh(g.adjacency(), g.degrees)
         walk_sum = _spectral_walk_sum(eig, coeffs, guard=True)

@@ -265,6 +265,10 @@ class TestBinarize:
         with pytest.raises(ValueError, match=r"m_edges=-1 must lie in \[0, 3\]"):
             binarize(np.zeros((3, 3)), -1)
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="soft adjacency must be square"):
+            binarize(np.zeros((3, 4)), 1)
+
 
 class TestInvertAnalytical:
     def inputs_for(self, g, alpha=0.7, k=2000):

@@ -57,6 +57,15 @@ class TestEmbedCommand:
         assert rc == 1
         assert "dimension exceeds node count" in capsys.readouterr().err
 
+    def test_dimension_zero_rejected(self, p3_file, tmp_path, capsys):
+        rc = main([
+            "embed", "--graph", p3_file, "--preset", "strap", "--alpha", "0.5",
+            "--dim", "0", "--out", str(tmp_path / "emb"),
+        ])
+        assert rc == 1
+        assert "out of range" in capsys.readouterr().err
+        assert not (tmp_path / "emb").exists()
+
     def test_meta_records_alpha(self, small_graph, tmp_path):
         _, path = small_graph
         out = tmp_path / "emb"
@@ -197,6 +206,25 @@ class TestInvertCommand:
         ])
         assert rc == 1
         assert "analytical method requires the degree sequence" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--degrees", "deg3.txt", "--alpha", "0.7"],
+         "supply --embedding DIR or --proximity FILE"),
+        (["--proximity", "m.mat", "--degrees", "deg3.txt"],
+         "--alpha required (not in metadata)"),
+        (["--proximity", "m.mat", "--degrees", "deg4.txt", "--alpha", "0.7"],
+         "4 degrees for a 3-node target proximity"),
+    ], ids=["no-target", "no-alpha", "degree-count"])
+    def test_missing_or_mismatched_input_rejected(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        save_matrix("m.mat", np.zeros((3, 3)))
+        Path("deg3.txt").write_text("2\n2\n2\n")
+        Path("deg4.txt").write_text("1\n1\n1\n1\n")
+        assert main(["invert", "analytical", *flags, "--out", "rec.txt"]) == 1
+        assert message in capsys.readouterr().err
+        assert not Path("rec.txt").exists()
 
     def test_analytical_exact_proximity_recovers(self, tmp_path):
         from pprinv.proximity import deepwalk_log_proximity
@@ -466,6 +494,15 @@ class TestSweepCommand:
         ])
         assert rc == 1
         assert "--alpha" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_dims_rejected(self, small_graph, tmp_path, capsys):
+        _, path = small_graph
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--graph", path, "--presets", "strap", "--dims", ",",
+                   "--alpha", "0.1", "--out", str(out)])
+        assert rc == 1
+        assert "dims list must be nonempty" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_preset_rejected_before_any_cell(

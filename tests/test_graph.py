@@ -3,6 +3,7 @@ import io
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,8 @@ class TestFromEdges:
             Graph.from_edges(3, [(0, 1), (1, 1), (0, 5)])
         with pytest.raises(ValueError, match=r"^edge \(0,5\) outside node range 0..2$"):
             Graph.from_edges(3, [(0, 1), (0, 5), (1, 1)])
+        with pytest.raises(ValueError, match=r"^edges must be \(u, v\) pairs, got shape"):
+            Graph.from_edges(3, [(0, 1, 2)])
 
     def test_non_whole_ids_rejected(self):
         # The first pair holding a fractional or non-finite id is named.
@@ -226,6 +229,30 @@ class TestFromEdges:
                 Graph.from_edges(3, edges)
         g = Graph.from_edges(3, np.array([[0.0, 1.0], [2.0, 1.0]]))
         assert g.edge_set() == {(0, 1), (1, 2)}
+
+    def test_non_numeric_and_out_of_range_ids_rejected(self):
+        # A float id is range-checked before the int64 cast, so no cast
+        # warning fires and the error names the id as given.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^edge \(0.0,1e\+20\) outside node range 0..2$"):
+                Graph.from_edges(3, np.array([[0, 1e20]]))
+            with pytest.raises(ValueError, match=r"^self-loop \(2.0,2.0\) not allowed$"):
+                Graph.from_edges(3, [(0.0, 1.0), (2.0, 2.0)])
+            for edges, dtype in (([("0", "2")], "<U1"),
+                                 (np.array([[True, False]]), "bool"),
+                                 ([(b"0", b"2")], "|S1"),
+                                 (np.array([[0, 1]], dtype=object), "object")):
+                message = f"^node ids must be integers, got dtype {re.escape(dtype)}$"
+                with pytest.raises(ValueError, match=message):
+                    Graph.from_edges(3, edges)
+
+    def test_inconsistent_csr_arrays_rejected(self):
+        indices = np.array([1, 0])
+        with pytest.raises(ValueError, match="indptr must have length n\\+1"):
+            Graph(n=3, indptr=np.array([0, 1, 2]), indices=indices)
+        with pytest.raises(ValueError, match="indices inconsistent with indptr"):
+            Graph(n=2, indptr=np.array([0, 1, 3]), indices=indices)
 
     def test_csr_arrays_read_only(self, k3):
         with pytest.raises(ValueError, match="read-only"):
@@ -307,6 +334,10 @@ class TestParseRecovered:
         h = parse_recovered("\ufeffa c\n".encode(), g)
         assert h.edge_set() == {(0, 2)}
         assert h.node_names == g.node_names
+
+    def test_self_loop_rejected(self, p3):
+        with pytest.raises(EdgeListError, match="^line 2: self-loop on node '1'$"):
+            parse_recovered("0 1\n1 1\n", p3)
 
 
 class TestTransitionMatrix:

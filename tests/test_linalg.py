@@ -23,13 +23,13 @@ class TestRandomizedSvd:
         u = rng.normal(size=(15, 2))
         v = rng.normal(size=(15, 2))
         m = u @ v.T
-        r = randomized_svd(m, 2, seed=0)
-        rec = r.u @ np.diag(r.sigma) @ r.v.T
+        u_r, sigma, v_r = randomized_svd(m, 2, seed=0)
+        rec = u_r @ np.diag(sigma) @ v_r.T
         assert np.linalg.norm(m - rec) < 1e-8
 
     def test_identity_singular_values(self):
-        r = randomized_svd(np.eye(5), 5, seed=0)
-        assert np.allclose(r.sigma, np.ones(5))
+        _, sigma, _ = randomized_svd(np.eye(5), 5, seed=0)
+        assert np.allclose(sigma, np.ones(5))
 
     def test_within_five_percent_of_eigh_oracle(self):
         rng = np.random.default_rng(4)
@@ -37,32 +37,30 @@ class TestRandomizedSvd:
         w = np.linalg.eigvalsh(m.T @ m)[::-1]
         sigma = np.sqrt(np.maximum(w, 0.0))
         optimal = np.sqrt((sigma[10:] ** 2).sum())
-        r = randomized_svd(m, 10, seed=0)
-        err = np.linalg.norm(m - r.u @ np.diag(r.sigma) @ r.v.T)
+        u, s, v = randomized_svd(m, 10, seed=0)
+        err = np.linalg.norm(m - u @ np.diag(s) @ v.T)
         assert err <= 1.05 * optimal
 
     def test_singular_values_never_exceed_exact(self):
         rng = np.random.default_rng(5)
         m = rng.normal(size=(25, 25))
         exact = np.linalg.svd(m, compute_uv=False)
-        r = randomized_svd(m, 8, seed=1)
-        assert np.all(r.sigma <= exact[:8] + 1e-8)
+        _, sigma, _ = randomized_svd(m, 8, seed=1)
+        assert np.all(sigma <= exact[:8] + 1e-8)
 
     def test_sigma_sorted_and_factor_columns_unit_norm(self):
         rng = np.random.default_rng(6)
-        r = randomized_svd(rng.normal(size=(20, 20)), 6, seed=2)
-        assert np.all(np.diff(r.sigma) <= 0)
-        assert np.all(r.sigma >= 0)
-        assert np.allclose(np.linalg.norm(r.u, axis=0), 1.0, atol=1e-8)
-        assert np.allclose(np.linalg.norm(r.v, axis=0), 1.0, atol=1e-8)
+        u, sigma, v = randomized_svd(rng.normal(size=(20, 20)), 6, seed=2)
+        assert np.all(np.diff(sigma) <= 0)
+        assert np.all(sigma >= 0)
+        assert np.allclose(np.linalg.norm(u, axis=0), 1.0, atol=1e-8)
+        assert np.allclose(np.linalg.norm(v, axis=0), 1.0, atol=1e-8)
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(7)
         m = rng.normal(size=(18, 18))
-        r1 = randomized_svd(m, 5, seed=11)
-        r2 = randomized_svd(m, 5, seed=11)
-        assert np.array_equal(r1.u, r2.u)
-        assert np.array_equal(r1.sigma, r2.sigma)
+        for a, b in zip(randomized_svd(m, 5, seed=11), randomized_svd(m, 5, seed=11)):
+            assert np.array_equal(a, b)
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -155,6 +153,12 @@ class TestMatrixFiles:
         path = tmp_path / "m.mat"
         save_matrix(path, np.eye(2))
         assert path.read_bytes()[:8] == b"PPREIM1\x00"
+
+    def test_non_2d_rejected(self, tmp_path):
+        path = tmp_path / "m.mat"
+        with pytest.raises(ValueError, match="save_matrix expects a 2-D matrix"):
+            save_matrix(path, np.zeros(3))
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.mat"

@@ -29,7 +29,6 @@ from pprinv.proximity import (
     ProximityConfig,
     _closed_form,
     _horner,
-    _normal_prefix,
     build_proximity,
     hop_coefficients,
     preset_config,
@@ -94,6 +93,11 @@ class TestVolumeShift:
             np.fill_diagonal(logits, 0.0)
             with pytest.raises(ValueError, match="infeasible"):
                 volume_shift(logits, 15.0, 10)
+
+    def test_missed_target_after_newton_iters_raises(self):
+        # One Newton step from zero logits cannot land on 30% volume.
+        with pytest.raises(ValueError, match="misses target volume 27.0 by .* after 1 Newton"):
+            volume_shift(np.zeros((10, 10)), 27.0, 1)
 
     def test_saturated_logits_do_not_overshoot(self):
         # Deep saturation collapses the Newton slope; the guarded iteration
@@ -205,6 +209,15 @@ class TestForwardProximity:
         got = forward_proximity(b, self.ALPHA, self.EPS, k_horizon)
         assert np.abs(got - want).max() < 1e-12
 
+    @pytest.mark.parametrize("c", [1.0, 1e-6, 1e-14])
+    def test_invariant_to_scaling_the_soft_adjacency(self, c):
+        # T = D^-1 B does not change when B is scaled, however small the
+        # row sums become.
+        b = _soft_adjacency(symmetric_logits(8, 3), 0.0)
+        want = forward_proximity(b, self.ALPHA, self.EPS, self.K)
+        got = forward_proximity(c * b, self.ALPHA, self.EPS, self.K)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
     def test_all_zero_row_rejected(self):
         b = np.zeros((3, 3))
         b[0, 1] = b[1, 0] = 1.0
@@ -260,8 +273,8 @@ def horner_reference_gradient(b_soft, m_target, cfg):
     (K+1) n^2 of storage. The reference for the spectral backward."""
     row_sums = b_soft.sum(axis=1)
     t = b_soft / row_sums[:, None]
-    coeffs = _normal_prefix(hop_coefficients(ProximityConfig.constant_alpha(
-        cfg.alpha, b=1.0, k_horizon=cfg.k_horizon, epsilon=cfg.epsilon)))
+    coeffs = hop_coefficients(ProximityConfig.constant_alpha(
+        cfg.alpha, b=1.0, k_horizon=cfg.k_horizon, epsilon=cfg.epsilon))
     # horner[i] = H_i = sum_{j>=i} c_j t^{j-i}, built from H_L = c_L I down.
     horner = [coeffs[-1] * np.eye(len(t))]
     for c in coeffs[-2::-1]:
@@ -334,7 +347,7 @@ class TestGradient:
         # approximate its subgradient; the steps below move log s by < 3e-3.
         coeffs = hop_coefficients(ProximityConfig.constant_alpha(
             alpha, b=1.0, k_horizon=k_horizon, epsilon=cfg.epsilon))
-        walk = _horner(b / b.sum(axis=1, keepdims=True), _normal_prefix(coeffs))
+        walk = _horner(b / b.sum(axis=1, keepdims=True), coeffs)
         with np.errstate(divide="ignore"):
             assume(np.abs(np.log(walk / cfg.epsilon)).min() > 1e-2)
         rng = np.random.default_rng(seed)
@@ -399,7 +412,7 @@ class TestGradient:
         b = _soft_adjacency(logits, shift)
         coeffs = hop_coefficients(ProximityConfig.constant_alpha(
             cfg.alpha, b=1.0, k_horizon=cfg.k_horizon, epsilon=1.0))
-        walk = _horner(b / b.sum(axis=1, keepdims=True), _normal_prefix(coeffs))
+        walk = _horner(b / b.sum(axis=1, keepdims=True), coeffs)
         off = ~np.eye(8, dtype=bool)
         cfg = dataclasses.replace(cfg, epsilon=float(np.median(walk[off])))
         s_mat = walk / cfg.epsilon
@@ -444,6 +457,14 @@ class TestInvertOptimize:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError, match="epochs"):
             OptConfig(target_volume=4.0, alpha=0.5, epochs=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("step_size", 0.0, "step_size must be positive"),
+        ("alpha", 1.0, r"alpha must lie in \(0, 1\)"),
+    ])
+    def test_bad_step_size_or_alpha_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            OptConfig(**{"target_volume": 4.0, "alpha": 0.5, field: value})
 
     def test_horizon_below_one_rejected(self):
         with pytest.raises(ValueError, match="k_horizon must be >= 1"):

@@ -14,7 +14,6 @@ from pprinv.proximity import (
     ProximityConfig,
     _horner,
     _log_clamp,
-    _normal_prefix,
     _similar_eigh,
     _spectral_walk_sum,
     build_proximity,
@@ -94,6 +93,14 @@ class TestHopCoefficients:
         c = hop_coefficients(constant_cfg(0.5, 3, k_start=2))
         assert np.allclose(c, [0, 0, 0.125, 0.0625])
 
+    def test_subnormal_tail_dropped(self):
+        tiny = np.finfo(np.float64).tiny
+        c = hop_coefficients(constant_cfg(0.7, 700))
+        assert c[-1] >= tiny > 0.7 * 0.3 ** c.size
+        assert np.allclose(c, geometric_weights(0.7, c.size - 1), rtol=1e-12, atol=0.0)
+        # No normal coefficient at all leaves c_0 alone.
+        assert hop_coefficients(constant_cfg(0.7, 700, k_start=650)).tolist() == [0.0]
+
 
 class TestTruncatedPpr:
     def test_zero_horizon_is_scaled_identity(self, k3):
@@ -130,25 +137,25 @@ class TestTruncatedPpr:
             w * np.linalg.matrix_power(p, i) for i, w in enumerate(weights)
         )
         # The CSR walk operator, then the same kernel on the dense matrix.
-        dense = _horner(p, _normal_prefix(hop_coefficients(cfg)))
+        dense = _horner(p, hop_coefficients(cfg))
         for out in (truncated_ppr(g, cfg), dense):
             assert np.abs(out - oracle).max() < 1e-12
 
 
 def horner_walk_sum(g, cfg):
     """Reference walk sum: Horner's scheme over the CSR walk operator."""
-    return _horner(_walk_operator(g), _normal_prefix(hop_coefficients(cfg)))
+    return _horner(_walk_operator(g), hop_coefficients(cfg))
 
 
 def spectral_selected(g, cfg):
     """Whether truncated_ppr tries the spectral form: L * nnz >= n^2."""
-    return _normal_prefix(hop_coefficients(cfg)).size * g.volume >= g.n * g.n
+    return hop_coefficients(cfg).size * g.volume >= g.n * g.n
 
 
 def spectral_form(g, cfg):
     """truncated_ppr's guarded spectral walk sum, or None when rejected."""
     eig = _similar_eigh(g.adjacency(), g.degrees)
-    return _spectral_walk_sum(eig, _normal_prefix(hop_coefficients(cfg)), guard=True)
+    return _spectral_walk_sum(eig, hop_coefficients(cfg), guard=True)
 
 
 def long_barbell(clique, path):
@@ -448,6 +455,8 @@ class TestPresetConfig:
             preset_config("strap", epsilon=1e-7, k_horizon=10)
         with pytest.raises(ValueError, match="volume"):
             preset_config("deepwalk", alpha=0.5, k_horizon=10)
+        with pytest.raises(ValueError, match="deepwalk preset requires alpha"):
+            preset_config("deepwalk", k_horizon=10, volume=4)
         with pytest.raises(ValueError, match="schedule"):
             preset_config("lemane", epsilon=1e-7, k_horizon=10)
         # With two inputs missing, the error names the one checked first.
@@ -507,6 +516,11 @@ class TestDeepwalkLogProximity:
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="hops"):
             deepwalk_log_proximity(g, 0.5, 4)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_rejects_alpha_outside_open_interval(self, k3, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            deepwalk_log_proximity(k3, alpha, 4)
 
 
 class TestAlphaSchedule:
