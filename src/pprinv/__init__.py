@@ -1,49 +1,8 @@
 """PPR-based node embeddings, embedding inversion, and topology-recovery
-metrics."""
+metrics. The API is imported from the modules, such as pprinv.graph."""
 
-from .analytical import (
-    AnalyticalInputs,
-    binarize,
-    estimate_m_infinity,
-    invert_analytical,
-    recover_adjacency,
-    recover_laplacian,
-)
-from .embedding import EmbeddingPair, factorize, load_embedding, reconstruct_proximity, save_embedding
-from .graph import (
-    CommunityAssignment,
-    EdgeListError,
-    Graph,
-    all_pairs_distances,
-    conductance,
-    parse_edge_list,
-    parse_labels,
-    serialize_edge_list,
-)
-from .linalg import load_matrix, pseudoinverse, randomized_svd, save_matrix
-from .metrics import (
-    RecoveryReport,
-    recovery_report,
-    relative_frobenius_error,
-)
-from .optimize import (
-    OptConfig,
-    OptimizeResult,
-    OptState,
-    forward_proximity,
-    gradient,
-    invert_optimize,
-    loss,
-    volume_shift,
-)
-from .proximity import (
-    Preset,
-    ProximityConfig,
-    build_proximity,
-    deepwalk_log_proximity,
-    hop_coefficients,
-    preset_config,
-    truncated_ppr,
-)
+# `import pprinv` must load the whole library: pprbench's setup_s times
+# exactly that import.
+from . import analytical, embedding, graph, linalg, metrics, optimize, proximity
 
 __version__ = "0.1.0"

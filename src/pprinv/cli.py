@@ -56,6 +56,8 @@ def _build_config(preset: str, args, g: gr.Graph) -> prox.ProximityConfig:
 
 def cmd_embed(args) -> int:
     g = _load_graph(args.graph)
+    if args.dim < 1:
+        raise ValueError(f"dimension {args.dim} out of range")
     if args.dim > g.n:
         raise ValueError("dimension exceeds node count")
     cfg = _build_config(args.preset, args, g)
@@ -255,8 +257,8 @@ _FLAGS = {
     "--alpha-schedule": dict(help="file with one stopping probability per line "
                                   "(lemane)"),
     "--epsilon": dict(type=float, default=1e-7),
-    "--opt-epsilon": dict(type=float, help="optimizer threshold when it differs "
-                                           "from the preset's"),
+    "--opt-epsilon": dict(type=float, help="optimizer threshold: half a STRAP "
+                                           "embedding's epsilon (default --epsilon)"),
     "--k-horizon": dict(type=int, default=_K_HORIZON),
     "--dim": dict(type=int, required=True),
     "--dims": dict(required=True, help="comma-separated dimensions"),

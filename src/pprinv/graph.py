@@ -127,13 +127,19 @@ class Graph:
         given. Nodes without incident edges are allowed (degree 0). Each CSR
         row lists its neighbors in ascending order.
         """
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = np.asarray(edges)
         if pairs.dtype.kind not in "iuf":
             raise ValueError(f"node ids must be integers, got dtype {pairs.dtype}")
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
+        # np.asarray reads a bool among numbers as the id 0 or 1.
+        if isinstance(edges, list) and any(
+                isinstance(x, (bool, np.bool_)) for uv in edges for x in uv):
+            raise ValueError("node ids must be integers, got dtype bool")
         if pairs.dtype.kind == "f":
             whole = (np.isfinite(pairs) & (np.trunc(pairs) == pairs)).all(axis=1)
             if not whole.all():
@@ -235,7 +241,7 @@ def parse_edge_list(text) -> Graph:
     if n_loops:
         log.warning("dropped %d self-loop(s)", n_loops)
     n = len(ids)
-    g = Graph.from_edges(n, edges, node_names=tuple(ids))
+    g = Graph.from_edges(n, np.array(edges, dtype=np.int64), node_names=tuple(ids))
     isolated = np.flatnonzero(g.degrees == 0)
     if isolated.size:
         names = ", ".join(g.node_names[i] for i in isolated[:5])
@@ -286,7 +292,7 @@ def parse_recovered(text, g: Graph) -> Graph:
         if u == v:
             raise EdgeListError(f"line {lineno}: self-loop on node {a!r}")
         edges.append((u, v))
-    return Graph.from_edges(g.n, edges, node_names=g.node_names)
+    return Graph.from_edges(g.n, np.array(edges, dtype=np.int64), node_names=g.node_names)
 
 
 def parse_labels(text, g: Graph) -> CommunityAssignment:

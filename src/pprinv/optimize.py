@@ -3,10 +3,9 @@
 Treats a symmetric logit matrix as the trainable soft adjacency B, matches
 the graph volume each epoch with a scalar Newton-solved logistic shift, and
 descends the squared Frobenius gap to the target proximity from the forward
-model (_forward_model): the ProximityConfig with b = K, beta = gamma = 0,
-k_start = 0, a constant alpha and the log activation, evaluated on
-T = D^-1 B (D the soft row sums) by the kernel build_proximity uses. STRAP
-has b = 2K, so a STRAP target is inverted at half its embedding's epsilon.
+model (_forward_model): the STRAP preset at twice the optimizer's epsilon,
+evaluated on T = D^-1 B (D the soft row sums) by the kernel build_proximity
+uses. So a STRAP embedding built at epsilon is inverted at epsilon / 2.
 
 Per epoch the shift solve reads only the strict upper triangle of the logits
 and warm-starts from the previous epoch's shift. One symmetric
@@ -29,15 +28,15 @@ import numpy as np
 from .analytical import binarize
 from .graph import Graph
 from .proximity import (
-    LOG,
+    Preset,
     ProximityConfig,
     _apply_activation,
-    _check_horizon,
     _closed_form,
     _horner,
     _similar_eigh,
     _spectral_walk_sum,
     hop_coefficients,
+    preset_config,
 )
 
 
@@ -46,9 +45,10 @@ class OptConfig:
     """Optimization-method settings.
 
     target_volume is the off-diagonal mass the soft adjacency is held to
-    (vol(G) = 2m of the graph being recovered). The step is Adam-style with
-    per-parameter moments. No randomness is drawn: the logits start at zero,
-    so seed does not change the result.
+    (vol(G) = 2m of the graph being recovered). epsilon is half a STRAP
+    embedding's: the model is STRAP at 2 * epsilon. The step is Adam-style
+    with per-parameter moments. No randomness is drawn: the logits start at
+    zero, so seed does not change the result.
     """
 
     target_volume: float
@@ -154,7 +154,9 @@ def volume_shift(
             hi = min(hi, s)
         slope = (b * (1.0 - b)).sum()
         if slope > 0.0:
-            candidate = s + residual / slope
+            # An underflowing slope overflows the step to inf: bisection.
+            with np.errstate(over="ignore"):
+                candidate = s + residual / slope
         else:
             candidate = lo - 1.0  # force bisection
         s = candidate if lo < candidate < hi else (lo + hi) / 2.0
@@ -177,10 +179,9 @@ def _row_sums(b_soft: np.ndarray) -> np.ndarray:
 
 
 def _forward_model(alpha: float, epsilon: float, k_horizon: int) -> ProximityConfig:
-    """The closed form the optimizer fits, whose scale b/(epsilon*K) is 1/epsilon."""
-    _check_horizon(k_horizon)  # b = K = 0 would fail as "b must be positive"
-    return ProximityConfig.constant_alpha(
-        alpha, b=float(k_horizon), k_horizon=k_horizon, epsilon=epsilon, activation=LOG)
+    """The closed form the optimizer fits: STRAP at 2 * epsilon, of scale 1/epsilon."""
+    return preset_config(
+        Preset.STRAP, alpha=alpha, epsilon=2.0 * epsilon, k_horizon=k_horizon)
 
 
 def _forward(b_soft: np.ndarray, row_sums: np.ndarray, model: ProximityConfig,

@@ -57,14 +57,20 @@ class TestEmbedCommand:
         assert rc == 1
         assert "dimension exceeds node count" in capsys.readouterr().err
 
-    def test_dimension_zero_rejected(self, p3_file, tmp_path, capsys):
-        rc = main([
-            "embed", "--graph", p3_file, "--preset", "strap", "--alpha", "0.5",
-            "--dim", "0", "--out", str(tmp_path / "emb"),
-        ])
-        assert rc == 1
-        assert "out of range" in capsys.readouterr().err
-        assert not (tmp_path / "emb").exists()
+    def test_dimension_zero_rejected(self, p3_file, tmp_path, capsys, monkeypatch):
+        # Rejected before the proximity is built.
+        def no_build(*args):
+            raise AssertionError("build_proximity called")
+
+        monkeypatch.setattr(cli.prox, "build_proximity", no_build)
+        for dim in ("0", "-3"):
+            rc = main([
+                "embed", "--graph", p3_file, "--preset", "strap", "--alpha", "0.5",
+                "--dim", dim, "--out", str(tmp_path / "emb"),
+            ])
+            assert rc == 1
+            assert "out of range" in capsys.readouterr().err
+            assert not (tmp_path / "emb").exists()
 
     def test_meta_records_alpha(self, small_graph, tmp_path):
         _, path = small_graph

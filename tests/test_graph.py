@@ -242,7 +242,10 @@ class TestFromEdges:
             for edges, dtype in (([("0", "2")], "<U1"),
                                  (np.array([[True, False]]), "bool"),
                                  ([(b"0", b"2")], "|S1"),
-                                 (np.array([[0, 1]], dtype=object), "object")):
+                                 (np.array([[0, 1]], dtype=object), "object"),
+                                 ([(0, True)], "bool"),
+                                 ([(0, np.True_)], "bool"),
+                                 ([(np.False_, 2)], "bool")):
                 message = f"^node ids must be integers, got dtype {re.escape(dtype)}$"
                 with pytest.raises(ValueError, match=message):
                     Graph.from_edges(3, edges)

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,15 @@ class TestVolumeShift:
         b = _soft_adjacency(logits, s)
         assert np.all(b.sum(axis=1) > 0)
 
+    def test_underflowing_slope_does_not_warn(self):
+        # The Newton slope underflows, so the step overflows to inf; the
+        # solve falls back to bisection without a numpy warning.
+        x = 42924314.25636482
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = volume_shift(np.array([[0.0, x], [x, 0.0]]), 1.4239714920160107, 100)
+        assert s == pytest.approx(-42924313.35, abs=0.01)
+
     @settings(max_examples=200)
     @given(
         n=st.integers(2, 12),
@@ -179,12 +189,10 @@ class TestForwardProximity:
         naive = d[:, None] ** cfg.beta * naive * d[None, :] ** cfg.gamma
         naive *= cfg.b / (cfg.epsilon * k_horizon)
         assert np.all(np.abs(want - naive) <= 1e-10 * naive)
-        # The optimizer's forward model is that closed form at b = K,
-        # beta = gamma = 0, k_start = 0 and the log activation.
-        model = ProximityConfig.constant_alpha(
-            alpha, b=float(k_horizon), k_horizon=k_horizon, epsilon=self.EPS,
-            activation="log",
-        )
+        # The optimizer's forward model is that closed form for STRAP at
+        # twice the optimizer's epsilon.
+        model = preset_config("strap", alpha=alpha, epsilon=2 * self.EPS,
+                              k_horizon=k_horizon)
         via_forward = forward_proximity(a, alpha, self.EPS, k_horizon)
         assert np.abs(build_proximity(g, model) - via_forward).max() < 1e-12
 
@@ -223,6 +231,25 @@ class TestForwardProximity:
         b[0, 1] = b[1, 0] = 1.0
         with pytest.raises(ValueError, match="all-zero row"):
             forward_proximity(b, self.ALPHA, self.EPS, self.K)
+
+
+@given(
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    log_eps=st.floats(-300.0, 300.0),
+    k_horizon=st.integers(1, 5000),
+)
+def test_forward_model_is_strap_at_twice_epsilon(alpha, log_eps, k_horizon):
+    # Reference: the closed form at b = K and epsilon with a constant alpha
+    # and the log activation, of scale 1/epsilon. STRAP at 2 * epsilon must
+    # match it in every field the kernel reads, the scale bit for bit.
+    epsilon = 10.0**log_eps
+    want = ProximityConfig.constant_alpha(
+        alpha, b=float(k_horizon), k_horizon=k_horizon, epsilon=epsilon, activation="log")
+    got = _forward_model(alpha, epsilon, k_horizon)
+    assert got.scale == want.scale
+    assert np.array_equal(hop_coefficients(got), hop_coefficients(want))
+    assert (got.beta, got.gamma, got.k_start, got.activation) == (
+        want.beta, want.gamma, want.k_start, want.activation)
 
 
 class TestLoss:
@@ -581,6 +608,25 @@ class TestInvertOptimize:
             want = loss(forward_proximity(_soft_adjacency(logits, shift), cfg.alpha,
                                           cfg.epsilon, cfg.k_horizon), m_target)
             assert abs(result.losses[e] - want) <= 1e-12 * want
+
+
+def test_import_binds_only_the_modules():
+    # The API is imported from the modules; the package root binds the
+    # seven library modules and __version__, and loads no others of its own.
+    src = str(Path(pprinv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, types, pprinv; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'pprinv')); "
+            "print(sorted(k for k, v in vars(pprinv).items() if not k.startswith('__') "
+            "and not isinstance(v, types.ModuleType)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    modules = ["analytical", "embedding", "graph", "linalg", "metrics", "optimize",
+               "proximity"]
+    assert done.stdout.splitlines() == [
+        str(["pprinv"] + [f"pprinv.{m}" for m in modules]), "[]"]
 
 
 def test_import_does_not_load_scipy_special():
