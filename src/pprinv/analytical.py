@@ -36,6 +36,8 @@ class AnalyticalInputs:
     m_edges: int
 
     def __post_init__(self) -> None:
+        if bad := np.count_nonzero(~np.isfinite(self.m_k)):
+            raise ValueError(f"proximity m_k has {bad} non-finite entries")
         deg = np.asarray(self.degrees)
         if np.any(deg < 1):
             raise ValueError("all degrees must be >= 1")

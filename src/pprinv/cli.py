@@ -33,7 +33,7 @@ def _load_graph(path: str) -> gr.Graph:
     return gr.parse_edge_list(Path(path).read_bytes())
 
 
-def _load_labels(path: str | None, g: gr.Graph) -> gr.CommunityAssignment | None:
+def _load_labels(path: str | None, g: gr.Graph):
     if not path:
         return None
     return gr.parse_labels(Path(path).read_bytes(), g)
@@ -168,8 +168,8 @@ def cmd_evaluate(args) -> int:
     meta = {"graph": args.graph}
     if labels is None:
         meta["labels_missing"] = True
-    report = met.recovery_report(g, g_hat, labels, meta)
-    payload = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    report = met.recovery_report(g, g_hat, labels)
+    payload = json.dumps({**report.to_dict(), "meta": meta}, sort_keys=True, indent=2)
     Path(args.out).write_text(payload + "\n")
     phi = "n/a" if report.err_phi_avg is None else f"{report.err_phi_avg:.6f}"
     print(

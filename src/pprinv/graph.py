@@ -120,31 +120,27 @@ class Graph:
         """Build a graph from undirected (u, v) pairs: any iterable of pairs,
         or an (m, 2) array.
 
-        Ids are integers or whole-valued floats; any other dtype (strings,
-        bytes, bools, objects) is rejected. Duplicate pairs and
-        both-orientation listings collapse; self-loops, non-whole ids and ids
-        outside 0..n-1 are rejected, the error naming the first bad pair as
-        given. Nodes without incident edges are allowed (degree 0). Each CSR
-        row lists its neighbors in ascending order.
+        Ids are integers; any other dtype (floats, strings, bytes, bools,
+        objects) is rejected, except that empty input of any dtype is the
+        edgeless graph. Duplicate pairs and both-orientation listings
+        collapse; self-loops and ids outside 0..n-1 are rejected, the error
+        naming the first bad pair as given. Nodes without incident edges are
+        allowed (degree 0). Each CSR row lists its neighbors in ascending
+        order.
         """
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         pairs = np.asarray(edges)
-        if pairs.dtype.kind not in "iuf":
+        if pairs.size == 0:  # np.asarray([]) is float64
+            pairs = np.empty((0, 2), dtype=np.int64)
+        if pairs.dtype.kind not in "iu":
             raise ValueError(f"node ids must be integers, got dtype {pairs.dtype}")
-        if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
         # np.asarray reads a bool among numbers as the id 0 or 1.
         if isinstance(edges, list) and any(
                 isinstance(x, (bool, np.bool_)) for uv in edges for x in uv):
             raise ValueError("node ids must be integers, got dtype bool")
-        if pairs.dtype.kind == "f":
-            whole = (np.isfinite(pairs) & (np.trunc(pairs) == pairs)).all(axis=1)
-            if not whole.all():
-                pair = tuple(pairs[np.argmin(whole)].tolist())
-                raise ValueError(f"edge {pair} has a node id that is not a whole number")
         # Checked before the int64 cast, which would wrap an id beyond its range.
         u, v = pairs.T
         bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
@@ -161,17 +157,6 @@ class Graph:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
         return cls(n=n, indptr=indptr, indices=cols[order], node_names=node_names)
-
-
-@dataclass(frozen=True)
-class CommunityAssignment:
-    """Label -> node-set map of a graph's communities.
-
-    ``communities`` is ordered by descending size; ties break toward the
-    smaller label (numeric when both labels parse as integers).
-    """
-
-    communities: tuple[tuple[str, frozenset[int]], ...]
 
 
 def _label_sort_key(label: str):
@@ -295,8 +280,10 @@ def parse_recovered(text, g: Graph) -> Graph:
     return Graph.from_edges(g.n, np.array(edges, dtype=np.int64), node_names=g.node_names)
 
 
-def parse_labels(text, g: Graph) -> CommunityAssignment:
-    """Parse 'node label' lines into a CommunityAssignment for g.
+def parse_labels(text, g: Graph) -> tuple[tuple[str, frozenset[int]], ...]:
+    """Parse 'node label' lines into g's communities: (label, nodes) pairs,
+    largest first, ties toward the smaller label (compared numerically when
+    both parse as integers).
 
     Every node of g must receive exactly one label; unknown node ids and a
     node given two different labels are errors (an exact repeat of a line
@@ -325,9 +312,7 @@ def parse_labels(text, g: Graph) -> CommunityAssignment:
     ordered = sorted(
         members.items(), key=lambda kv: (-len(kv[1]), _label_sort_key(kv[0]))
     )
-    return CommunityAssignment(
-        tuple((label, frozenset(nodes)) for label, nodes in ordered)
-    )
+    return tuple((label, frozenset(nodes)) for label, nodes in ordered)
 
 
 def _walk_operator(g: Graph) -> csr_matrix:

@@ -9,11 +9,11 @@ the only place the path-length and conductance errors are computed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .graph import CommunityAssignment, Graph, conductance
+from .graph import Graph, conductance
 
 TOP_COMMUNITIES = 4
 
@@ -36,7 +36,6 @@ class RecoveryReport:
     per_community: tuple[CommunityError, ...]
     connected_pairs_orig: int
     connected_pairs_rec: int
-    meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -46,7 +45,6 @@ class RecoveryReport:
             "per_community": [asdict(c) for c in self.per_community],
             "connected_pairs_orig": self.connected_pairs_orig,
             "connected_pairs_rec": self.connected_pairs_rec,
-            "meta": self.meta,
         }
 
 
@@ -87,10 +85,9 @@ def _conductance_or_none(g: Graph, s) -> float | None:
 def recovery_report(
     g: Graph,
     g_hat: Graph,
-    labels: CommunityAssignment | None,
-    meta: dict | None = None,
+    labels: tuple[tuple[str, frozenset[int]], ...] | None,
 ) -> RecoveryReport:
-    """All three metrics over the top communities (largest first).
+    """All three metrics over parse_labels' top communities (largest first).
 
     err_l = |l(G) - l(G_hat)| / l(G), each graph averaged over its own
     connected pairs; it is 1 when G_hat has no connected pair. A community's
@@ -105,7 +102,7 @@ def recovery_report(
     err_l = abs(l_orig - l_rec) / l_orig if pairs_rec else 1.0
     per_community: list[CommunityError] = []
     if labels is not None:
-        for label, members in labels.communities[:TOP_COMMUNITIES]:
+        for label, members in labels[:TOP_COMMUNITIES]:
             phi_orig = _conductance_or_none(g, members)
             phi_rec = _conductance_or_none(g_hat, members)
             defined = phi_orig and phi_rec is not None  # phi_orig not None or 0
@@ -122,5 +119,4 @@ def recovery_report(
         per_community=tuple(per_community),
         connected_pairs_orig=pairs_orig,
         connected_pairs_rec=pairs_rec,
-        meta=meta or {},
     )

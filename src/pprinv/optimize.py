@@ -63,8 +63,9 @@ class OptConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not 0.0 < self.step_size < np.inf:
+            raise ValueError(
+                f"step_size must be positive and finite, got {self.step_size}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         _forward_model(self.alpha, self.epsilon, self.k_horizon)  # checks epsilon, K
@@ -163,7 +164,7 @@ def volume_shift(
         b = _sigmoid(upper + s)
     else:
         missed = abs(half - b.sum()) / half
-        if missed > 1e-8:
+        if not missed <= 1e-8:  # a NaN logit leaves missed NaN
             raise ValueError(
                 f"volume shift misses target volume {target_volume} by "
                 f"{missed:.3g} (relative) after {newton_iters} Newton iterations"
@@ -304,6 +305,8 @@ def invert_optimize(
     n = m_target.shape[0]
     if m_target.shape != (n, n):
         raise ValueError("target proximity must be square")
+    if bad := np.count_nonzero(~np.isfinite(m_target)):
+        raise ValueError(f"target proximity has {bad} non-finite entries")
     logits = np.zeros((n, n))
     adam_m = adam_v = 0.0
     beta1, beta2, tiny = 0.9, 0.999, 1e-8

@@ -70,10 +70,10 @@ class ProximityConfig:
     activation: str
 
     def __post_init__(self) -> None:
-        if self.b <= 0:
-            raise ValueError("b must be positive")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.b < np.inf:
+            raise ValueError(f"b must be positive and finite, got {self.b}")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if not 0 <= self.k_start <= self.k_horizon:
             raise ValueError("need 0 <= k_start <= k_horizon")
         if len(self.alphas) != self.k_horizon + 1:
@@ -87,9 +87,12 @@ class ProximityConfig:
 
     @property
     def scale(self) -> float:
-        """The scalar b/(epsilon*K) in front of the walk sum."""
+        """The scalar b/(epsilon*K) in front of the walk sum; finite, positive."""
         _check_horizon(self.k_horizon)
-        return self.b / (self.epsilon * self.k_horizon)
+        scale = self.b / (self.epsilon * self.k_horizon)
+        if not 0.0 < scale < np.inf:
+            raise ValueError(f"scale b/(epsilon*K) = {scale} not finite and positive")
+        return scale
 
     @classmethod
     def constant_alpha(
@@ -323,7 +326,7 @@ def preset_config(
         alphas = (alpha,) * (k_horizon + 1)
     _check_horizon(k_horizon)
     b, beta, gamma, k_start, activation = _PRESETS[preset]
-    return ProximityConfig(
+    cfg = ProximityConfig(
         b=b(epsilon, k_horizon),
         beta=beta,
         gamma=gamma,
@@ -333,6 +336,8 @@ def preset_config(
         epsilon=epsilon,
         activation=activation,
     )
+    cfg.scale  # checked here, before any walk sum is built
+    return cfg
 
 
 def parse_alpha_schedule(text, k_horizon: int) -> tuple[float, ...]:

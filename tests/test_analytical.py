@@ -308,6 +308,16 @@ class TestInvertAnalytical:
         assert len(diff) > 0
         assert rec.num_edges == g.num_edges
 
+    def test_non_finite_proximity_rejected(self, k3):
+        m_k = deepwalk_log_proximity(k3, 0.7, 2000)
+        m_k[0, 2] = np.nan
+        m_k[1, 1] = -np.inf
+        with pytest.raises(ValueError, match="proximity m_k has 2 non-finite entries"):
+            AnalyticalInputs(
+                m_k=m_k, degrees=k3.degrees.astype(float), volume=float(k3.volume),
+                alpha=0.7, k_horizon=2000, m_edges=k3.num_edges,
+            )
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="degrees"):
             AnalyticalInputs(

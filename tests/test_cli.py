@@ -72,6 +72,25 @@ class TestEmbedCommand:
             assert "out of range" in capsys.readouterr().err
             assert not (tmp_path / "emb").exists()
 
+    def test_non_finite_or_overflowing_epsilon_rejected(self, p3_file, tmp_path, capsys,
+                                                        monkeypatch):
+        # Rejected before the proximity is built: inf would give an all-zero
+        # embedding, nan an all-NaN proximity, 1e-320 an infinite scale.
+        def no_build(*args):
+            raise AssertionError("build_proximity called")
+
+        monkeypatch.setattr(cli.prox, "build_proximity", no_build)
+        for epsilon, message in (("inf", "epsilon must be positive and finite, got inf"),
+                                 ("nan", "epsilon must be positive and finite, got nan"),
+                                 ("1e-320", "scale b/(epsilon*K) = inf")):
+            rc = main([
+                "embed", "--graph", p3_file, "--preset", "strap", "--alpha", "0.5",
+                "--epsilon", epsilon, "--dim", "2", "--out", str(tmp_path / "emb"),
+            ])
+            assert rc == 1
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "emb").exists()
+
     def test_meta_records_alpha(self, small_graph, tmp_path):
         _, path = small_graph
         out = tmp_path / "emb"

@@ -254,7 +254,7 @@ class TestRecoveryReport:
             epsilon=1e-7, k_horizon=10, step_size=0.3, seed=0,
         )
         result = invert_optimize(target, cfg, g.num_edges)
-        report = recovery_report(g, result.graph, labels, meta={"seed": 0})
+        report = recovery_report(g, result.graph, labels)
         assert np.isfinite(report.err_a)
         assert np.isfinite(report.err_l)
         assert report.err_phi_avg is not None and np.isfinite(report.err_phi_avg)
@@ -262,5 +262,5 @@ class TestRecoveryReport:
         payload = report.to_dict()
         assert set(payload) == {
             "err_A", "err_l", "err_phi_avg", "per_community",
-            "connected_pairs_orig", "connected_pairs_rec", "meta",
+            "connected_pairs_orig", "connected_pairs_rec",
         }

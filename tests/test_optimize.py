@@ -100,6 +100,13 @@ class TestVolumeShift:
         with pytest.raises(ValueError, match="misses target volume 27.0 by .* after 1 Newton"):
             volume_shift(np.zeros((10, 10)), 27.0, 1)
 
+    def test_nan_logits_raise(self):
+        # A NaN misses the target by NaN, which must not pass the 1e-8 check.
+        logits = np.zeros((5, 5))
+        logits[1, 3] = logits[3, 1] = np.nan
+        with pytest.raises(ValueError, match="misses target volume 6.0 by nan"):
+            volume_shift(logits, 6.0, 10)
+
     def test_saturated_logits_do_not_overshoot(self):
         # Deep saturation collapses the Newton slope; the guarded iteration
         # must stay bracketed instead of jumping by orders of magnitude.
@@ -487,11 +494,23 @@ class TestInvertOptimize:
 
     @pytest.mark.parametrize("field, value, message", [
         ("step_size", 0.0, "step_size must be positive"),
+        ("step_size", np.inf, "step_size must be positive and finite, got inf"),
+        ("step_size", np.nan, "step_size must be positive and finite, got nan"),
+        ("epsilon", np.inf, "epsilon must be positive and finite, got inf"),
         ("alpha", 1.0, r"alpha must lie in \(0, 1\)"),
     ])
     def test_bad_step_size_or_alpha_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             OptConfig(**{"target_volume": 4.0, "alpha": 0.5, field: value})
+
+    def test_non_finite_target_rejected(self, monkeypatch):
+        # Counted up front, before the first eigendecomposition.
+        g, target, cfg = self.self_consistent_setup(0)
+        target[0, 1] = target[1, 0] = np.nan
+        target[2, 2] = np.inf
+        monkeypatch.setattr(pprinv.optimize, "volume_shift", None)
+        with pytest.raises(ValueError, match="target proximity has 3 non-finite entries"):
+            invert_optimize(target, cfg, g.num_edges)
 
     def test_horizon_below_one_rejected(self):
         with pytest.raises(ValueError, match="k_horizon must be >= 1"):

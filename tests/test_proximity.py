@@ -43,6 +43,16 @@ class TestConfigValidation:
             constant_cfg(0.5, 2, b=0.0)
         with pytest.raises(ValueError, match="epsilon"):
             constant_cfg(0.5, 2, epsilon=0.0)
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="b must be positive and finite"):
+                constant_cfg(0.5, 2, b=value)
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                constant_cfg(0.5, 2, epsilon=value)
+        # A subnormal epsilon overflows b/(epsilon*K), which preset_config reads.
+        with pytest.raises(ValueError, match=r"scale b/\(epsilon\*K\) = inf"):
+            constant_cfg(0.5, 2, b=2.0, epsilon=1e-320).scale
+        with pytest.raises(ValueError, match=r"scale b/\(epsilon\*K\) = inf"):
+            preset_config(Preset.STRAP, alpha=0.5, epsilon=1e-320, k_horizon=10)
 
     def test_scale_needs_a_hop(self):
         assert constant_cfg(0.5, 2, b=4.0, epsilon=0.5).scale == 4.0
