@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .linalg import _spd_inverse, pseudoinverse
+from .linalg import _spd_inverse, _symmetrize, pseudoinverse
 from .proximity import _check_horizon
 
 
@@ -39,10 +39,11 @@ class AnalyticalInputs:
         if bad := np.count_nonzero(~np.isfinite(self.m_k)):
             raise ValueError(f"proximity m_k has {bad} non-finite entries")
         deg = np.asarray(self.degrees)
-        if np.any(deg < 1):
-            raise ValueError("all degrees must be >= 1")
-        if abs(float(deg.sum()) - self.volume) > 1e-9:
-            raise ValueError("volume must equal the degree sum")
+        if not np.all(np.isfinite(deg) & (deg >= 1)):
+            raise ValueError("all degrees must be finite and >= 1")
+        # Written so that a NaN volume fails the test too.
+        if not abs(float(deg.sum()) - self.volume) <= 1e-9:
+            raise ValueError("volume must be finite and equal the degree sum")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
 
@@ -70,31 +71,67 @@ def recover_laplacian(
     Cholesky; a Z that is not positive definite or is near singular, as a
     noisy low-rank target can give, is pseudoinverted instead. The result
     is symmetrized to absorb the floating-point asymmetry of the
-    pseudoinverse.
+    pseudoinverse. m_inf is not modified.
     """
-    m_inf = np.asarray(m_inf, dtype=np.float64)
-    deg = np.asarray(degrees, dtype=np.float64)
+    return _laplacian_in_place(
+        np.array(m_inf, dtype=np.float64),
+        np.asarray(degrees, dtype=np.float64),
+        volume,
+        alpha,
+    )
+
+
+def _laplacian_in_place(
+    m_inf: np.ndarray, deg: np.ndarray, volume: float, alpha: float
+) -> np.ndarray:
+    """recover_laplacian on a float64 m_inf that it overwrites with Z.
+
+    Each in-place step rounds as the out-of-place expression it replaces,
+    so the bits are those of (scale * (root * (m_inf + 1) * root) + I),
+    symmetrized, inverted, divided by 1-alpha, shifted by alpha/(1-alpha) on
+    the diagonal and symmetrized again. Z stays intact for the
+    pseudoinverse fallback; the Laplacian is written over the inverse.
+    """
     n = deg.size
     if m_inf.shape != (n, n):
         raise ValueError("proximity shape does not match degree vector")
     root = np.sqrt(deg)
-    z = ((1.0 - alpha) / (alpha * volume)) * (
-        root[:, None] * (m_inf + 1.0) * root[None, :]
-    ) + np.eye(n)
-    z = (z + z.T) / 2.0
-    z_inv = _spd_inverse(z)
-    if z_inv is None:
-        z_inv = pseudoinverse(z)
-    lap = z_inv / (1.0 - alpha) - (alpha / (1.0 - alpha)) * np.eye(n)
-    return (lap + lap.T) / 2.0
+    z = m_inf
+    z += 1.0
+    z *= root[:, None]
+    z *= root[None, :]
+    z *= (1.0 - alpha) / (alpha * volume)
+    z.flat[:: n + 1] += 1.0
+    _symmetrize(z)
+    lap = _spd_inverse(z)
+    if lap is None:
+        lap = pseudoinverse(z)
+    lap /= 1.0 - alpha
+    lap.flat[:: n + 1] -= alpha / (1.0 - alpha)
+    _symmetrize(lap)
+    return lap
 
 
 def recover_adjacency(lap: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """Soft adjacency scores A = D^{1/2} (I - L) D^{1/2}."""
-    lap = np.asarray(lap, dtype=np.float64)
-    deg = np.asarray(degrees, dtype=np.float64)
+    """Soft adjacency scores A = D^{1/2} (I - L) D^{1/2}. lap is not
+    modified."""
+    return _adjacency_in_place(
+        np.array(lap, dtype=np.float64), np.asarray(degrees, dtype=np.float64)
+    )
+
+
+def _adjacency_in_place(lap: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """recover_adjacency on a float64 lap that it overwrites and returns.
+
+    I - L is 0 - L off the diagonal (not -L, which turns +0.0 into -0.0)
+    and (0 - L) + 1 = 1 - L on it, so the bits match the out-of-place form.
+    """
     root = np.sqrt(deg)
-    return root[:, None] * (np.eye(deg.size) - lap) * root[None, :]
+    np.subtract(0.0, lap, out=lap)
+    lap.flat[:: deg.size + 1] += 1.0
+    lap *= root[:, None]
+    lap *= root[None, :]
+    return lap
 
 
 def binarize(soft_a: np.ndarray, m_edges: int) -> Graph:
@@ -130,8 +167,15 @@ def binarize(soft_a: np.ndarray, m_edges: int) -> Graph:
 
 def invert_analytical(inputs: AnalyticalInputs) -> Graph:
     """Full closed-form pipeline: estimate limit, recover Laplacian and
-    adjacency, binarize to the original edge count."""
-    m_inf = estimate_m_infinity(inputs.m_k, inputs.k_horizon)
-    lap = recover_laplacian(m_inf, inputs.degrees, inputs.volume, inputs.alpha)
-    soft = recover_adjacency(lap, inputs.degrees)
-    return binarize(soft, inputs.m_edges)
+    adjacency, binarize to the original edge count. The steps after the
+    limit run in place on the limit's buffer and the inverse's, so the
+    Cholesky route peaks at 3 n x n arrays above the inputs, which are left
+    untouched."""
+    deg = np.asarray(inputs.degrees, dtype=np.float64)
+    lap = _laplacian_in_place(
+        estimate_m_infinity(inputs.m_k, inputs.k_horizon),
+        deg,
+        inputs.volume,
+        inputs.alpha,
+    )
+    return binarize(_adjacency_in_place(lap, deg), inputs.m_edges)

@@ -20,6 +20,7 @@ _DEFAULT_OVERSAMPLE = 10
 _DEFAULT_POWER_ITERS = 2
 _PINV_RTOL = 1e-10
 _TRI_INV_LEAF = 128
+_ROW_BLOCK = 128
 
 
 def randomized_svd(
@@ -66,24 +67,48 @@ def pseudoinverse(m: np.ndarray) -> np.ndarray:
     return (vecs * inv_w) @ vecs.T
 
 
-def _lower_inverse(l: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix, by halves:
+def _lower_inverse(l: np.ndarray) -> None:
+    """Invert a lower-triangular matrix in place, by halves:
     [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]].
 
-    Blocks of up to _TRI_INV_LEAF rows go to np.linalg.inv. Above that most
-    of the n^3/3 flops are matmuls: at n=1600 this took 0.07 s against
-    0.24 s for np.linalg.inv of the whole matrix, an LU solve blind to the
-    zeros (2-core x86_64 VM, OpenBLAS 0.3.31).
+    A and B are inverted where they lie, then C is overwritten with
+    -B^-1 (C A^-1); the only scratch is the (n/2) x (n/2) product C A^-1.
+    Blocks of up to _TRI_INV_LEAF rows go to np.linalg.inv. Above
+    that most of the n^3/3 flops are matmuls: at n=1600 this took 0.04 s
+    against 0.23 s for np.linalg.inv of the whole matrix, an LU solve blind
+    to the zeros (2-core x86_64 VM, OpenBLAS 0.3.31).
     """
     n = len(l)
     if n <= _TRI_INV_LEAF:
-        return np.linalg.inv(l)
+        l[...] = np.linalg.inv(l)
+        return
     h = n // 2
-    a, b = _lower_inverse(l[:h, :h]), _lower_inverse(l[h:, h:])
-    inv = np.zeros_like(l)
-    inv[:h, :h], inv[h:, h:] = a, b
-    inv[h:, :h] = -(b @ (l[h:, :h] @ a))
-    return inv
+    a, b, c = l[:h, :h], l[h:, h:], l[h:, :h]
+    _lower_inverse(a)
+    _lower_inverse(b)
+    np.matmul(b, c @ a, out=c)
+    np.negative(c, out=c)
+
+
+def _norm1(m: np.ndarray) -> float:
+    """The 1-norm (largest absolute column sum), summed over blocks of
+    _ROW_BLOCK rows so that no n x n copy of |m| is made."""
+    sums = np.zeros(m.shape[1])
+    for start in range(0, len(m), _ROW_BLOCK):
+        sums += np.abs(m[start : start + _ROW_BLOCK]).sum(axis=0)
+    return sums.max()
+
+
+def _symmetrize(m: np.ndarray) -> None:
+    """m = (m + m.T) / 2 in place, one strip of _ROW_BLOCK rows at a time:
+    each strip's upper part and its mirror get the same averages, which are
+    bit for bit those of the whole-matrix expression."""
+    for start in range(0, len(m), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        avg = m[rows, start:] + m[start:, rows].T
+        avg /= 2.0
+        m[rows, start:] = avg
+        m[start:, rows] = avg.T
 
 
 def _spd_inverse(m: np.ndarray) -> np.ndarray | None:
@@ -92,17 +117,23 @@ def _spd_inverse(m: np.ndarray) -> np.ndarray | None:
     when its 1-norm condition number reaches 1/_PINV_RTOL, where
     pseudoinverse would start dropping eigenvalues.
 
+    m is left untouched, so a None still leaves it for pseudoinverse. L is
+    inverted in place and dropped once the inverse exists, and both 1-norms
+    are column sums over row blocks, not sums of n x n copies of |m|: the
+    peak above m is two n x n arrays, L^-1 and the inverse.
+
     It stays on numpy's BLAS on purpose. scipy's LAPACK (potrf, potri) links
     a second OpenBLAS whose threads keep spinning after a call; on a 2-core
     machine that doubled the time of the next numpy eigh.
     """
     try:
-        factor = np.linalg.cholesky(m)
+        factor_inv = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return None
-    factor_inv = _lower_inverse(factor)
+    _lower_inverse(factor_inv)
     inv = factor_inv.T @ factor_inv
-    cond = np.abs(m).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
+    del factor_inv
+    cond = _norm1(m) * _norm1(inv)
     return inv if cond * _PINV_RTOL < 1.0 else None
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from pprinv.analytical import (
 )
 from pprinv.embedding import factorize, reconstruct_proximity
 from pprinv.graph import Graph
-from pprinv.linalg import pseudoinverse
+from pprinv.linalg import _ROW_BLOCK, pseudoinverse
 from pprinv.proximity import deepwalk_log_proximity
 
 
@@ -53,6 +55,29 @@ def m_inf_for_z(z, degrees, volume, alpha):
     root = np.sqrt(degrees)
     scale = (1.0 - alpha) / (alpha * volume)
     return (z - np.eye(z.shape[0])) / (scale * np.outer(root, root)) - 1.0
+
+
+def z_off_the_cholesky_route(kind, n, seed):
+    """A Z that is indefinite or singular, yet with Z - I > 0 entrywise, so
+    that a log-form m_k rebuilds it."""
+    rng = np.random.default_rng(seed)
+    if kind == "indefinite":
+        u, v = rng.uniform(0.5, 1.5, size=(2, n))
+        # u v^T + v u^T has the eigenvalue u.v - |u||v| < 0; Z gets 1 - 2.
+        gap = np.linalg.norm(u) * np.linalg.norm(v) - u @ v
+        return np.eye(n) + (2.0 / gap) * (np.outer(u, v) + np.outer(v, u))
+    b = rng.uniform(1.1, 2.0, size=(n, n - 1))
+    return b @ b.T
+
+
+def peak_bytes(fn, *args):
+    """tracemalloc peak of the allocations fn(*args) makes, result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestEstimateMInfinity:
@@ -151,10 +176,20 @@ class TestRecoverLaplacian:
         assert np.abs(lap - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(lap, lap.T)
 
-    @pytest.mark.parametrize("kind", ["indefinite", "singular"])
-    def test_fallback_is_the_pseudoinverse_route(self, kind, monkeypatch):
+    # n=300 symmetrizes Z and the Laplacian over three row blocks.
+    @pytest.mark.parametrize(
+        "kind, n",
+        [
+            ("indefinite", 12),
+            ("singular", 12),
+            ("indefinite", 2 * _ROW_BLOCK + 44),
+            ("singular", 2 * _ROW_BLOCK + 44),
+        ],
+        ids=["indefinite", "singular", "indefinite-n300", "singular-n300"],
+    )
+    def test_fallback_is_the_pseudoinverse_route(self, kind, n, monkeypatch):
         rng = np.random.default_rng(8)
-        n, alpha = 12, 0.6
+        alpha = 0.6
         deg = rng.integers(1, 6, size=n).astype(float)
         vol = float(deg.sum())
         if kind == "indefinite":
@@ -177,6 +212,16 @@ class TestRecoverAdjacency:
         lap = normalized_laplacian(k3)
         a = recover_adjacency(lap, k3.degrees.astype(float))
         assert np.abs(a - (np.ones((3, 3)) - np.eye(3))).max() < 1e-8
+
+    def test_bits_of_the_out_of_place_form(self):
+        # A true Laplacian holds +0.0 off the diagonal at every non-edge;
+        # I - L must keep it +0.0, as 0.0 - L does and -L would not.
+        g = random_connected_graph(12, 0.3, 9)
+        deg = g.degrees.astype(float)
+        lap = normalized_laplacian(g)
+        root = np.sqrt(deg)
+        want = root[:, None] * (np.eye(g.n) - lap) * root[None, :]
+        assert recover_adjacency(lap, deg).tobytes() == want.tobytes()
 
     def test_identity_laplacian_gives_zero(self):
         a = recover_adjacency(np.eye(4), np.array([2.0, 3.0, 1.0, 5.0]))
@@ -308,6 +353,70 @@ class TestInvertAnalytical:
         assert len(diff) > 0
         assert rec.num_edges == g.num_edges
 
+    @settings(max_examples=60)
+    @given(
+        route=st.sampled_from(["graph", "indefinite", "singular"]),
+        n=st.integers(2, 40),
+        p=st.floats(0.1, 0.8),
+        alpha=st.floats(0.05, 0.95),
+        rank=st.floats(0.0, 1.0),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_the_public_chain(self, route, n, p, alpha, rank, seed):
+        # invert_analytical runs the public steps in place on its own
+        # buffers: same scores bit for bit, and no input is written.
+        k = 40  # no shorter than the diameter of a connected graph, n <= 40
+        if route == "graph":
+            g = random_connected_graph(n, p, seed)
+            deg, vol, m_edges = g.degrees.astype(float), float(g.volume), g.num_edges
+            d = 1 + int(rank * (n - 1))
+            pair = factorize(deepwalk_log_proximity(g, alpha, k), d, seed)
+            m_k = reconstruct_proximity(pair)
+        else:
+            deg = np.random.default_rng(seed).integers(1, 6, size=n).astype(float)
+            vol, m_edges = float(deg.sum()), n - 1
+            z = z_off_the_cholesky_route(route, n, seed)
+            m_k = np.log((m_inf_for_z(z, deg, vol, alpha) + 1.0) / k)
+        inputs = AnalyticalInputs(
+            m_k=m_k, degrees=deg, volume=vol, alpha=alpha, k_horizon=k,
+            m_edges=m_edges,
+        )
+        m_k_bits, deg_bits = m_k.tobytes(), deg.tobytes()
+
+        m_inf = estimate_m_infinity(m_k, k)
+        m_inf_bits = m_inf.tobytes()
+        lap = recover_laplacian(m_inf, deg, vol, alpha)
+        lap_bits = lap.tobytes()
+        soft = recover_adjacency(lap, deg)
+        assert m_inf.tobytes() == m_inf_bits and lap.tobytes() == lap_bits
+
+        scores = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                analytical_module,
+                "binarize",
+                lambda s, m: scores.append(s) or binarize(s, m),
+            )
+            calls = TestRecoverLaplacian.count_pseudoinverse(mp)
+            rec = invert_analytical(inputs)
+        if route != "graph":
+            assert len(calls) == 1
+        assert scores[0].tobytes() == soft.tobytes()
+        assert rec.edge_set() == binarize(soft, m_edges).edge_set()
+        assert m_k.tobytes() == m_k_bits and deg.tobytes() == deg_bits
+
+    def test_peak_memory_above_inputs(self):
+        # In n x n float64 arrays at n=200: 3.04 for both, where the
+        # out-of-place steps peaked at 6.02 (invert_analytical) and 5.02.
+        g = random_connected_graph(200, 0.05, 3)
+        inputs = self.inputs_for(g, k=10)
+        m_inf = estimate_m_infinity(inputs.m_k, 10)
+        n2 = 8.0 * g.n**2
+        assert peak_bytes(invert_analytical, inputs) <= 3.25 * n2
+        assert peak_bytes(
+            recover_laplacian, m_inf, inputs.degrees, inputs.volume, 0.7
+        ) <= 3.25 * n2
+
     def test_non_finite_proximity_rejected(self, k3):
         m_k = deepwalk_log_proximity(k3, 0.7, 2000)
         m_k[0, 2] = np.nan
@@ -318,7 +427,7 @@ class TestInvertAnalytical:
                 alpha=0.7, k_horizon=2000, m_edges=k3.num_edges,
             )
 
-    def test_input_validation(self):
+    def test_input_validation(self, k3):
         with pytest.raises(ValueError, match="degrees"):
             AnalyticalInputs(
                 m_k=np.zeros((2, 2)), degrees=np.array([0.0, 1.0]), volume=1.0,
@@ -334,3 +443,16 @@ class TestInvertAnalytical:
                 m_k=np.zeros((2, 2)), degrees=np.array([1.0, 1.0]), volume=2.0,
                 alpha=1.0, k_horizon=10, m_edges=1,
             )
+        # NaN fails every comparison, so range checks alone let it through.
+        m_k = deepwalk_log_proximity(k3, 0.7, 50)
+        for degrees, volume, field in (
+            ([2, np.nan, 2], 6.0, "degrees"),
+            ([2, np.inf, 2], np.inf, "degrees"),
+            ([2, 2, 2], np.nan, "volume"),
+            ([2, 2, 2], np.inf, "volume"),
+        ):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                AnalyticalInputs(
+                    m_k=m_k, degrees=degrees, volume=volume, alpha=0.7,
+                    k_horizon=50, m_edges=3,
+                )

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pprinv.linalg import (
+    _ROW_BLOCK,
     _TRI_INV_LEAF,
+    _lower_inverse,
     _spd_inverse,
+    _symmetrize,
     load_matrix,
     pseudoinverse,
     randomized_svd,
@@ -100,8 +103,40 @@ class TestPseudoinverse:
             pseudoinverse(m)
 
 
+def lower_inverse_by_halves(l):
+    """The out-of-place triangular inverse that _lower_inverse replaced,
+    kept as its reference."""
+    n = len(l)
+    if n <= _TRI_INV_LEAF:
+        return np.linalg.inv(l)
+    h = n // 2
+    a, b = lower_inverse_by_halves(l[:h, :h]), lower_inverse_by_halves(l[h:, h:])
+    inv = np.zeros_like(l)
+    inv[:h, :h], inv[h:, h:] = a, b
+    inv[h:, :h] = -(b @ (l[h:, :h] @ a))
+    return inv
+
+
+class TestInPlaceKernels:
+    @pytest.mark.parametrize("n", [1, 7, _TRI_INV_LEAF + 1, 300])
+    def test_lower_inverse_bits_of_the_out_of_place_form(self, n):
+        rng = np.random.default_rng(n)
+        l = np.linalg.cholesky(np.cov(rng.normal(size=(n, 2 * n))) + np.eye(n))
+        want = lower_inverse_by_halves(l)
+        _lower_inverse(l)
+        assert l.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 7])
+    def test_symmetrize_bits_of_the_whole_matrix_form(self, n):
+        m = np.random.default_rng(n).normal(size=(n, n))
+        want = (m + m.T) / 2.0
+        _symmetrize(m)
+        assert m.tobytes() == want.tobytes()
+
+
 class TestSpdInverse:
-    # Sizes on each side of the leaf, and one that splits unevenly twice.
+    # Sizes on each side of the leaf, and one that splits unevenly twice and
+    # spans three row blocks of the 1-norm.
     @pytest.mark.parametrize("n", [1, 7, _TRI_INV_LEAF, _TRI_INV_LEAF + 1, 300])
     def test_matches_pseudoinverse(self, n):
         rng = np.random.default_rng(n)
@@ -118,9 +153,11 @@ class TestSpdInverse:
             np.diag([1.0, -1.0, 2.0]),
             np.diag([1.0, 0.0, 2.0]),
             np.diag([1.0, 1e-12, 2.0]),
+            # n=300; the 1e-12 lies in the last row block of the 1-norm.
+            np.diag(np.r_[np.ones(2 * _ROW_BLOCK + 43), 1e-12]),
             np.full((2, 2), np.nan),
         ],
-        ids=["indefinite", "singular", "near-singular", "nan"],
+        ids=["indefinite", "singular", "near-singular", "near-singular-n300", "nan"],
     )
     def test_rejects_what_pseudoinverse_must_handle(self, m):
         assert _spd_inverse(m) is None
