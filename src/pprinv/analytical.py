@@ -46,6 +46,16 @@ class AnalyticalInputs:
             raise ValueError("volume must be finite and equal the degree sum")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
+        _check_edge_budget(deg.size, self.m_edges)
+
+
+def _check_edge_budget(n: int, m_edges: int) -> int:
+    """The number of node pairs on n nodes, after checking that binarize can
+    keep m_edges of them; callers check before they start any work."""
+    max_edges = n * (n - 1) // 2
+    if not 0 <= m_edges <= max_edges:
+        raise ValueError(f"m_edges={m_edges} must lie in [0, {max_edges}]")
+    return max_edges
 
 
 def estimate_m_infinity(m_k: np.ndarray, k_horizon: int) -> np.ndarray:
@@ -147,9 +157,7 @@ def binarize(soft_a: np.ndarray, m_edges: int) -> Graph:
     n = soft_a.shape[0]
     if soft_a.shape != (n, n):
         raise ValueError("soft adjacency must be square")
-    max_edges = n * (n - 1) // 2
-    if not 0 <= m_edges <= max_edges:
-        raise ValueError(f"m_edges={m_edges} must lie in [0, {max_edges}]")
+    max_edges = _check_edge_budget(n, m_edges)
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     values = soft_a[upper]
     bad = values.size - np.count_nonzero(np.isfinite(values))

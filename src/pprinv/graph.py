@@ -19,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 log = logging.getLogger(__name__)
 
@@ -51,6 +50,9 @@ class Graph:
             raise ValueError("indptr must have length n+1")
         if self.indices.size != self.indptr[-1]:
             raise ValueError("indices inconsistent with indptr")
+        if self.node_names is not None and len(self.node_names) != self.n:
+            raise ValueError(
+                f"{len(self.node_names)} node names for {self.n} nodes")
         self.indptr.flags.writeable = False
         self.indices.flags.writeable = False
 
@@ -327,6 +329,9 @@ def _walk_operator(g: Graph) -> csr_matrix:
 
 def all_pairs_distances(g: Graph) -> np.ndarray:
     """BFS hop distances for all ordered pairs; inf marks unreachable pairs."""
+    # Imported here: only deep graphs need it, and it would slow `import pprinv`.
+    from scipy.sparse.csgraph import shortest_path
+
     adj = g._csr(np.ones(g.volume))
     return shortest_path(adj, method="D", directed=False, unweighted=True)
 

@@ -3,7 +3,7 @@
 Treats a symmetric logit matrix as the trainable soft adjacency B, matches
 the graph volume each epoch with a scalar Newton-solved logistic shift, and
 descends the squared Frobenius gap to the target proximity from the forward
-model (_forward_model): the STRAP preset at twice the optimizer's epsilon,
+model (OptConfig.model): the STRAP preset at twice the optimizer's epsilon,
 evaluated on T = D^-1 B (D the soft row sums) by the kernel build_proximity
 uses. So a STRAP embedding built at epsilon is inverted at epsilon / 2.
 
@@ -25,10 +25,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .analytical import binarize
+from .analytical import _check_edge_budget, binarize
 from .graph import Graph
 from .proximity import (
-    Preset,
     ProximityConfig,
     _apply_activation,
     _closed_form,
@@ -40,15 +39,15 @@ from .proximity import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptConfig:
-    """Optimization-method settings.
+    """Optimization-method settings, frozen: dataclasses.replace checks anew.
 
     target_volume is the off-diagonal mass the soft adjacency is held to
     (vol(G) = 2m of the graph being recovered). epsilon is half a STRAP
-    embedding's: the model is STRAP at 2 * epsilon. The step is Adam-style
-    with per-parameter moments. No randomness is drawn: the logits start at
-    zero, so seed does not change the result.
+    embedding's: model, built once here, is STRAP at 2 * epsilon. The step
+    is Adam-style with per-parameter moments. No randomness is drawn: the
+    logits start at zero, so seed does not change the result.
     """
 
     target_volume: float
@@ -59,6 +58,7 @@ class OptConfig:
     k_horizon: int = 10
     step_size: float = 0.1
     seed: int = 0
+    model: ProximityConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -68,7 +68,8 @@ class OptConfig:
                 f"step_size must be positive and finite, got {self.step_size}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        _forward_model(self.alpha, self.epsilon, self.k_horizon)  # checks epsilon, K
+        model = _forward_model(self.alpha, self.epsilon, self.k_horizon)  # checks epsilon, K
+        object.__setattr__(self, "model", model)
 
 
 @dataclass
@@ -153,13 +154,9 @@ def volume_shift(
             lo = max(lo, s)
         else:
             hi = min(hi, s)
-        slope = (b * (1.0 - b)).sum()
-        if slope > 0.0:
-            # An underflowing slope overflows the step to inf: bisection.
-            with np.errstate(over="ignore"):
-                candidate = s + residual / slope
-        else:
-            candidate = lo - 1.0  # force bisection
+        # A zero or underflowing slope makes the step infinite: bisection.
+        with np.errstate(over="ignore", divide="ignore"):
+            candidate = s + residual / (b * (1.0 - b)).sum()
         s = candidate if lo < candidate < hi else (lo + hi) / 2.0
         b = _sigmoid(upper + s)
     else:
@@ -181,20 +178,13 @@ def _row_sums(b_soft: np.ndarray) -> np.ndarray:
 
 def _forward_model(alpha: float, epsilon: float, k_horizon: int) -> ProximityConfig:
     """The closed form the optimizer fits: STRAP at 2 * epsilon, of scale 1/epsilon."""
-    return preset_config(
-        Preset.STRAP, alpha=alpha, epsilon=2.0 * epsilon, k_horizon=k_horizon)
+    return preset_config("strap", alpha=alpha, epsilon=2.0 * epsilon, k_horizon=k_horizon)
 
 
-def _forward(b_soft: np.ndarray, row_sums: np.ndarray, model: ProximityConfig,
-             eig=None) -> np.ndarray:
+def _forward(b_soft: np.ndarray, row_sums: np.ndarray, model: ProximityConfig) -> np.ndarray:
     """The model's closed form on T = D^-1 B, D = diag(row_sums), before
-    activation. Its walk sum comes from T's spectrum when eig =
-    _similar_eigh(B, D) is given, else from Horner's scheme."""
-    coeffs = hop_coefficients(model)
-    if eig is None:
-        walk = _horner(b_soft / row_sums[:, None], coeffs)
-    else:
-        walk = _spectral_walk_sum(eig, coeffs)
+    activation; its walk sum by Horner's scheme is the loop's oracle."""
+    walk = _horner(b_soft / row_sums[:, None], hop_coefficients(model))
     return _closed_form(walk, row_sums, model)
 
 
@@ -254,7 +244,9 @@ def _loss_and_gradient(
     """
     row_sums = _row_sums(b_soft)
     eig = lam, v, ratio = _similar_eigh(b_soft, row_sums)
-    s_mat = _forward(b_soft, row_sums, model, None if horner else eig)
+    coeffs = hop_coefficients(model)
+    s_mat = (_forward(b_soft, row_sums, model) if horner
+             else _closed_form(_spectral_walk_sum(eig, coeffs), row_sums, model))
     g_h = _apply_activation(s_mat, model.activation)  # m_hat, then its adjoint
     value = loss(g_h, m_target)
     g_h -= m_target
@@ -263,7 +255,11 @@ def _loss_and_gradient(
     g_h *= model.scale
     g_h *= ratio
     inner = v.T @ g_h @ v
-    inner *= _divided_differences(lam, hop_coefficients(model))
+    inner *= _divided_differences(lam, coeffs)
+    # V X V^T (X = inner) rounds its entries by ~n eps max|X|, which g_b divides
+    # by r_i r_j >= min D; the logistic's slope is <= 1/4 and grad sums two
+    # terms. A gradient within that is round-off of an exact zero, returned as 0.
+    noise = lam.size * np.finfo(np.float64).eps * np.abs(inner).max() / row_sums.min()
     g_t = v @ inner @ v.T
     g_t /= ratio
     # T = D^-1 B, so dT/dB contributes (G_T - rowsum(G_T o T)) / D.
@@ -272,6 +268,8 @@ def _loss_and_gradient(
     g_logit = b_soft * (1.0 - b_soft) * g_b
     grad = g_logit + g_logit.T
     np.fill_diagonal(grad, 0.0)
+    if max(grad.max(), -grad.min()) <= 0.5 * noise:
+        grad[:] = 0.0
     return value, grad
 
 
@@ -284,8 +282,7 @@ def gradient(state: OptState, m_target: np.ndarray, cfg: OptConfig) -> np.ndarra
     The loss is that of forward_proximity (Horner), so finite differences
     of it check this gradient; the backward is the optimizer loop's own.
     """
-    model = _forward_model(cfg.alpha, cfg.epsilon, cfg.k_horizon)
-    return _loss_and_gradient(state.b_soft, m_target, model, horner=True)[1]
+    return _loss_and_gradient(state.b_soft, m_target, cfg.model, horner=True)[1]
 
 
 def invert_optimize(
@@ -297,7 +294,8 @@ def invert_optimize(
     volume shift, evaluate the loss and its reverse-mode gradient from one
     eigendecomposition, take a bias-corrected Adam step (0.9, 0.999, 1e-8)
     on the logits, whose diagonal stays 0 as the gradient's is 0, and
-    re-solve the shift from its last value. Each epoch's loss agrees with
+    re-solve the shift from its last value; a gradient at round-off level
+    takes no step and leaves the moments alone. Each epoch's loss agrees with
     loss(forward_proximity(B, ...), m_target) to round-off. After the final
     epoch the soft adjacency binarizes to exactly m_edges edges.
     """
@@ -305,6 +303,7 @@ def invert_optimize(
     n = m_target.shape[0]
     if m_target.shape != (n, n):
         raise ValueError("target proximity must be square")
+    _check_edge_budget(n, m_edges)
     if bad := np.count_nonzero(~np.isfinite(m_target)):
         raise ValueError(f"target proximity has {bad} non-finite entries")
     logits = np.zeros((n, n))
@@ -314,15 +313,15 @@ def invert_optimize(
     # Each later solve warm-starts from the previous epoch's shift, which the
     # step moves little.
     shift = volume_shift(logits, cfg.target_volume, cfg.newton_iters)
-    model = _forward_model(cfg.alpha, cfg.epsilon, cfg.k_horizon)
     for epoch in range(1, cfg.epochs + 1):
         b_soft = _soft_adjacency(logits, shift)
-        epoch_loss, grad = _loss_and_gradient(b_soft, m_target, model)
+        epoch_loss, grad = _loss_and_gradient(b_soft, m_target, cfg.model)
         losses.append(epoch_loss)
-        adam_m = beta1 * adam_m + (1.0 - beta1) * grad
-        adam_v = beta2 * adam_v + (1.0 - beta2) * grad * grad
-        logits -= cfg.step_size * (adam_m / (1.0 - beta1**epoch)) / (
-            np.sqrt(adam_v / (1.0 - beta2**epoch)) + tiny)
-        shift = volume_shift(logits, cfg.target_volume, cfg.newton_iters, shift)
+        if grad.any():  # round-off comes back as 0: no step, so none later either
+            adam_m = beta1 * adam_m + (1.0 - beta1) * grad
+            adam_v = beta2 * adam_v + (1.0 - beta2) * grad * grad
+            logits -= cfg.step_size * (adam_m / (1.0 - beta1**epoch)) / (
+                np.sqrt(adam_v / (1.0 - beta2**epoch)) + tiny)
+            shift = volume_shift(logits, cfg.target_volume, cfg.newton_iters, shift)
     recovered = binarize(_soft_adjacency(logits, shift), m_edges)
     return OptimizeResult(graph=recovered, losses=tuple(losses))

@@ -427,6 +427,16 @@ class TestInvertAnalytical:
                 alpha=0.7, k_horizon=2000, m_edges=k3.num_edges,
             )
 
+    def test_impossible_edge_budget_rejected_before_any_work(self, k3, monkeypatch):
+        # Checked at construction, with binarize's message, not after the
+        # whole inversion.
+        m_k = deepwalk_log_proximity(k3, 0.7, 50)
+        monkeypatch.setattr(analytical_module, "estimate_m_infinity", None)
+        for m_edges in (-1, 4):
+            with pytest.raises(ValueError, match=rf"m_edges={m_edges} must lie in \[0, 3\]"):
+                AnalyticalInputs(m_k=m_k, degrees=k3.degrees.astype(float),
+                                 volume=6.0, alpha=0.7, k_horizon=50, m_edges=m_edges)
+
     def test_input_validation(self, k3):
         with pytest.raises(ValueError, match="degrees"):
             AnalyticalInputs(

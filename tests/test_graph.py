@@ -227,6 +227,16 @@ class TestFromEdges:
         for edges in ([], np.array([]), np.empty((0, 2))):
             assert Graph.from_edges(3, edges).num_edges == 0
 
+    def test_node_names_must_name_every_node(self):
+        # One name short was accepted, and serialize_edge_list then failed
+        # with an IndexError.
+        with pytest.raises(ValueError, match="1 node names for 3 nodes"):
+            Graph.from_edges(3, [(0, 1), (1, 2)], node_names=("a",))
+        g = Graph.from_edges(3, [(0, 1), (1, 2)], node_names=("a", "b", "c"))
+        assert serialize_edge_list(g) == "a b\nb c\n"
+        with pytest.raises(ValueError, match="4 node names for 3 nodes"):
+            dataclasses.replace(g, node_names=("a", "b", "c", "d"))
+
     def test_non_numeric_and_out_of_range_ids_rejected(self):
         # An id is range-checked before the int64 cast, so no cast wraps
         # it and the error names the id as given.

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import os
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import pprinv
 from conftest import random_connected_graph
 from test_proximity import tree_plus_edges
+from pprinv.analytical import binarize
 from pprinv.optimize import (
     OptConfig,
     OptState,
@@ -118,13 +120,15 @@ class TestVolumeShift:
         assert np.all(b.sum(axis=1) > 0)
 
     def test_underflowing_slope_does_not_warn(self):
-        # The Newton slope underflows, so the step overflows to inf; the
-        # solve falls back to bisection without a numpy warning.
-        x = 42924314.25636482
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            s = volume_shift(np.array([[0.0, x], [x, 0.0]]), 1.4239714920160107, 100)
-        assert s == pytest.approx(-42924313.35, abs=0.01)
+        # The Newton slope underflows, so the step overflows to inf; at 1e8
+        # the logistic is exactly 1 and the slope exactly 0, so the step
+        # divides by zero. Either way the solve falls back to bisection
+        # without a numpy warning.
+        for x, want in ((42924314.25636482, -42924313.35), (1e8, -1e8 + 0.9)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                s = volume_shift(np.array([[0.0, x], [x, 0.0]]), 1.4239714920160107, 100)
+            assert s == pytest.approx(want, abs=0.01)
 
     @settings(max_examples=200)
     @given(
@@ -492,6 +496,64 @@ class TestInvertOptimize:
         with pytest.raises(ValueError, match="epochs"):
             OptConfig(target_volume=4.0, alpha=0.5, epochs=0)
 
+    def test_config_is_frozen_and_owns_its_model(self):
+        # An assignment after construction would skip the checks (epochs = 0
+        # returned no losses); dataclasses.replace runs them again.
+        cfg = OptConfig(target_volume=4.0, alpha=0.3, epsilon=5e-8, k_horizon=7)
+        for f in dataclasses.fields(cfg):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            dataclasses.replace(cfg, epochs=0)
+        with pytest.raises(ValueError, match="step_size must be positive"):
+            dataclasses.replace(cfg, step_size=-0.1)
+        want = _forward_model(cfg.alpha, cfg.epsilon, cfg.k_horizon)
+        for f in dataclasses.fields(want):
+            assert getattr(cfg.model, f.name) == getattr(want, f.name), f.name
+        # The model is derived, so equality, hashing and repr leave it out.
+        other = dataclasses.replace(cfg)
+        object.__setattr__(other, "model", _forward_model(0.9, 1.0, 1))
+        assert other == cfg and hash(other) == hash(cfg)
+        assert "model" not in repr(cfg)
+        assert dataclasses.replace(cfg, k_horizon=8).model.k_horizon == 8
+
+    def test_model_built_once_and_hop_weights_once_per_epoch(self, monkeypatch):
+        g, target, cfg = self.self_consistent_setup(0)
+        cfg = dataclasses.replace(cfg, epochs=3)
+        calls = collections.Counter()
+        for name in ("_forward_model", "hop_coefficients"):
+            def counted(*args, _name=name, _real=getattr(pprinv.optimize, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(pprinv.optimize, name, counted)
+        assert len(invert_optimize(target, cfg, g.num_edges).losses) == 3
+        assert calls == {"hop_coefficients": 3}
+
+    def test_round_off_gradient_takes_no_step(self):
+        # DEEPWALK clamps this target to all zeros, so the exact gradient at
+        # the uniform start is 0 (T = D^-1 B is unchanged when B is scaled)
+        # and the backward returns only round-off (max 1.5e-13). An Adam step
+        # would blow each round-off entry up to a full +-step_size.
+        g = random_connected_graph(40, 0.15, 5)
+        target = build_proximity(g, preset_config(
+            "deepwalk", alpha=0.3, k_horizon=10, volume=g.volume))
+        assert not target.any()
+        cfg = OptConfig(target_volume=float(g.volume), alpha=0.3, epochs=40,
+                        epsilon=5e-8, k_horizon=10, step_size=0.3)
+        result = invert_optimize(target, cfg, g.num_edges)
+        assert result.losses == (result.losses[0],) * cfg.epochs
+        logits = np.zeros((g.n, g.n))
+        shift = volume_shift(logits, cfg.target_volume, cfg.newton_iters)
+        start = binarize(_soft_adjacency(logits, shift), g.num_edges)
+        assert result.graph.edge_set() == start.edge_set()
+
+    def test_impossible_edge_budget_rejected_before_any_work(self, monkeypatch):
+        g, target, cfg = self.self_consistent_setup(0)
+        monkeypatch.setattr(pprinv.optimize, "volume_shift", None)
+        for m_edges in (-1, 46, 10**6):
+            with pytest.raises(ValueError, match=rf"m_edges={m_edges} must lie in \[0, 45\]"):
+                invert_optimize(target, cfg, m_edges)
+
     @pytest.mark.parametrize("field, value, message", [
         ("step_size", 0.0, "step_size must be positive"),
         ("step_size", np.inf, "step_size must be positive and finite, got inf"),
@@ -520,7 +582,7 @@ class TestInvertOptimize:
 
     def test_single_epoch_single_update(self):
         g, target, cfg = self.self_consistent_setup(0)
-        cfg.epochs = 1
+        cfg = dataclasses.replace(cfg, epochs=1)
         result = invert_optimize(target, cfg, g.num_edges)
         assert len(result.losses) == 1
         assert result.graph.num_edges == g.num_edges
@@ -534,7 +596,7 @@ class TestInvertOptimize:
     def test_every_shift_solve_is_volume_shift(self, monkeypatch):
         # One cold solve, then one per epoch warm-started from the last.
         g, target, cfg = self.self_consistent_setup(5)
-        cfg.epochs = 6
+        cfg = dataclasses.replace(cfg, epochs=6)
         _, calls = traced_invert(monkeypatch, target, cfg, g.num_edges)
         assert len(calls) == cfg.epochs + 1
         shifts = [shift for _, _, shift in calls]
@@ -542,7 +604,7 @@ class TestInvertOptimize:
 
     def test_soft_adjacency_symmetric_zero_diagonal_in_range(self, monkeypatch):
         g, target, cfg = self.self_consistent_setup(2)
-        cfg.epochs = 15
+        cfg = dataclasses.replace(cfg, epochs=15)
         _, calls = traced_invert(monkeypatch, target, cfg, g.num_edges)
         logits, _, shift = calls[-1]
         b = _soft_adjacency(logits, shift)
@@ -556,7 +618,7 @@ class TestInvertOptimize:
         # Adam step (beta1 = 0.9, beta2 = 0.999, 1e-8) on the gradient at the
         # last solve's logits and shift, bit for bit; the diagonal stays 0.
         g, target, cfg = self.self_consistent_setup(5)
-        cfg.epochs = 6
+        cfg = dataclasses.replace(cfg, epochs=6)
         _, calls = traced_invert(monkeypatch, target, cfg, g.num_edges)
         model = _forward_model(cfg.alpha, cfg.epsilon, cfg.k_horizon)
         m = v = np.zeros_like(target)
@@ -572,7 +634,7 @@ class TestInvertOptimize:
 
     def test_volume_constraint_after_shift(self, monkeypatch):
         g, target, cfg = self.self_consistent_setup(3)
-        cfg.epochs = 25
+        cfg = dataclasses.replace(cfg, epochs=25)
         _, calls = traced_invert(monkeypatch, target, cfg, g.num_edges)
         logits, _, shift = calls[-1]
         total = _soft_adjacency(logits, shift).sum()
@@ -580,7 +642,7 @@ class TestInvertOptimize:
 
     def test_loss_trace_reproducible(self):
         g, target, cfg = self.self_consistent_setup(4)
-        cfg.epochs = 30
+        cfg = dataclasses.replace(cfg, epochs=30)
         first = invert_optimize(target, cfg, g.num_edges).losses
         second = invert_optimize(target, cfg, g.num_edges).losses
         assert np.abs(np.subtract(first, second)).max() < 1e-9
@@ -629,18 +691,23 @@ class TestInvertOptimize:
             assert abs(result.losses[e] - want) <= 1e-12 * want
 
 
-def test_import_binds_only_the_modules():
-    # The API is imported from the modules; the package root binds the
-    # seven library modules and __version__, and loads no others of its own.
+def run_fresh_import(code):
+    """Run code in a new interpreter that imports pprinv from this tree."""
     src = str(Path(pprinv.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, types, pprinv; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'pprinv')); "
-            "print(sorted(k for k, v in vars(pprinv).items() if not k.startswith('__') "
-            "and not isinstance(v, types.ModuleType)))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_import_binds_only_the_modules():
+    # The API is imported from the modules; the package root binds the
+    # seven library modules and __version__, and loads no others of its own.
+    done = run_fresh_import(
+        "import sys, types, pprinv; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'pprinv')); "
+        "print(sorted(k for k, v in vars(pprinv).items() if not k.startswith('__') "
+        "and not isinstance(v, types.ModuleType)))")
     assert done.returncode == 0, done.stderr
     modules = ["analytical", "embedding", "graph", "linalg", "metrics", "optimize",
                "proximity"]
@@ -651,10 +718,14 @@ def test_import_binds_only_the_modules():
 def test_import_does_not_load_scipy_special():
     # The logistic is written out rather than taken from scipy.special.expit,
     # whose import adds ~0.06 s and ~4 MiB to every run.
-    src = str(Path(pprinv.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, pprinv; sys.exit('scipy.special' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = run_fresh_import("import sys, pprinv; sys.exit('scipy.special' in sys.modules)")
     assert done.returncode == 0, done.stderr or "pprinv imports scipy.special"
+
+
+def test_import_does_not_load_csgraph():
+    # Only all_pairs_distances needs scipy.sparse.csgraph (Dijkstra on deep
+    # graphs), so it imports it when called; at import it cost ~0.09 s and
+    # ~90 modules.
+    done = run_fresh_import(
+        "import sys, pprinv; sys.exit('scipy.sparse.csgraph' in sys.modules)")
+    assert done.returncode == 0, done.stderr or "pprinv imports scipy.sparse.csgraph"
