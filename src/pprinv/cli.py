@@ -39,19 +39,23 @@ def _load_labels(path: str | None, g: gr.Graph):
     return gr.parse_labels(Path(path).read_bytes(), g)
 
 
-def _build_config(preset: str, args, g: gr.Graph) -> prox.ProximityConfig:
+def _build_configs(presets: list[str], args, g: gr.Graph):
+    """(name, config) for each named preset. Only lemane reads
+    --alpha-schedule, so the flag without a lemane preset is an error."""
+    lemane = prox.Preset.LEMANE.value
     schedule = None
     if args.alpha_schedule:
+        if lemane not in presets:
+            raise ValueError("--alpha-schedule is used only by the lemane preset")
         text = Path(args.alpha_schedule).read_bytes()
         schedule = prox.parse_alpha_schedule(text, args.k_horizon)
-    return prox.preset_config(
-        preset,
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        k_horizon=args.k_horizon,
-        volume=g.volume,
-        alpha_schedule=schedule,
-    )
+    return [
+        (name, prox.preset_config(
+            name, alpha=args.alpha, epsilon=args.epsilon, k_horizon=args.k_horizon,
+            volume=g.volume, alpha_schedule=schedule if name == lemane else None,
+        ))
+        for name in presets
+    ]
 
 
 def cmd_embed(args) -> int:
@@ -60,7 +64,7 @@ def cmd_embed(args) -> int:
         raise ValueError(f"dimension {args.dim} out of range")
     if args.dim > g.n:
         raise ValueError("dimension exceeds node count")
-    cfg = _build_config(args.preset, args, g)
+    [(_, cfg)] = _build_configs([args.preset], args, g)
     t0 = time.perf_counter()
     m = prox.build_proximity(g, cfg)
     t_build = time.perf_counter() - t0
@@ -138,14 +142,21 @@ def cmd_invert(args) -> int:
         raise ValueError(
             f"{degrees.size} degrees for a {target.shape[0]}-node target proximity"
         )
+    volume = meta.get("graph_volume")
+    if volume is not None and degrees.sum() != volume:
+        raise ValueError(
+            f"degree sum {int(degrees.sum())} differs from the embedding's "
+            f"graph_volume {volume}: not the graph it was built from"
+        )
     alpha = float(_meta_default(args, meta, "alpha"))
     k_horizon = int(_meta_default(args, meta, "k_horizon", _K_HORIZON))
     recovered, losses = _invert(
         args, target, degrees, alpha, k_horizon, getattr(args, "epsilon", None)
     )
-    # Target rows follow the --graph file's node order, as its degrees do.
+    # Target rows and --graph degrees both follow the sorted-name order of
+    # parse_edge_list, whatever each file's line order, so names line up.
     recovered = dataclasses.replace(recovered, node_names=names)
-    Path(args.out).write_text(gr.serialize_edge_list(recovered))
+    Path(args.out).write_text(gr.serialize_edge_list(recovered), encoding="utf-8")
     if args.method == "optimize":
         if args.loss_trace:
             with open(args.loss_trace, "w", newline="") as fh:
@@ -213,12 +224,11 @@ def cmd_sweep(args) -> int:
     if not dims:
         raise ValueError("dims list must be nonempty")
     # Every preset's config is checked before the first cell runs.
-    configs = [
-        (name, _build_config(name, args, g))
-        for name in (p.strip() for p in args.presets.split(","))
-        if name
-    ]
-    rows = []
+    configs = _build_configs(
+        [name for name in (p.strip() for p in args.presets.split(",")) if name],
+        args, g,
+    )
+    rows = []  # in the order the cells run: --presets, then --dims, as given
     for preset, cfg in configs:
         # Proximity is dimension-independent: build once per preset.
         m = prox.build_proximity(g, cfg)
@@ -231,7 +241,6 @@ def cmd_sweep(args) -> int:
                 "preset": preset, "method": args.method, "dim": dim, **row,
                 "status": status,
             })
-    rows.sort(key=lambda row: (row["preset"], row["dim"]))
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, _SWEEP_COLUMNS, restval="")
         writer.writeheader()

@@ -56,4 +56,9 @@ def load_embedding(directory) -> EmbeddingPair:
         raise ValueError(f"X {x.shape} and Y {y.shape} shapes differ")
     with open(directory / "meta.json") as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(
+            f"{directory / 'meta.json'}: expected a JSON object, "
+            f"got {type(meta).__name__}"
+        )
     return EmbeddingPair(x=x, y=y, meta=meta)

@@ -3,11 +3,13 @@ conductance.
 
 Graphs are simple (no self-loops, 0/1 adjacency) and stored in CSR form with
 both edge orientations, so ``degrees`` and ``volume`` fall out of the index
-structure directly. The average path length needs only the sum of hop
-distances and the number of connected pairs: a bit-parallel BFS from every
-source at once counts both, and hands over to Dijkstra from every source
-(``all_pairs_distances``, the dense oracle) when the graph's depth would make
-the BFS the slower of the two.
+structure directly. An edge list's nodes are numbered in sorted-name order
+(integer names by value first), never by line order, so every command that
+reads the same graph agrees on which row is which node. The average path
+length needs only the sum of hop distances and the number of connected
+pairs: a bit-parallel BFS from every source at once counts both, and hands
+over to Dijkstra from every source (``all_pairs_distances``, the dense
+oracle) when the graph's depth would make the BFS the slower of the two.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ class Graph:
     ``indptr``/``indices`` hold both orientations of every edge, so row ``u``
     of the CSR structure lists the neighbors of ``u``. ``node_names`` keeps
     the original ids from the input file (internal ids are dense 0..n-1 in
-    first-seen order); it is None for synthetic graphs. Both arrays are
-    made read-only on construction, so values memoized on the instance
-    cannot go stale. Equality and hashing are by identity; compare
-    ``edge_set()`` for structure.
+    sorted-name order, see parse_edge_list); it is None for synthetic
+    graphs. Both arrays are made read-only on construction, so values
+    memoized on the instance cannot go stale. Equality and hashing are by
+    identity; compare ``edge_set()`` for structure.
     """
 
     n: int
@@ -161,11 +163,13 @@ class Graph:
         return cls(n=n, indptr=indptr, indices=cols[order], node_names=node_names)
 
 
-def _label_sort_key(label: str):
+def _name_key(name: str):
+    """Sort key of node names and labels: integer names by value, then the
+    other names; the name itself breaks ties, so '1' and '01' stay apart."""
     try:
-        return (0, int(label), "")
+        return (0, int(name), name)
     except ValueError:
-        return (1, 0, label)
+        return (1, 0, name)
 
 
 def _fields(text, width: int, expected: str):
@@ -208,32 +212,27 @@ def parse_edge_list(text) -> Graph:
 
     Accepts str, bytes, or a file-like object; bytes are UTF-8 and a leading
     byte-order mark is dropped. Lines starting with '#' and blank lines are
-    ignored. Node ids (arbitrary tokens) are remapped to dense 0..n-1 in
-    first-seen order. Duplicate edges collapse silently; self-loops are
-    dropped with a logged count. A node appearing only in dropped self-loops
-    would be isolated and is rejected.
+    ignored. Node ids (arbitrary tokens) are numbered 0..n-1 in sorted-name
+    order (see _name_key), so the numbering does not depend on the line
+    order, and names 0..n-1 keep their value. Duplicate edges collapse
+    silently; self-loops are dropped with a logged count. A node appearing
+    only in dropped self-loops would be isolated and is rejected.
     """
-    ids: dict[str, int] = {}
-    edges = []
-    n_loops = 0
-    for _, (a, b) in _fields(text, 2, "two node ids"):
-        u = ids.setdefault(a, len(ids))
-        v = ids.setdefault(b, len(ids))
-        if u == v:
-            n_loops += 1
-            continue
-        edges.append((u, v))
-    if not ids:
+    tokens = [name for _, pair in _fields(text, 2, "two node ids") for name in pair]
+    if not tokens:
         raise EdgeListError("empty edge list")
-    if n_loops:
-        log.warning("dropped %d self-loop(s)", n_loops)
-    n = len(ids)
-    g = Graph.from_edges(n, np.array(edges, dtype=np.int64), node_names=tuple(ids))
+    names = sorted(set(tokens), key=_name_key)
+    ids = {name: i for i, name in enumerate(names)}
+    edges = np.array([ids[name] for name in tokens], dtype=np.int64).reshape(-1, 2)
+    loops = edges[:, 0] == edges[:, 1]
+    if loops.any():
+        log.warning("dropped %d self-loop(s)", np.count_nonzero(loops))
+    g = Graph.from_edges(len(names), edges[~loops], node_names=tuple(names))
     isolated = np.flatnonzero(g.degrees == 0)
     if isolated.size:
-        names = ", ".join(g.node_names[i] for i in isolated[:5])
+        shown = ", ".join(names[i] for i in isolated[:5])
         raise EdgeListError(
-            f"isolated node(s) after ingestion ({names}); prune them from the input"
+            f"isolated node(s) after ingestion ({shown}); prune them from the input"
         )
     return g
 
@@ -312,7 +311,7 @@ def parse_labels(text, g: Graph) -> tuple[tuple[str, frozenset[int]], ...]:
     for node, (label, _) in labels.items():
         members.setdefault(label, set()).add(node)
     ordered = sorted(
-        members.items(), key=lambda kv: (-len(kv[1]), _label_sort_key(kv[0]))
+        members.items(), key=lambda kv: (-len(kv[1]), _name_key(kv[0]))
     )
     return tuple((label, frozenset(nodes)) for label, nodes in ordered)
 

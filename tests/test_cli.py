@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph
+from test_graph import NODE_NAME
 from pprinv import cli
 from pprinv.cli import main
 from pprinv.embedding import load_embedding
@@ -35,6 +36,19 @@ def p3_file(tmp_path):
 def small_graph(tmp_path):
     g = random_connected_graph(10, 0.35, 0)
     return g, write_graph(tmp_path / "g.txt", g)
+
+
+@pytest.fixture
+def two_triangles_embedding(tmp_path):
+    """STRAP embedding (d=4) of two triangles joined by an edge, volume 14."""
+    graph = tmp_path / "two_triangles.txt"
+    graph.write_text("0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n")
+    emb_dir = tmp_path / "emb"
+    assert main([
+        "embed", "--graph", str(graph), "--preset", "strap", "--alpha", "0.5",
+        "--dim", "4", "--out", str(emb_dir),
+    ]) == 0
+    return emb_dir
 
 
 class TestEmbedCommand:
@@ -124,6 +138,19 @@ class TestEmbedCommand:
             "--out", str(tmp_path / "emb"),
         ])
         assert rc == 0
+
+    def test_alpha_schedule_without_lemane_rejected(self, small_graph, tmp_path, capsys):
+        _, path = small_graph
+        schedule = tmp_path / "alphas.txt"
+        schedule.write_text("0.5\n" * 11)
+        out = tmp_path / "emb"
+        rc = main([
+            "embed", "--graph", path, "--preset", "strap", "--alpha", "0.5",
+            "--alpha-schedule", str(schedule), "--dim", "4", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "--alpha-schedule is used only by the lemane preset" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "preset", ["strap", "approxppr", "nrp", "lemane", "sensei", "deepwalk"]
@@ -221,6 +248,42 @@ class TestInvertCommand:
         ])
         assert rc == 0
         assert horizons == [20]
+
+    @pytest.mark.parametrize("source", ["--graph", "--degrees"])
+    @pytest.mark.parametrize("method", ["optimize", "analytical"])
+    def test_graph_of_another_volume_rejected(
+        self, two_triangles_embedding, tmp_path, capsys, method, source
+    ):
+        # A 6-cycle has the embedding's node count but volume 12, not 14.
+        wrong = tmp_path / "wrong.txt"
+        wrong.write_text(
+            "".join(f"{i} {(i + 1) % 6}\n" for i in range(6)) if source == "--graph"
+            else "2\n" * 6
+        )
+        out = tmp_path / "rec.txt"
+        capsys.readouterr()
+        rc = main([
+            "invert", method, "--embedding", str(two_triangles_embedding), source,
+            str(wrong), "--out", str(out),
+        ])
+        assert rc == 1
+        assert ("degree sum 12 differs from the embedding's graph_volume 14"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_volume_not_checked_without_the_meta_key(self, two_triangles_embedding,
+                                                     tmp_path):
+        meta_path = two_triangles_embedding / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["graph_volume"]
+        meta_path.write_text(json.dumps(meta))
+        degrees = tmp_path / "deg.txt"
+        degrees.write_text("2\n" * 6)
+        rc = main([
+            "invert", "analytical", "--embedding", str(two_triangles_embedding),
+            "--degrees", str(degrees), "--out", str(tmp_path / "rec.txt"),
+        ])
+        assert rc == 0
 
     def test_analytical_requires_degrees(self, tmp_path, capsys):
         mat = tmp_path / "m.mat"
@@ -459,6 +522,66 @@ class TestEvaluateCommand:
         assert report["err_A"] == relative_frobenius_error(g_file, g_hat)
 
 
+class TestNodeIdentity:
+    """The embed -> invert hop: row i of the embedding is the node that
+    invert's --graph file calls i, whatever either file's line order."""
+
+    @settings(max_examples=25)
+    @given(
+        n=st.integers(4, 12),
+        seed=st.integers(0, 10_000),
+        names=st.lists(NODE_NAME, min_size=12, max_size=12, unique=True),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_invert_ignores_graph_line_order(self, n, seed, names, rnd):
+        g = random_connected_graph(n, 0.4, seed)
+
+        def edge_list():
+            # g's edges named by names, in a random line order, with each
+            # line's endpoints in a random order.
+            lines = [
+                f"{names[u]} {names[v]}" if rnd.random() < 0.5 else f"{names[v]} {names[u]}"
+                for u, v in g.edge_set()
+            ]
+            rnd.shuffle(lines)
+            return "".join(line + "\n" for line in lines).encode()
+
+        with tempfile.TemporaryDirectory() as tmp:
+            own, shuffled, degrees, emb_dir, out = (
+                Path(tmp, f) for f in ("own.txt", "shuffled.txt", "deg.txt", "emb", "rec.txt")
+            )
+            own.write_bytes(edge_list())
+            shuffled.write_bytes(edge_list())
+            parsed = parse_edge_list(own.read_bytes())
+            degrees.write_text("".join(f"{d}\n" for d in parsed.degrees))
+            assert main([
+                "embed", "--graph", str(own), "--preset", "strap", "--alpha", "0.5",
+                "--dim", str(n), "--out", str(emb_dir),
+            ]) == 0
+
+            def invert(method, *source):
+                out.unlink(missing_ok=True)
+                own_flags = ["--epochs", "3", "--epsilon", "5e-8"] if method == "optimize" else []
+                rc = main([
+                    "invert", method, "--embedding", str(emb_dir), *source,
+                    *own_flags, "--out", str(out),
+                ])
+                return rc, out.read_bytes() if out.exists() else None
+
+            for method in ("optimize", "analytical"):
+                expected = invert(method, "--graph", str(own))
+                assert invert(method, "--graph", str(shuffled)) == expected
+                # A --degrees run writes 0-based ids in the same edge order;
+                # naming them by row gives the --graph run's bytes.
+                rc, text = invert(method, "--degrees", str(degrees))
+                if text is not None:
+                    text = "".join(
+                        " ".join(parsed.node_names[int(i)] for i in line.split()) + "\n"
+                        for line in text.decode().splitlines()
+                    ).encode()
+                assert (rc, text) == expected
+
+
 class TestSweepCommand:
     def sweep(self, tmp_path, graph_path, extra):
         out = tmp_path / "sweep.csv"
@@ -506,6 +629,49 @@ class TestSweepCommand:
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert {r["preset"] for r in rows} == {"strap", "deepwalk"}
+
+    def test_rows_follow_presets_then_dims_as_given(self, tmp_path):
+        path = write_graph(tmp_path / "g.txt", random_connected_graph(20, 0.3, 3))
+        out = tmp_path / "sweep.csv"
+        rc = main([
+            "sweep", "--graph", path, "--presets", "strap,deepwalk",
+            "--dims", "16,8", "--alpha", "0.1", "--epochs", "2", "--out", str(out),
+        ])
+        assert rc == 0
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["preset"], r["dim"]) for r in rows] == [
+            ("strap", "16"), ("strap", "8"), ("deepwalk", "16"), ("deepwalk", "8"),
+        ]
+
+    def test_alpha_schedule_goes_to_lemane_only(self, small_graph, tmp_path, capsys,
+                                                monkeypatch):
+        _, path = small_graph
+        schedule = tmp_path / "alphas.txt"
+        schedule.write_text("".join(f"{0.1 + 0.05 * i}\n" for i in range(11)))
+        calls = []
+        original = cli.invert_optimize
+        monkeypatch.setattr(
+            cli, "invert_optimize", lambda *a: calls.append(a) or original(*a)
+        )
+        out = tmp_path / "sweep.csv"
+        argv = [
+            "sweep", "--graph", path, "--alpha-schedule", str(schedule),
+            "--dims", "4", "--alpha", "0.1", "--epochs", "2", "--out", str(out),
+        ]
+        assert main([*argv, "--presets", "strap,lemane"]) == 0
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["preset"], r["status"]) for r in rows] == [
+            ("strap", "ok"), ("lemane", "ok"),
+        ]
+        out.unlink()
+        calls.clear()
+        capsys.readouterr()
+        assert main([*argv, "--presets", "strap"]) == 1
+        assert "--alpha-schedule is used only by the lemane preset" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
 
     def test_missing_alpha_rejected_before_any_cell(self, small_graph, tmp_path, capsys):
         _, path = small_graph

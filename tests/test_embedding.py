@@ -127,3 +127,10 @@ class TestPersistence:
         save_matrix(tmp_path / "emb" / "Y.mat", np.zeros((3, 2)))
         with pytest.raises(ValueError, match="shapes differ"):
             load_embedding(tmp_path / "emb")
+
+    @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ("3", "int")])
+    def test_meta_not_an_object_rejected(self, tmp_path, text, kind):
+        save_embedding(tmp_path / "emb", EmbeddingPair(np.zeros((2, 1)), np.zeros((2, 1))))
+        (tmp_path / "emb" / "meta.json").write_text(text)
+        with pytest.raises(ValueError, match=f"meta.json: expected a JSON object, got {kind}"):
+            load_embedding(tmp_path / "emb")

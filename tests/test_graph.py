@@ -24,6 +24,13 @@ from pprinv.graph import (
     serialize_edge_list,
 )
 
+# A node name as the edge-list format allows: no whitespace, line breaks or
+# control characters, and no '#', which would start a comment.
+NODE_NAME = st.text(
+    st.characters(blacklist_categories=("Z", "C"), blacklist_characters="#"),
+    min_size=1, max_size=6,
+)
+
 
 class TestParseEdgeList:
     def test_path_graph(self):
@@ -41,10 +48,35 @@ class TestParseEdgeList:
         g = parse_edge_list("# header\n\n0 1\n  \n# trailing\n1 2\n")
         assert g.num_edges == 2
 
-    def test_arbitrary_string_ids_first_seen_order(self):
-        g = parse_edge_list("alice bob\nbob carol\n")
+    def test_arbitrary_string_ids_sorted_order(self):
+        # First seen are carol, alice, bob; the ids follow the sorted names.
+        g = parse_edge_list("carol alice\nalice bob\n")
         assert g.node_names == ("alice", "bob", "carol")
-        assert g.edge_set() == {(0, 1), (1, 2)}
+        assert g.edge_set() == {(0, 1), (0, 2)}
+
+    def test_integer_names_by_value_then_other_names(self):
+        g = parse_edge_list("b 10\n10 2\n2 01\n1 a\n01 1\n")
+        assert g.node_names == ("01", "1", "2", "10", "a", "b")
+
+    @settings(max_examples=50)
+    @given(
+        n=st.integers(2, 12),
+        seed=st.integers(0, 10_000),
+        names=st.lists(NODE_NAME, min_size=12, max_size=12, unique=True),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_ids_do_not_depend_on_line_order(self, n, seed, names, rnd):
+        g = dataclasses.replace(
+            random_connected_graph(n, 0.4, seed), node_names=tuple(names[:n])
+        )
+        text = serialize_edge_list(g)
+        lines = text.splitlines()
+        rnd.shuffle(lines)
+        lines = [" ".join(line.split()[::rnd.choice((1, -1))]) for line in lines]
+        again, shuffled = parse_edge_list(text), parse_edge_list("\n".join(lines))
+        assert shuffled.node_names == again.node_names
+        assert np.array_equal(shuffled.indptr, again.indptr)
+        assert np.array_equal(shuffled.indices, again.indices)
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(EdgeListError, match="line 2"):
@@ -109,19 +141,22 @@ class TestParseEdgeList:
             again = parse_edge_list(serialize_edge_list(g))
             assert named_edges(again) == named_edges(g)
 
+    @settings(max_examples=50)
+    @given(n=st.integers(2, 15), seed=st.integers(0, 10_000))
+    def test_round_trip_keeps_csr_arrays(self, n, seed):
+        # Names 0..n-1 sort by value, so a synthetic graph comes back with
+        # the same ids, not relabelled by the line order of its file.
+        g = random_connected_graph(n, 0.4, seed)
+        again = parse_edge_list(serialize_edge_list(g))
+        assert again.node_names == tuple(str(i) for i in range(n))
+        assert np.array_equal(again.indptr, g.indptr)
+        assert np.array_equal(again.indices, g.indices)
+
     @settings(max_examples=100)
     @given(
         n=st.integers(2, 15),
         seed=st.integers(0, 10_000),
-        names=st.lists(
-            # Tokens as the format allows: no whitespace, line breaks or
-            # control characters, and no '#', which would start a comment.
-            st.text(
-                st.characters(blacklist_categories=("Z", "C"), blacklist_characters="#"),
-                min_size=1, max_size=6,
-            ),
-            min_size=15, max_size=15, unique=True,
-        ),
+        names=st.lists(NODE_NAME, min_size=15, max_size=15, unique=True),
     )
     def test_named_round_trip(self, n, seed, names):
         g = dataclasses.replace(
