@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .linalg import _spd_inverse, _symmetrize, pseudoinverse
+from .linalg import _spd_inverse, _strict_upper, _symmetrize, pseudoinverse
 from .proximity import _check_horizon
 
 
@@ -63,10 +63,14 @@ def estimate_m_infinity(m_k: np.ndarray, k_horizon: int) -> np.ndarray:
 
     Elementwise K * exp(M_K) - 1: the finite-K matrix satisfies
     M_K = log((J + M_inf)/K) once the dropped geometric tail has decayed,
-    so exponentiating and rescaling recovers M_inf directly.
+    so exponentiating and rescaling recovers M_inf directly. Formed in the
+    one new buffer exp makes; m_k is not modified.
     """
     _check_horizon(k_horizon)
-    return k_horizon * np.exp(np.asarray(m_k, dtype=np.float64)) - 1.0
+    m_inf = np.exp(np.asarray(m_k, dtype=np.float64))
+    m_inf *= k_horizon
+    m_inf -= 1.0
+    return m_inf
 
 
 def recover_laplacian(
@@ -80,8 +84,9 @@ def recover_laplacian(
     eigenvalues lie in [1/(2-alpha), 1/alpha]), so it is inverted by
     Cholesky; a Z that is not positive definite or is near singular, as a
     noisy low-rank target can give, is pseudoinverted instead. The result
-    is symmetrized to absorb the floating-point asymmetry of the
-    pseudoinverse. m_inf is not modified.
+    is exactly symmetric on both routes: the Cholesky inverse is (see
+    _spd_inverse), and the pseudoinverse's is symmetrized to absorb its
+    floating-point asymmetry. m_inf is not modified.
     """
     return _laplacian_in_place(
         np.array(m_inf, dtype=np.float64),
@@ -99,8 +104,11 @@ def _laplacian_in_place(
     Each in-place step rounds as the out-of-place expression it replaces,
     so the bits are those of (scale * (root * (m_inf + 1) * root) + I),
     symmetrized, inverted, divided by 1-alpha, shifted by alpha/(1-alpha) on
-    the diagonal and symmetrized again. Z stays intact for the
-    pseudoinverse fallback; the Laplacian is written over the inverse.
+    the diagonal and, on the pseudoinverse route, symmetrized again. The
+    Cholesky inverse is exactly symmetric, and dividing every entry and
+    shifting the diagonal keep it so, so there (a + a^T) / 2 would be a
+    itself. Z stays intact for the pseudoinverse fallback; the Laplacian is
+    written over the inverse.
     """
     n = deg.size
     if m_inf.shape != (n, n):
@@ -114,11 +122,13 @@ def _laplacian_in_place(
     z.flat[:: n + 1] += 1.0
     _symmetrize(z)
     lap = _spd_inverse(z)
-    if lap is None:
+    exact = lap is not None
+    if not exact:
         lap = pseudoinverse(z)
     lap /= 1.0 - alpha
     lap.flat[:: n + 1] -= alpha / (1.0 - alpha)
-    _symmetrize(lap)
+    if not exact:
+        _symmetrize(lap)
     return lap
 
 
@@ -151,15 +161,16 @@ def binarize(soft_a: np.ndarray, m_edges: int) -> Graph:
     ignored; the result has exactly m_edges undirected edges. A non-finite
     score above the diagonal is an error. The m-th largest score is found by
     partition, so only the pairs scoring at least that much are sorted:
-    O(n^2) for any m.
+    O(n^2) for any m. Those candidates are picked from the row-major
+    above-diagonal scores, so they come in (row, col) order, as the sort
+    key's last two fields do.
     """
     soft_a = np.asarray(soft_a, dtype=np.float64)
     n = soft_a.shape[0]
     if soft_a.shape != (n, n):
         raise ValueError("soft adjacency must be square")
     max_edges = _check_edge_budget(n, m_edges)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    values = soft_a[upper]
+    values = _strict_upper(soft_a)
     bad = values.size - np.count_nonzero(np.isfinite(values))
     if bad:
         raise ValueError(
@@ -167,9 +178,13 @@ def binarize(soft_a: np.ndarray, m_edges: int) -> Graph:
         )
     if m_edges == 0:
         return Graph.from_edges(n, [])
-    values.partition(max_edges - m_edges)
-    rows, cols = np.nonzero(upper & (soft_a >= values[max_edges - m_edges]))
-    order = np.lexsort((cols, rows, -soft_a[rows, cols]))[:m_edges]
+    kth = max_edges - m_edges
+    picks = np.flatnonzero(values >= np.partition(values, kth)[kth])
+    # Row i's pairs (i, i+1..n-1) start at position starts[i] of values.
+    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 1, -1))))
+    rows = np.searchsorted(starts, picks, side="right") - 1
+    cols = picks - starts[rows] + rows + 1
+    order = np.lexsort((cols, rows, -values[picks]))[:m_edges]
     return Graph.from_edges(n, np.column_stack((rows[order], cols[order])))
 
 

@@ -18,9 +18,12 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 log = logging.getLogger(__name__)
 
@@ -107,11 +110,17 @@ class Graph:
 
     def adjacency(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (float64)."""
-        return self._csr(np.ones(self.volume)).toarray()
+        a = np.zeros((self.n, self.n))
+        a[np.repeat(np.arange(self.n), self.degrees), self.indices] = 1.0
+        return a
 
     def _csr(self, data: np.ndarray) -> csr_matrix:
         """Sparse n x n matrix on the edge pattern; data[k] is the value of
         the entry at indices[k]."""
+        # Imported here: only walk operators and Dijkstra need scipy.sparse,
+        # and it would slow `import pprinv`.
+        from scipy.sparse import csr_matrix
+
         return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
     @classmethod

@@ -111,6 +111,14 @@ def _symmetrize(m: np.ndarray) -> None:
         m[start:, rows] = avg.T
 
 
+def _strict_upper(m: np.ndarray) -> np.ndarray:
+    """The entries of a square array above its diagonal, row by row: the
+    values and order of m[np.triu_indices(n, 1)], gathered one row slice at
+    a time instead of through two index arrays of n(n-1)/2 entries each."""
+    rows = [row[i + 1 :] for i, row in enumerate(m)]
+    return np.concatenate(rows) if rows else np.empty(0, dtype=m.dtype)
+
+
 def _spd_inverse(m: np.ndarray) -> np.ndarray | None:
     """Inverse of a symmetric positive definite matrix by Cholesky,
     m^-1 = L^-T L^-1 with m = L L^T; None when m is not positive definite, or
@@ -121,6 +129,10 @@ def _spd_inverse(m: np.ndarray) -> np.ndarray | None:
     inverted in place and dropped once the inverse exists, and both 1-norms
     are column sums over row blocks, not sums of n x n copies of |m|: the
     peak above m is two n x n arrays, L^-1 and the inverse.
+
+    The inverse is exactly symmetric: numpy computes L^-T L^-1, a product
+    of an array with its own transpose, by BLAS syrk, which forms one
+    triangle and mirrors it.
 
     It stays on numpy's BLAS on purpose. scipy's LAPACK (potrf, potri) links
     a second OpenBLAS whose threads keep spinning after a call; on a 2-core

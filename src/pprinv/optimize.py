@@ -27,6 +27,7 @@ import numpy as np
 
 from .analytical import _check_edge_budget, binarize
 from .graph import Graph
+from .linalg import _strict_upper
 from .proximity import (
     ProximityConfig,
     _apply_activation,
@@ -121,7 +122,7 @@ def volume_shift(
     1e-8 relative (as when the logits are so large that float spacing in
     logits + s is coarser than the target needs).
     """
-    upper = logits[np.triu_indices(logits.shape[0], 1)]
+    upper = _strict_upper(logits)
     capacity = 2 * upper.size
     if not 0.0 < target_volume < capacity:
         raise ValueError(

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph
@@ -17,7 +17,7 @@ from pprinv.analytical import (
 )
 from pprinv.embedding import factorize, reconstruct_proximity
 from pprinv.graph import Graph
-from pprinv.linalg import _ROW_BLOCK, pseudoinverse
+from pprinv.linalg import _ROW_BLOCK, _TRI_INV_LEAF, pseudoinverse
 from pprinv.proximity import deepwalk_log_proximity
 
 
@@ -112,6 +112,13 @@ class TestEstimateMInfinity:
         with pytest.raises(ValueError):
             estimate_m_infinity(np.zeros((2, 2)), 0)
 
+    @pytest.mark.parametrize("k", [1, 10, 2000])
+    def test_bits_of_the_out_of_place_form(self, k):
+        m = np.random.default_rng(k).normal(size=(7, 7))
+        m_bits = m.tobytes()
+        assert estimate_m_infinity(m, k).tobytes() == (k * np.exp(m) - 1.0).tobytes()
+        assert m.tobytes() == m_bits
+
 
 class TestRecoverLaplacian:
     def test_k3_exact(self, k3):
@@ -164,6 +171,9 @@ class TestRecoverLaplacian:
         alpha=st.floats(0.05, 0.95),
         seed=st.integers(0, 10_000),
     )
+    # Above the leaf the inverse runs the recursive triangular inverse; it
+    # comes out exactly symmetric with no symmetrize pass after it.
+    @example(n=_TRI_INV_LEAF + 22, p=0.05, alpha=0.4, seed=3)
     def test_cholesky_matches_pseudoinverse(self, n, p, alpha, seed):
         g = random_connected_graph(n, p, seed)
         deg, vol = g.degrees.astype(float), float(g.volume)
@@ -249,12 +259,16 @@ def lexsort_binarize(soft_a, m_edges):
 
 @st.composite
 def tied_scores(draw):
-    """(soft, m): an integer-valued score matrix from a small range, so most
-    scores tie, and an edge budget from 0 to every pair."""
-    n = draw(st.integers(1, 10))
-    values = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    """(soft, m): a score matrix and an edge budget from 0 to every pair.
+    Most draws take scores from a few integer levels, so most scores tie,
+    also across the m-th largest; levels=None draws continuous scores."""
+    n = draw(st.integers(1, 40))
+    levels = draw(st.sampled_from([2, 5, None]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    soft = rng.normal(size=(n, n)) if levels is None else (
+        rng.integers(-2, levels - 2, size=(n, n)).astype(np.float64))
     m = draw(st.integers(0, n * (n - 1) // 2))
-    return np.array(values, dtype=np.float64).reshape(n, n), m
+    return soft, m
 
 
 class TestBinarize:

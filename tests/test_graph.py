@@ -229,6 +229,15 @@ class TestFromEdges:
             assert np.array_equal(g.indptr, indptr)
             assert np.array_equal(g.indices, indices)
 
+    @settings(max_examples=100)
+    @given(case=pair_lists())
+    def test_adjacency_bits_of_the_csr_form(self, case):
+        # Isolated nodes included; every edge stored once per orientation.
+        n, pairs = case
+        g = Graph.from_edges(n, pairs)
+        want = g._csr(np.ones(g.volume)).toarray()
+        assert g.adjacency().tobytes() == want.tobytes()
+
     @settings(max_examples=300)
     @given(case=pair_lists(bad=True))
     def test_errors_match_loop_builder(self, case):

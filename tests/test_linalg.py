@@ -12,6 +12,7 @@ from pprinv.linalg import (
     _TRI_INV_LEAF,
     _lower_inverse,
     _spd_inverse,
+    _strict_upper,
     _symmetrize,
     load_matrix,
     pseudoinverse,
@@ -132,6 +133,16 @@ class TestInPlaceKernels:
         want = (m + m.T) / 2.0
         _symmetrize(m)
         assert m.tobytes() == want.tobytes()
+
+
+class TestStrictUpper:
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 400])
+    def test_values_and_order_of_triu_indices(self, n):
+        m = np.random.default_rng(n).normal(size=(n, n))
+        want = m[np.triu_indices(n, 1)]
+        got = _strict_upper(m)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSpdInverse:

@@ -6,12 +6,15 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import random_connected_graph, transition_matrix
 from pprinv.graph import EdgeListError, Graph, _walk_operator
+from pprinv.linalg import _ROW_BLOCK
 from pprinv.proximity import (
     IDENTITY,
     LOG,
     ROW_L2,
     Preset,
     ProximityConfig,
+    _apply_activation,
+    _closed_form,
     _horner,
     _log_clamp,
     _similar_eigh,
@@ -282,6 +285,45 @@ class TestSpectralWalkSum:
         event("spectral form tried" if spectral_selected(g, cfg) else "Horner by size")
 
 
+def whole_matrix_horner(p, coeffs):
+    """Horner's scheme on all n columns at once, H <- c_i I + p @ H: the
+    recurrence _horner runs on one block of columns at a time."""
+    n = p.shape[0]
+    h = np.zeros((n, n))
+    h[np.diag_indices(n)] = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        h = p @ h
+        h[np.diag_indices(n)] += c
+    return h
+
+
+class TestColumnBlockedHorner:
+    """The CSR walk sum, run on blocks of _ROW_BLOCK columns, has the bits
+    of the whole-matrix recurrence."""
+
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(2, 300).filter(lambda n: n % _ROW_BLOCK),
+        extra=st.floats(0.0, 0.05),
+        seed=st.integers(0, 2**32 - 1),
+        k_horizon=st.integers(1, 12),
+        k_start=st.integers(0, 1),
+        alpha=st.floats(0.01, 0.99),
+    )
+    # A last block of one column, and three blocks with a partial last one.
+    @example(n=_ROW_BLOCK + 1, extra=0.01, seed=3, k_horizon=10, k_start=1, alpha=0.1)
+    @example(n=2 * _ROW_BLOCK + 44, extra=0.0, seed=4, k_horizon=12, k_start=0, alpha=0.5)
+    def test_blocks_give_whole_matrix_bits(self, n, extra, seed, k_horizon, k_start, alpha):
+        g = tree_plus_edges(n, extra, False, seed)
+        cfg = constant_cfg(alpha, k_horizon, k_start=k_start)
+        coeffs = hop_coefficients(cfg)
+        want = whole_matrix_horner(_walk_operator(g), coeffs)
+        assert np.array_equal(_horner(_walk_operator(g), coeffs), want)
+        if not spectral_selected(g, cfg):
+            assert np.array_equal(truncated_ppr(g, cfg), want)
+        event("several blocks" if n > _ROW_BLOCK else "one block")
+
+
 def strap_direct(g, alpha, epsilon, k_horizon):
     """Independent coding of the STRAP form: max{0, log((2/eps) sum c_i P^i)}."""
     p = transition_matrix(g)
@@ -416,6 +458,39 @@ PRESET_FIELDS = {
     Preset.SENSEI: (1e-6, 0.0, 0.0, 0, HALF, 1e-7, ROW_L2),
     Preset.DEEPWALK: (1.0, 0.0, -1.0, 1, HALF, 0.5 / 100, LOG),
 }
+
+
+class TestInPlaceActivation:
+    """build_proximity applies its activation in place on the walk sum it
+    owns; the bits are those of the out-of-place call."""
+
+    @pytest.mark.parametrize("preset", list(Preset))
+    def test_build_proximity_bits_of_the_out_of_place_form(self, preset):
+        g = random_connected_graph(2 * _ROW_BLOCK + 9, 0.03, 5)
+        cfg = preset_config(
+            preset, alpha=0.3, epsilon=1e-3, k_horizon=6, volume=g.volume,
+            alpha_schedule=(0.3,) * 6 + (1.0,) if preset is Preset.LEMANE else None,
+        )
+        walk = _closed_form(truncated_ppr(g, cfg), g.degrees, cfg)
+        want = _apply_activation(walk, cfg.activation)
+        assert want is not walk
+        assert build_proximity(g, cfg).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("activation", [IDENTITY, LOG, ROW_L2])
+    def test_out_may_be_the_input(self, activation):
+        x = np.random.default_rng(1).normal(scale=3.0, size=(9, 9))
+        x[2] = 0.0  # ROW_L2 divides a zero row by 1, not 0
+        want = _apply_activation(x, activation)
+        got = _apply_activation(x, activation, out=x)
+        assert got is x
+        assert got.tobytes() == want.tobytes()
+
+    def test_deepwalk_log_bits_of_the_out_of_place_form(self):
+        g = random_connected_graph(40, 0.2, 8)
+        cfg = preset_config(Preset.DEEPWALK, alpha=0.2, k_horizon=10, volume=g.volume)
+        inner = _closed_form(truncated_ppr(g, cfg), g.degrees, cfg)
+        got = deepwalk_log_proximity(g, 0.2, 10)
+        assert got.tobytes() == np.log(inner).tobytes()
 
 
 class TestPresetConfig:
