@@ -83,17 +83,44 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _meta_default(args, meta: dict, key: str, fallback=None):
-    """The flag if given, else the embedding's metadata, else fallback."""
-    for value in (getattr(args, key), meta.get(key), fallback):
-        if value is not None:
-            return value
-    raise ValueError(f"--{key.replace('_', '-')} required (not in metadata)")
+def _config_from_meta(meta: dict) -> prox.ProximityConfig | None:
+    """The config cmd_embed built, rebuilt from the meta.json it wrote;
+    None for a target without a preset (a --proximity matrix)."""
+    if meta.get("preset") is None:
+        return None
+    schedule = meta.get("alpha_schedule")
+    return prox.preset_config(
+        meta["preset"], alpha=meta.get("alpha"), epsilon=meta.get("epsilon"),
+        k_horizon=meta.get("k_horizon"), volume=meta.get("graph_volume"),
+        alpha_schedule=None if schedule is None else tuple(schedule),
+    )
 
 
-def _invert(args, target, degrees, alpha, k_horizon, epsilon):
-    """Run the inversion method args.method names; returns the recovered
-    graph and the per-epoch losses (empty for the closed form)."""
+def _inversion(args, cfg: prox.ProximityConfig | None):
+    """The inversion's (alpha, K, optimizer epsilon), each flag first: alpha
+    else the target config's constant stopping probability; K else the
+    config's, else _K_HORIZON; epsilon from --opt-epsilon else --epsilon
+    (None for the closed form, which has neither)."""
+    alpha = args.alpha
+    if alpha is None:
+        if cfg is None or len(set(cfg.alphas)) != 1:
+            raise ValueError("--alpha required (not in metadata)" if cfg is None else
+                             "--alpha required: the stopping probability varies by hop")
+        alpha = cfg.alphas[0]
+    k_horizon = args.k_horizon
+    if k_horizon is None:
+        k_horizon = _K_HORIZON if cfg is None else cfg.k_horizon
+    epsilon = getattr(args, "opt_epsilon", None)
+    if epsilon is None:
+        epsilon = getattr(args, "epsilon", None)
+    return alpha, k_horizon, epsilon
+
+
+def _invert(args, target, degrees, inversion):
+    """Run the inversion method args.method names with _inversion's
+    (alpha, K, epsilon); returns the recovered graph and the per-epoch
+    losses (empty for the closed form)."""
+    alpha, k_horizon, epsilon = inversion
     degrees = np.asarray(degrees, dtype=np.float64)
     volume = float(degrees.sum())
     m_edges = int(volume) // 2
@@ -148,11 +175,8 @@ def cmd_invert(args) -> int:
             f"degree sum {int(degrees.sum())} differs from the embedding's "
             f"graph_volume {volume}: not the graph it was built from"
         )
-    alpha = float(_meta_default(args, meta, "alpha"))
-    k_horizon = int(_meta_default(args, meta, "k_horizon", _K_HORIZON))
-    recovered, losses = _invert(
-        args, target, degrees, alpha, k_horizon, getattr(args, "epsilon", None)
-    )
+    inversion = _inversion(args, _config_from_meta(meta))
+    recovered, losses = _invert(args, target, degrees, inversion)
     # Target rows and --graph degrees both follow the sorted-name order of
     # parse_edge_list, whatever each file's line order, so names line up.
     recovered = dataclasses.replace(recovered, node_names=names)
@@ -195,13 +219,11 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _sweep_cell(g, labels, m, args, dim) -> dict[str, str]:
+def _sweep_cell(g, labels, m, args, dim, inversion) -> dict[str, str]:
     """One cell's error columns, leaving out each undefined one."""
     pair = emb.factorize(m, dim, args.seed)
-    epsilon = args.opt_epsilon if args.opt_epsilon is not None else args.epsilon
     recovered, losses = _invert(
-        args, emb.reconstruct_proximity(pair), g.degrees, args.alpha,
-        args.k_horizon, epsilon,
+        args, emb.reconstruct_proximity(pair), g.degrees, inversion
     )
     report = met.recovery_report(g, recovered, labels)
     values = {
@@ -214,27 +236,22 @@ def _sweep_cell(g, labels, m, args, dim) -> dict[str, str]:
 
 
 def cmd_sweep(args) -> int:
-    # Every cell inverts with a constant stopping probability, even for
-    # lemane, whose proximity takes its alphas from --alpha-schedule.
-    if args.alpha is None:
-        raise ValueError("sweep requires --alpha for the inversion")
     g = _load_graph(args.graph)
     labels = _load_labels(args.labels, g)
     dims = [int(d) for d in args.dims.split(",") if d]
     if not dims:
         raise ValueError("dims list must be nonempty")
-    # Every preset's config is checked before the first cell runs.
-    configs = _build_configs(
-        [name for name in (p.strip() for p in args.presets.split(",")) if name],
-        args, g,
-    )
+    # Every preset's config and inversion is checked before the first cell.
+    names = [name for name in (p.strip() for p in args.presets.split(",")) if name]
+    configs = [(preset, cfg, _inversion(args, cfg))
+               for preset, cfg in _build_configs(names, args, g)]
     rows = []  # in the order the cells run: --presets, then --dims, as given
-    for preset, cfg in configs:
+    for preset, cfg, inversion in configs:
         # Proximity is dimension-independent: build once per preset.
         m = prox.build_proximity(g, cfg)
         for dim in dims:
             try:
-                row, status = _sweep_cell(g, labels, m, args, dim), "ok"
+                row, status = _sweep_cell(g, labels, m, args, dim, inversion), "ok"
             except Exception as exc:  # cell failures must not kill the sweep
                 row, status = {}, f"error: {exc}"
             rows.append({

@@ -3,9 +3,10 @@
 An embedding pair (X, Y) satisfies X @ Y.T ~ M for the proximity matrix M it
 was built from. Embeddings persist as a directory holding X.mat / Y.mat in
 the PPREIM1 binary format plus a meta.json holding the pair's meta as given.
-`pprinv embed` (cli.cmd_embed) fills meta with the build parameters, so an
-inversion run can recover alpha, epsilon, and the horizon without
-re-specification.
+`pprinv embed` (cli.cmd_embed) fills meta with the preset_config arguments.
+`pprinv invert` rebuilds that config (cli._config_from_meta) and takes alpha
+(when every hop's is one value) and the horizon K from it unless a flag gives
+them; the optimizer's epsilon comes from its flag, never from meta.
 """
 
 from __future__ import annotations

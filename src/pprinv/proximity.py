@@ -98,30 +98,6 @@ class ProximityConfig:
             raise ValueError(f"scale b/(epsilon*K) = {scale} not finite and positive")
         return scale
 
-    @classmethod
-    def constant_alpha(
-        cls,
-        alpha: float,
-        *,
-        b: float,
-        beta: float = 0.0,
-        gamma: float = 0.0,
-        k_start: int = 0,
-        k_horizon: int,
-        epsilon: float,
-        activation: str = IDENTITY,
-    ) -> "ProximityConfig":
-        return cls(
-            b=b,
-            beta=beta,
-            gamma=gamma,
-            k_start=k_start,
-            k_horizon=k_horizon,
-            alphas=(alpha,) * (k_horizon + 1),
-            epsilon=epsilon,
-            activation=activation,
-        )
-
 
 def hop_coefficients(cfg: ProximityConfig) -> np.ndarray:
     """Walk-stop weights c_l = alpha_l * prod_{j<l}(1 - alpha_j), for

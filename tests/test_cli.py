@@ -1,12 +1,14 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph
@@ -18,6 +20,9 @@ from pprinv.graph import Graph, parse_edge_list, serialize_edge_list
 from pprinv.linalg import save_matrix
 from pprinv.metrics import relative_frobenius_error
 from pprinv.optimize import forward_proximity
+
+
+_PRESETS = ("strap", "approxppr", "nrp", "lemane", "sensei", "deepwalk")
 
 
 def write_graph(path, g):
@@ -176,6 +181,27 @@ class TestEmbedCommand:
         assert set(meta) == keys
         assert meta["preset"] == preset
 
+    @pytest.mark.parametrize("preset", _PRESETS)
+    def test_config_from_meta_is_the_built_config(self, small_graph, tmp_path,
+                                                  monkeypatch, preset):
+        _, path = small_graph
+        schedule = tmp_path / "alphas.txt"
+        schedule.write_text("".join(f"{0.1 + 0.1 * i}\n" for i in range(8)))
+        built, original = [], cli.prox.build_proximity
+        monkeypatch.setattr(cli.prox, "build_proximity",
+                            lambda g, cfg: built.append(cfg) or original(g, cfg))
+        out = tmp_path / "emb"
+        assert main([
+            "embed", "--graph", path, "--preset", preset, "--alpha", "0.3",
+            "--epsilon", "3e-7", "--k-horizon", "7", "--dim", "4", "--out", str(out),
+            *(["--alpha-schedule", str(schedule)] if preset == "lemane" else []),
+        ]) == 0
+        [cfg] = built
+        rebuilt = cli._config_from_meta(load_embedding(out).meta)
+        for field in dataclasses.fields(cfg):
+            assert getattr(rebuilt, field.name) == getattr(cfg, field.name), field.name
+        assert rebuilt == cfg
+
 
 class TestInvertCommand:
     def test_optimize_self_consistent_target(self, small_graph, tmp_path):
@@ -284,6 +310,58 @@ class TestInvertCommand:
             "--degrees", str(degrees), "--out", str(tmp_path / "rec.txt"),
         ])
         assert rc == 0
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("epsilon", float("inf"), "epsilon must be positive and finite, got inf"),
+        ("k_horizon", 0, "k_horizon must be >= 1, got 0"),
+        ("preset", "node2vec", "'node2vec' is not a valid Preset"),
+    ], ids=["epsilon-inf", "k-horizon-0", "unknown-preset"])
+    def test_meta_that_preset_config_rejects(
+        self, two_triangles_embedding, tmp_path, capsys, monkeypatch, key, value, message
+    ):
+        meta_path = two_triangles_embedding / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        calls = []
+        monkeypatch.setattr(cli, "invert_optimize", lambda *a: calls.append(a))
+        out = tmp_path / "rec.txt"
+        capsys.readouterr()
+        rc = main([
+            "invert", "optimize", "--embedding", str(two_triangles_embedding),
+            "--graph", str(tmp_path / "two_triangles.txt"), "--epsilon", "5e-8",
+            "--out", str(out),
+        ])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    def test_lemane_needs_alpha(self, small_graph, tmp_path, capsys, monkeypatch):
+        # The alpha meta.json records for lemane never shaped its target.
+        _, path = small_graph
+        schedule = tmp_path / "alphas.txt"
+        schedule.write_text("".join(f"{0.1 + 0.05 * i}\n" for i in range(11)))
+        emb_dir = tmp_path / "emb"
+        assert main([
+            "embed", "--graph", path, "--preset", "lemane", "--alpha", "0.5",
+            "--alpha-schedule", str(schedule), "--dim", "4", "--out", str(emb_dir),
+        ]) == 0
+        calls, original = [], cli.invert_optimize
+        monkeypatch.setattr(
+            cli, "invert_optimize", lambda *a: calls.append(a) or original(*a)
+        )
+        out = tmp_path / "rec.txt"
+        argv = ["invert", "optimize", "--embedding", str(emb_dir), "--graph", path,
+                "--epsilon", "5e-8", "--epochs", "2", "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "--alpha required" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+        assert main([*argv, "--alpha", "0.3"]) == 0
+        assert [cfg.alpha for _, cfg, _ in calls] == [0.3]
+        assert out.exists()
 
     def test_analytical_requires_degrees(self, tmp_path, capsys):
         mat = tmp_path / "m.mat"
@@ -727,3 +805,104 @@ class TestSweepCommand:
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["err_phi_avg"] != ""
+
+
+def _run(argv) -> tuple[int, str]:
+    """main(argv) and the message of its 'pprinv: error:' line, if any."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    prefix = "pprinv: error: "
+    lines = [line for line in err.getvalue().splitlines() if line.startswith(prefix)]
+    return rc, lines[-1][len(prefix):] if lines else ""
+
+
+class TestChainEqualsSweep:
+    """A sweep cell is embed -> invert -> evaluate at the same flags."""
+
+    @settings(max_examples=25)
+    @given(
+        n=st.integers(6, 14),
+        seed=st.integers(0, 10_000),
+        preset=st.sampled_from(_PRESETS),
+        method=st.sampled_from(["optimize", "analytical"]),
+        dim=st.integers(1, 14),  # clipped to n
+        # alpha = 1 is a valid stopping probability that neither inversion
+        # takes, so its cells fail (and DEEPWALK's epsilon (1-alpha)/vol too).
+        alpha=st.sampled_from([0.1, 0.5, 0.7, 1.0]) | st.floats(0.05, 0.95),
+        k_horizon=st.integers(1, 12),
+        schedule=st.lists(st.floats(0.05, 1.0), min_size=13, max_size=13),
+        opt_epsilon=st.sampled_from([5e-8, 1e-7, 2e-7]),
+        epochs=st.integers(1, 5),
+        alpha_to_invert=st.booleans(),
+    )
+    @example(n=8, seed=1, preset="lemane", method="optimize", dim=4, alpha=0.3,
+             k_horizon=12, schedule=[0.5] * 12 + [1.0], opt_epsilon=5e-8, epochs=3,
+             alpha_to_invert=False)
+    @example(n=8, seed=1, preset="nrp", method="analytical", dim=8, alpha=1.0,
+             k_horizon=10, schedule=[0.5] * 13, opt_epsilon=5e-8, epochs=3,
+             alpha_to_invert=False)
+    @example(n=8, seed=1, preset="deepwalk", method="optimize", dim=4, alpha=1.0,
+             k_horizon=10, schedule=[0.5] * 13, opt_epsilon=5e-8, epochs=3,
+             alpha_to_invert=True)
+    def test_sweep_row_is_the_chain(self, n, seed, preset, method, dim, alpha,
+                                    k_horizon, schedule, opt_epsilon, epochs,
+                                    alpha_to_invert):
+        g = random_connected_graph(n, 0.4, seed)
+        dim = min(dim, n)
+        build = ["--alpha", repr(alpha), "--k-horizon", str(k_horizon),
+                 "--seed", str(seed % 7)]
+        with tempfile.TemporaryDirectory() as tmp:
+            graph, labels, schedule_file, emb_dir, rec, trace, report, sweep_csv = (
+                str(Path(tmp, f)) for f in ("g.txt", "labels.txt", "alphas.txt", "emb",
+                                            "rec.txt", "trace.csv", "report.json",
+                                            "sweep.csv")
+            )
+            write_graph(Path(graph), g)
+            Path(labels).write_text("".join(f"{i} {i % 2}\n" for i in range(n)))
+            if preset == "lemane":
+                Path(schedule_file).write_text(
+                    "".join(f"{a!r}\n" for a in schedule[: k_horizon + 1])
+                )
+                build += ["--alpha-schedule", schedule_file]
+            fit = ["--epochs", str(epochs)] if method == "optimize" else []
+            swept = _run([
+                "sweep", "--graph", graph, "--labels", labels, "--presets", preset,
+                "--dims", str(dim), "--method", method, "--opt-epsilon",
+                repr(opt_epsilon), *build, *fit, "--out", sweep_csv,
+            ])
+            embedded = _run(["embed", "--graph", graph, "--preset", preset,
+                             "--dim", str(dim), *build, "--out", emb_dir])
+            # A config that fails to build fails both, with one message.
+            assert swept == embedded
+            if swept[0]:
+                return
+            with open(sweep_csv, newline="") as fh:
+                [row] = list(csv.DictReader(fh))
+            # The embedding's meta.json supplies alpha and K unless given;
+            # lemane's schedule has no constant alpha, so it is given there.
+            given_alpha = (["--alpha", repr(alpha)]
+                           if alpha_to_invert or preset == "lemane" else [])
+            if method == "optimize":
+                fit += ["--epsilon", repr(opt_epsilon), "--loss-trace", trace]
+            rc, message = _run(["invert", method, "--embedding", emb_dir, "--graph",
+                                graph, *given_alpha, *fit, "--out", rec])
+            if rc == 0:
+                rc, message = _run(["evaluate", "--graph", graph, "--recovered", rec,
+                                    "--labels", labels, "--out", report])
+            if row["status"] != "ok":
+                assert (rc, f"error: {message}") == (1, row["status"])
+                return
+            assert (rc, message) == (0, "")
+            chain = json.loads(Path(report).read_text())
+            for key in ("err_A", "err_l", "err_phi_avg"):
+                value = chain[key]
+                assert row[key] == ("" if value is None else f"{value:.9g}"), key
+            if method == "optimize":
+                with open(trace, newline="") as fh:
+                    last = float(list(csv.reader(fh))[-1][1])
+                # Both round one double: .9g to within 5e-9 relative, .12g
+                # to within 5e-12, so they differ by less than 1e-8.
+                assert float(row["final_loss"]) == pytest.approx(last, rel=1e-8, abs=0)
+            else:
+                assert row["final_loss"] == ""

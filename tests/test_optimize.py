@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import pprinv
 from conftest import random_connected_graph
-from test_proximity import tree_plus_edges
+from test_proximity import constant_cfg, tree_plus_edges
 from pprinv.analytical import binarize
 from pprinv.optimize import (
     OptConfig,
@@ -29,7 +29,6 @@ from pprinv.optimize import (
     volume_shift,
 )
 from pprinv.proximity import (
-    ProximityConfig,
     _closed_form,
     _horner,
     build_proximity,
@@ -181,9 +180,9 @@ class TestForwardProximity:
         assume(k_max >= 1)
         k_horizon = data.draw(st.integers(1, k_max), label="k_horizon")
         if shape == "generic":
-            cfg = ProximityConfig.constant_alpha(
-                alpha, b=3.0, beta=beta, gamma=gamma, k_start=k_start,
-                k_horizon=k_horizon, epsilon=self.EPS,
+            cfg = constant_cfg(
+                alpha, k_horizon, b=3.0, beta=beta, gamma=gamma, k_start=k_start,
+                epsilon=self.EPS,
             )
         else:
             cfg = preset_config(shape, alpha=alpha, epsilon=self.EPS,
@@ -254,8 +253,8 @@ def test_forward_model_is_strap_at_twice_epsilon(alpha, log_eps, k_horizon):
     # and the log activation, of scale 1/epsilon. STRAP at 2 * epsilon must
     # match it in every field the kernel reads, the scale bit for bit.
     epsilon = 10.0**log_eps
-    want = ProximityConfig.constant_alpha(
-        alpha, b=float(k_horizon), k_horizon=k_horizon, epsilon=epsilon, activation="log")
+    want = constant_cfg(
+        alpha, k_horizon, b=float(k_horizon), epsilon=epsilon, activation="log")
     got = _forward_model(alpha, epsilon, k_horizon)
     assert got.scale == want.scale
     assert np.array_equal(hop_coefficients(got), hop_coefficients(want))
@@ -311,8 +310,7 @@ def horner_reference_gradient(b_soft, m_target, cfg):
     (K+1) n^2 of storage. The reference for the spectral backward."""
     row_sums = b_soft.sum(axis=1)
     t = b_soft / row_sums[:, None]
-    coeffs = hop_coefficients(ProximityConfig.constant_alpha(
-        cfg.alpha, b=1.0, k_horizon=cfg.k_horizon, epsilon=cfg.epsilon))
+    coeffs = hop_coefficients(constant_cfg(cfg.alpha, cfg.k_horizon, epsilon=cfg.epsilon))
     # horner[i] = H_i = sum_{j>=i} c_j t^{j-i}, built from H_L = c_L I down.
     horner = [coeffs[-1] * np.eye(len(t))]
     for c in coeffs[-2::-1]:
@@ -383,8 +381,7 @@ class TestGradient:
         b = _soft_adjacency(logits, shift)
         # Differences taken across the log clamp's kink (s = 1) do not
         # approximate its subgradient; the steps below move log s by < 3e-3.
-        coeffs = hop_coefficients(ProximityConfig.constant_alpha(
-            alpha, b=1.0, k_horizon=k_horizon, epsilon=cfg.epsilon))
+        coeffs = hop_coefficients(constant_cfg(alpha, k_horizon, epsilon=cfg.epsilon))
         walk = _horner(b / b.sum(axis=1, keepdims=True), coeffs)
         with np.errstate(divide="ignore"):
             assume(np.abs(np.log(walk / cfg.epsilon)).min() > 1e-2)
@@ -448,8 +445,7 @@ class TestGradient:
         logits = symmetric_logits(8, 6)
         shift = volume_shift(logits, cfg.target_volume, cfg.newton_iters)
         b = _soft_adjacency(logits, shift)
-        coeffs = hop_coefficients(ProximityConfig.constant_alpha(
-            cfg.alpha, b=1.0, k_horizon=cfg.k_horizon, epsilon=1.0))
+        coeffs = hop_coefficients(constant_cfg(cfg.alpha, cfg.k_horizon))
         walk = _horner(b / b.sum(axis=1, keepdims=True), coeffs)
         off = ~np.eye(8, dtype=bool)
         cfg = dataclasses.replace(cfg, epsilon=float(np.median(walk[off])))

@@ -28,9 +28,12 @@ from pprinv.proximity import (
 )
 
 
-def constant_cfg(alpha, k_horizon, *, b=1.0, k_start=0, epsilon=1.0, **kw):
-    return ProximityConfig.constant_alpha(
-        alpha, b=b, k_start=k_start, k_horizon=k_horizon, epsilon=epsilon, **kw
+def constant_cfg(alpha, k_horizon, *, b=1.0, beta=0.0, gamma=0.0, k_start=0,
+                 epsilon=1.0, activation=IDENTITY):
+    """A config whose every hop stops with probability alpha."""
+    return ProximityConfig(
+        b=b, beta=beta, gamma=gamma, k_start=k_start, k_horizon=k_horizon,
+        alphas=(alpha,) * (k_horizon + 1), epsilon=epsilon, activation=activation,
     )
 
 
