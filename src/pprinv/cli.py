@@ -65,6 +65,9 @@ def cmd_embed(args) -> int:
     if args.dim > g.n:
         raise ValueError("dimension exceeds node count")
     [(_, cfg)] = _build_configs([args.preset], args, g)
+    # sweep takes --alpha with lemane to invert it; embed would only record it.
+    if args.preset == "lemane" and args.alpha is not None:
+        raise ValueError("--alpha is not used by the lemane preset: it reads --alpha-schedule")
     t0 = time.perf_counter()
     m = prox.build_proximity(g, cfg)
     t_build = time.perf_counter() - t0
@@ -99,8 +102,8 @@ def _config_from_meta(meta: dict) -> prox.ProximityConfig | None:
 def _inversion(args, cfg: prox.ProximityConfig | None):
     """The inversion's (alpha, K, optimizer epsilon), each flag first: alpha
     else the target config's constant stopping probability; K else the
-    config's, else _K_HORIZON; epsilon from --opt-epsilon else --epsilon
-    (None for the closed form, which has neither)."""
+    config's, else _K_HORIZON; epsilon from --opt-epsilon alone (None for
+    the closed form, which has no such flag). --epsilon is the embedding's."""
     alpha = args.alpha
     if alpha is None:
         if cfg is None or len(set(cfg.alphas)) != 1:
@@ -110,10 +113,7 @@ def _inversion(args, cfg: prox.ProximityConfig | None):
     k_horizon = args.k_horizon
     if k_horizon is None:
         k_horizon = _K_HORIZON if cfg is None else cfg.k_horizon
-    epsilon = getattr(args, "opt_epsilon", None)
-    if epsilon is None:
-        epsilon = getattr(args, "epsilon", None)
-    return alpha, k_horizon, epsilon
+    return alpha, k_horizon, getattr(args, "opt_epsilon", None)
 
 
 def _invert(args, target, degrees, inversion):
@@ -282,9 +282,9 @@ _FLAGS = {
                                      "graphs, 0.1 for the large social graphs)"),
     "--alpha-schedule": dict(help="file with one stopping probability per line "
                                   "(lemane)"),
-    "--epsilon": dict(type=float, default=1e-7),
-    "--opt-epsilon": dict(type=float, help="optimizer threshold: half a STRAP "
-                                           "embedding's epsilon (default --epsilon)"),
+    "--epsilon": dict(type=float, default=1e-7, help="the embedding's threshold"),
+    "--opt-epsilon": dict(type=float, default=5e-8, help="optimizer threshold: half "
+                          "a STRAP embedding's --epsilon (the default fits 1e-7)"),
     "--k-horizon": dict(type=int, default=_K_HORIZON),
     "--dim": dict(type=int, required=True),
     "--dims": dict(required=True, help="comma-separated dimensions"),
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_flags(p, "--alpha", "--out")
         p.set_defaults(func=cmd_invert)
     # p is now the optimize parser; the flags below are its own.
-    _add_flags(p, "--epsilon", "--epochs", "--step-size", "--loss-trace")
+    _add_flags(p, "--opt-epsilon", "--epochs", "--step-size", "--loss-trace")
 
     p = sub.add_parser("evaluate", help="compare recovered vs original graph")
     _add_flags(p, "--graph", "--recovered", "--labels", "--out")

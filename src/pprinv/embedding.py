@@ -6,7 +6,7 @@ the PPREIM1 binary format plus a meta.json holding the pair's meta as given.
 `pprinv embed` (cli.cmd_embed) fills meta with the preset_config arguments.
 `pprinv invert` rebuilds that config (cli._config_from_meta) and takes alpha
 (when every hop's is one value) and the horizon K from it unless a flag gives
-them; the optimizer's epsilon comes from its flag, never from meta.
+them; the optimizer's epsilon comes from --opt-epsilon, never from meta.
 """
 
 from __future__ import annotations

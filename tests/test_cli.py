@@ -157,6 +157,23 @@ class TestEmbedCommand:
         assert "--alpha-schedule is used only by the lemane preset" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_lemane_rejects_alpha(self, small_graph, tmp_path, capsys):
+        # preset_config ignores alpha for a schedule, so meta.json would
+        # record a number that never shaped the target.
+        _, path = small_graph
+        schedule = tmp_path / "alphas.txt"
+        schedule.write_text("0.5\n" * 11)
+        out = tmp_path / "emb"
+        capsys.readouterr()
+        rc = main([
+            "embed", "--graph", path, "--preset", "lemane", "--alpha", "0.5",
+            "--alpha-schedule", str(schedule), "--dim", "4", "--out", str(out),
+        ])
+        assert rc == 1
+        assert ("--alpha is not used by the lemane preset: it reads --alpha-schedule"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "preset", ["strap", "approxppr", "nrp", "lemane", "sensei", "deepwalk"]
     )
@@ -192,9 +209,10 @@ class TestEmbedCommand:
                             lambda g, cfg: built.append(cfg) or original(g, cfg))
         out = tmp_path / "emb"
         assert main([
-            "embed", "--graph", path, "--preset", preset, "--alpha", "0.3",
+            "embed", "--graph", path, "--preset", preset,
             "--epsilon", "3e-7", "--k-horizon", "7", "--dim", "4", "--out", str(out),
-            *(["--alpha-schedule", str(schedule)] if preset == "lemane" else []),
+            *(["--alpha-schedule", str(schedule)] if preset == "lemane"
+              else ["--alpha", "0.3"]),
         ]) == 0
         [cfg] = built
         rebuilt = cli._config_from_meta(load_embedding(out).meta)
@@ -213,7 +231,7 @@ class TestInvertCommand:
         out = tmp_path / "recovered.txt"
         rc = main([
             "invert", "optimize", "--proximity", str(mat), "--graph", path,
-            "--alpha", "0.5", "--epsilon", "1e-7", "--epochs", "200",
+            "--alpha", "0.5", "--opt-epsilon", "1e-7", "--epochs", "200",
             "--step-size", "0.3", "--out", str(out),
         ])
         assert rc == 0
@@ -247,12 +265,40 @@ class TestInvertCommand:
         out = tmp_path / "rec.txt"
         rc = main([
             "invert", "optimize", "--embedding", str(emb_dir), "--graph", path,
-            "--epsilon", "5e-8", "--epochs", "120", "--step-size", "0.3",
+            "--opt-epsilon", "5e-8", "--epochs", "120", "--step-size", "0.3",
             "--out", str(out),
         ])
         assert rc == 0
         recovered = parse_edge_list(out.read_text())
         assert recovered.num_edges == g.num_edges
+
+    def test_default_opt_epsilon_fits_the_default_embedding(self, small_graph, tmp_path,
+                                                            monkeypatch):
+        # The optimizer fits STRAP at twice its epsilon: with no epsilon flag
+        # anywhere, invert and sweep fit the model embed built.
+        _, path = small_graph
+        emb_dir = tmp_path / "emb"
+        assert main(["embed", "--graph", path, "--preset", "strap", "--alpha", "0.5",
+                     "--dim", "10", "--out", str(emb_dir)]) == 0
+        built = cli._config_from_meta(load_embedding(emb_dir).meta)
+        calls, original = [], cli.invert_optimize
+        monkeypatch.setattr(
+            cli, "invert_optimize", lambda *a: calls.append(a[1]) or original(*a)
+        )
+        assert main(["invert", "optimize", "--embedding", str(emb_dir), "--graph", path,
+                     "--epochs", "2", "--out", str(tmp_path / "rec.txt")]) == 0
+        assert main(["sweep", "--graph", path, "--presets", "strap", "--dims", "4",
+                     "--alpha", "0.5", "--epochs", "2",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert len(calls) == 2
+        for cfg in calls:
+            for field in dataclasses.fields(built):
+                assert getattr(cfg.model, field.name) == getattr(built, field.name), field.name
+            assert cfg.model.scale == built.scale
+        with pytest.raises(SystemExit) as exit_info:
+            main(["invert", "optimize", "--embedding", str(emb_dir), "--graph", path,
+                  "--epsilon", "5e-8", "--out", str(tmp_path / "rec.txt")])
+        assert exit_info.value.code == 2
 
     def test_optimize_k_horizon_from_embedding_meta(self, small_graph, tmp_path, monkeypatch):
         _, path = small_graph
@@ -329,7 +375,7 @@ class TestInvertCommand:
         capsys.readouterr()
         rc = main([
             "invert", "optimize", "--embedding", str(two_triangles_embedding),
-            "--graph", str(tmp_path / "two_triangles.txt"), "--epsilon", "5e-8",
+            "--graph", str(tmp_path / "two_triangles.txt"), "--opt-epsilon", "5e-8",
             "--out", str(out),
         ])
         assert rc == 1
@@ -338,13 +384,13 @@ class TestInvertCommand:
         assert not out.exists()
 
     def test_lemane_needs_alpha(self, small_graph, tmp_path, capsys, monkeypatch):
-        # The alpha meta.json records for lemane never shaped its target.
+        # A lemane schedule has no one stopping probability to invert with.
         _, path = small_graph
         schedule = tmp_path / "alphas.txt"
         schedule.write_text("".join(f"{0.1 + 0.05 * i}\n" for i in range(11)))
         emb_dir = tmp_path / "emb"
         assert main([
-            "embed", "--graph", path, "--preset", "lemane", "--alpha", "0.5",
+            "embed", "--graph", path, "--preset", "lemane",
             "--alpha-schedule", str(schedule), "--dim", "4", "--out", str(emb_dir),
         ]) == 0
         calls, original = [], cli.invert_optimize
@@ -353,7 +399,7 @@ class TestInvertCommand:
         )
         out = tmp_path / "rec.txt"
         argv = ["invert", "optimize", "--embedding", str(emb_dir), "--graph", path,
-                "--epsilon", "5e-8", "--epochs", "2", "--out", str(out)]
+                "--opt-epsilon", "5e-8", "--epochs", "2", "--out", str(out)]
         capsys.readouterr()
         assert main(argv) == 1
         assert "--alpha required" in capsys.readouterr().err
@@ -639,7 +685,8 @@ class TestNodeIdentity:
 
             def invert(method, *source):
                 out.unlink(missing_ok=True)
-                own_flags = ["--epochs", "3", "--epsilon", "5e-8"] if method == "optimize" else []
+                own_flags = (["--epochs", "3", "--opt-epsilon", "5e-8"]
+                             if method == "optimize" else [])
                 rc = main([
                     "invert", method, "--embedding", str(emb_dir), *source,
                     *own_flags, "--out", str(out),
@@ -832,26 +879,34 @@ class TestChainEqualsSweep:
         alpha=st.sampled_from([0.1, 0.5, 0.7, 1.0]) | st.floats(0.05, 0.95),
         k_horizon=st.integers(1, 12),
         schedule=st.lists(st.floats(0.05, 1.0), min_size=13, max_size=13),
-        opt_epsilon=st.sampled_from([5e-8, 1e-7, 2e-7]),
+        epsilon=st.sampled_from([1e-7, 3e-7]),
+        # None leaves --opt-epsilon out of both the sweep and the invert.
+        opt_epsilon=st.sampled_from([None, 5e-8, 1e-7, 2e-7]),
         epochs=st.integers(1, 5),
         alpha_to_invert=st.booleans(),
     )
     @example(n=8, seed=1, preset="lemane", method="optimize", dim=4, alpha=0.3,
-             k_horizon=12, schedule=[0.5] * 12 + [1.0], opt_epsilon=5e-8, epochs=3,
-             alpha_to_invert=False)
+             k_horizon=12, schedule=[0.5] * 12 + [1.0], epsilon=1e-7, opt_epsilon=5e-8,
+             epochs=3, alpha_to_invert=False)
     @example(n=8, seed=1, preset="nrp", method="analytical", dim=8, alpha=1.0,
-             k_horizon=10, schedule=[0.5] * 13, opt_epsilon=5e-8, epochs=3,
-             alpha_to_invert=False)
+             k_horizon=10, schedule=[0.5] * 13, epsilon=1e-7, opt_epsilon=5e-8,
+             epochs=3, alpha_to_invert=False)
     @example(n=8, seed=1, preset="deepwalk", method="optimize", dim=4, alpha=1.0,
-             k_horizon=10, schedule=[0.5] * 13, opt_epsilon=5e-8, epochs=3,
-             alpha_to_invert=True)
+             k_horizon=10, schedule=[0.5] * 13, epsilon=1e-7, opt_epsilon=5e-8,
+             epochs=3, alpha_to_invert=True)
+    @example(n=8, seed=1, preset="strap", method="optimize", dim=4, alpha=0.5,
+             k_horizon=10, schedule=[0.5] * 13, epsilon=3e-7, opt_epsilon=None,
+             epochs=3, alpha_to_invert=False)
     def test_sweep_row_is_the_chain(self, n, seed, preset, method, dim, alpha,
-                                    k_horizon, schedule, opt_epsilon, epochs,
+                                    k_horizon, schedule, epsilon, opt_epsilon, epochs,
                                     alpha_to_invert):
         g = random_connected_graph(n, 0.4, seed)
         dim = min(dim, n)
-        build = ["--alpha", repr(alpha), "--k-horizon", str(k_horizon),
+        build = ["--epsilon", repr(epsilon), "--k-horizon", str(k_horizon),
                  "--seed", str(seed % 7)]
+        # sweep needs --alpha to invert lemane; embed rejects it there.
+        alpha_flag = ["--alpha", repr(alpha)]
+        opt = [] if opt_epsilon is None else ["--opt-epsilon", repr(opt_epsilon)]
         with tempfile.TemporaryDirectory() as tmp:
             graph, labels, schedule_file, emb_dir, rec, trace, report, sweep_csv = (
                 str(Path(tmp, f)) for f in ("g.txt", "labels.txt", "alphas.txt", "emb",
@@ -868,11 +923,12 @@ class TestChainEqualsSweep:
             fit = ["--epochs", str(epochs)] if method == "optimize" else []
             swept = _run([
                 "sweep", "--graph", graph, "--labels", labels, "--presets", preset,
-                "--dims", str(dim), "--method", method, "--opt-epsilon",
-                repr(opt_epsilon), *build, *fit, "--out", sweep_csv,
+                "--dims", str(dim), "--method", method, *alpha_flag, *opt,
+                *build, *fit, "--out", sweep_csv,
             ])
             embedded = _run(["embed", "--graph", graph, "--preset", preset,
-                             "--dim", str(dim), *build, "--out", emb_dir])
+                             "--dim", str(dim), *build, "--out", emb_dir,
+                             *([] if preset == "lemane" else alpha_flag)])
             # A config that fails to build fails both, with one message.
             assert swept == embedded
             if swept[0]:
@@ -881,10 +937,9 @@ class TestChainEqualsSweep:
                 [row] = list(csv.DictReader(fh))
             # The embedding's meta.json supplies alpha and K unless given;
             # lemane's schedule has no constant alpha, so it is given there.
-            given_alpha = (["--alpha", repr(alpha)]
-                           if alpha_to_invert or preset == "lemane" else [])
+            given_alpha = alpha_flag if alpha_to_invert or preset == "lemane" else []
             if method == "optimize":
-                fit += ["--epsilon", repr(opt_epsilon), "--loss-trace", trace]
+                fit += [*opt, "--loss-trace", trace]
             rc, message = _run(["invert", method, "--embedding", emb_dir, "--graph",
                                 graph, *given_alpha, *fit, "--out", rec])
             if rc == 0:
