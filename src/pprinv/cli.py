@@ -26,8 +26,6 @@ from .optimize import OptConfig, invert_optimize
 
 log = logging.getLogger("pprinv")
 
-_K_HORIZON = 10
-
 
 def _load_graph(path: str) -> gr.Graph:
     return gr.parse_edge_list(Path(path).read_bytes())
@@ -86,23 +84,36 @@ def cmd_embed(args) -> int:
     return 0
 
 
+def _checked_meta(meta: dict) -> dict:
+    """meta, once every build key in it holds the JSON type cmd_embed writes
+    there (true and false are no numbers); else an error naming the key."""
+    number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    valid = {"preset": lambda v: isinstance(v, str), "epsilon": number,
+             "alpha": lambda v: v is None or number(v), "graph_volume": number,
+             "k_horizon": lambda v: number(v) and isinstance(v, int),
+             "alpha_schedule": lambda v: isinstance(v, list) and all(map(number, v))}
+    for key, ok in valid.items():
+        if key in meta and not ok(meta[key]):
+            raise ValueError(f"meta.json {key} has the wrong type: {json.dumps(meta[key])}")
+    return meta
+
+
 def _config_from_meta(meta: dict) -> prox.ProximityConfig | None:
     """The config cmd_embed built, rebuilt from the meta.json it wrote;
     None for a target without a preset (a --proximity matrix)."""
     if meta.get("preset") is None:
         return None
-    schedule = meta.get("alpha_schedule")
     return prox.preset_config(
         meta["preset"], alpha=meta.get("alpha"), epsilon=meta.get("epsilon"),
         k_horizon=meta.get("k_horizon"), volume=meta.get("graph_volume"),
-        alpha_schedule=None if schedule is None else tuple(schedule),
+        alpha_schedule=meta.get("alpha_schedule"),  # preset_config makes it a tuple
     )
 
 
 def _inversion(args, cfg: prox.ProximityConfig | None):
     """The inversion's (alpha, K, optimizer epsilon), each flag first: alpha
     else the target config's constant stopping probability; K else the
-    config's, else _K_HORIZON; epsilon from --opt-epsilon alone (None for
+    config's, else OptConfig's; epsilon from --opt-epsilon alone (None for
     the closed form, which has no such flag). --epsilon is the embedding's."""
     alpha = args.alpha
     if alpha is None:
@@ -112,7 +123,7 @@ def _inversion(args, cfg: prox.ProximityConfig | None):
         alpha = cfg.alphas[0]
     k_horizon = args.k_horizon
     if k_horizon is None:
-        k_horizon = _K_HORIZON if cfg is None else cfg.k_horizon
+        k_horizon = OptConfig.k_horizon if cfg is None else cfg.k_horizon
     return alpha, k_horizon, getattr(args, "opt_epsilon", None)
 
 
@@ -149,7 +160,7 @@ def _invert(args, target, degrees, inversion):
 def cmd_invert(args) -> int:
     if args.embedding:
         pair = emb.load_embedding(args.embedding)
-        target, meta = emb.reconstruct_proximity(pair), dict(pair.meta)
+        target, meta = emb.reconstruct_proximity(pair), _checked_meta(dict(pair.meta))
     elif args.proximity:
         target, meta = linalg.load_matrix(args.proximity), {}
     else:
@@ -283,13 +294,13 @@ _FLAGS = {
     "--alpha-schedule": dict(help="file with one stopping probability per line "
                                   "(lemane)"),
     "--epsilon": dict(type=float, default=1e-7, help="the embedding's threshold"),
-    "--opt-epsilon": dict(type=float, default=5e-8, help="optimizer threshold: half "
-                          "a STRAP embedding's --epsilon (the default fits 1e-7)"),
-    "--k-horizon": dict(type=int, default=_K_HORIZON),
+    "--opt-epsilon": dict(type=float, default=OptConfig.epsilon, help="optimizer threshold: "
+                          "half a STRAP embedding's --epsilon (%(default)g fits its default)"),
+    "--k-horizon": dict(type=int, default=OptConfig.k_horizon),
     "--dim": dict(type=int, required=True),
     "--dims": dict(required=True, help="comma-separated dimensions"),
-    "--epochs": dict(type=int, default=40),
-    "--step-size": dict(type=float, default=0.1),
+    "--epochs": dict(type=int, default=OptConfig.epochs),
+    "--step-size": dict(type=float, default=OptConfig.step_size),
     "--loss-trace": dict(help="CSV out-file with epoch,loss rows"),
     "--seed": dict(type=int, default=0),
     "--out": dict(required=True),
@@ -326,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_flags(degrees, "--graph", required=False,
                    help="original graph (degrees and node names)")
         _add_flags(degrees, "--degrees")
-        # A missing --k-horizon falls back to meta.json, then _K_HORIZON.
+        # A missing --k-horizon falls back to meta.json, then OptConfig's.
         _add_flags(p, "--k-horizon", default=None)
         _add_flags(p, "--alpha", "--out")
         p.set_defaults(func=cmd_invert)

@@ -46,16 +46,17 @@ class OptConfig:
 
     target_volume is the off-diagonal mass the soft adjacency is held to
     (vol(G) = 2m of the graph being recovered). epsilon is half a STRAP
-    embedding's: model, built once here, is STRAP at 2 * epsilon. The step
-    is Adam-style with per-parameter moments. No randomness is drawn: the
-    logits start at zero, so seed does not change the result.
+    embedding's: model, built once here, is STRAP at 2 * epsilon (5e-8 fits
+    the CLI's default 1e-7). The CLI's optimizer flags default to these
+    fields. The step is Adam-style with per-parameter moments. No randomness
+    is drawn: the logits start at zero, so seed does not change the result.
     """
 
     target_volume: float
     alpha: float
     epochs: int = 40
     newton_iters: ClassVar[int] = 10
-    epsilon: float = 1e-7
+    epsilon: float = 5e-8
     k_horizon: int = 10
     step_size: float = 0.1
     seed: int = 0

@@ -14,9 +14,9 @@ symmetric eigendecomposition and one matmul, O(n^3) whatever the horizon.
 The spectral form is taken when L * nnz >= n^2, and kept only when every
 entry clears a floor set by its round-off; otherwise Horner runs, so exact
 zeros (pairs more than K hops apart, parity on bipartite graphs) stay exact.
-Horner on the CSR operator runs the whole recurrence on one block of
-_ROW_BLOCK columns at a time, so its two iterates stay in cache; the blocks
-give the bits of the whole-matrix recurrence.
+Horner runs the whole recurrence on one block of _ROW_BLOCK columns at a
+time, for a CSR or a dense operator, so its two iterates stay in cache; on
+the CSR operator the blocks give the bits of the whole-matrix recurrence.
 
 One kernel, _closed_form, scales a walk sum f(T) over T = D^-1 B to
 (b/(epsilon*K)) D^beta f(T) D^gamma, D the row sums of B: a graph's for
@@ -122,43 +122,30 @@ def hop_coefficients(cfg: ProximityConfig) -> np.ndarray:
 
 
 def _horner(p, coeffs: np.ndarray) -> np.ndarray:
-    """The walk sum sum_i c_i p^i by Horner's scheme, H <- c_i I + p @ H.
+    """The walk sum sum_i c_i p^i by Horner's scheme, H <- c_i I + p @ H,
+    over a square walk operator p, scipy CSR or dense, and hop_coefficients
+    (so no subnormal tail is pushed). Each step p @ H is dense either way.
 
-    p is a square walk operator, a dense array or a scipy CSR matrix; each
-    step is one product p @ H, which is dense either way. Callers pass
-    hop_coefficients, so no subnormal tail is pushed.
-
-    Column j of the sum depends only on column j of I, so a CSR p runs the
-    whole recurrence on one block of _ROW_BLOCK columns at a time, written
-    into one n x n result. csr @ dense sums each output entry over its row's
-    stored entries in order, whatever the block width, so the blocks give
-    the bits of the whole-matrix recurrence. Each block's two iterates
-    (1.6 MB each at n=1600) stay in L2: the n=1600 walk sum fell from 81 to
-    71 ms (2-core x86_64 VM). A dense p takes every column at once, as GEMM
-    blocks for the cache itself and need not sum a narrower operand in the
-    same order.
+    Column j of the sum depends only on column j of I, so the recurrence
+    runs on one block of _ROW_BLOCK columns at a time, whose two iterates
+    (1.6 MB each at n=1600) stay in L2: the n=1600 CSR walk sum fell from 81
+    to 71 ms (2-core x86_64 VM). csr @ dense sums each entry over its row's
+    stored entries in order, whatever the block width, so on a CSR p the
+    blocks give the bits of the whole-matrix recurrence; GEMM on a dense p
+    promises only round-off agreement.
     """
     n = p.shape[0]
-    if isinstance(p, np.ndarray):
-        return _horner_columns(p, coeffs, 0, n)
     walk = np.empty((n, n))
     for start in range(0, n, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, n)
-        walk[:, start:stop] = _horner_columns(p, coeffs, start, stop)
+        cols = np.arange(start, min(start + _ROW_BLOCK, n))
+        diag = cols, cols - start
+        h = np.zeros((n, cols.size))
+        h[diag] = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            h = p @ h
+            h[diag] += c
+        walk[:, start:start + cols.size] = h
     return walk
-
-
-def _horner_columns(p, coeffs: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Columns start:stop of _horner's walk sum, by the same recurrence on
-    those columns of I."""
-    cols = np.arange(start, stop)
-    diag = cols, cols - start
-    h = np.zeros((p.shape[0], cols.size))
-    h[diag] = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        h = p @ h
-        h[diag] += c
-    return h
 
 
 def _similar_eigh(b: np.ndarray, row_sums: np.ndarray):

@@ -19,7 +19,7 @@ from pprinv.embedding import load_embedding
 from pprinv.graph import Graph, parse_edge_list, serialize_edge_list
 from pprinv.linalg import save_matrix
 from pprinv.metrics import relative_frobenius_error
-from pprinv.optimize import forward_proximity
+from pprinv.optimize import OptConfig, forward_proximity
 
 
 _PRESETS = ("strap", "approxppr", "nrp", "lemane", "sensei", "deepwalk")
@@ -291,10 +291,24 @@ class TestInvertCommand:
                      "--alpha", "0.5", "--epochs", "2",
                      "--out", str(tmp_path / "sweep.csv")]) == 0
         assert len(calls) == 2
-        for cfg in calls:
+        # The library's OptConfig, with no epsilon, fits the same model.
+        default = OptConfig(target_volume=calls[0].target_volume, alpha=0.5)
+        for cfg in [*calls, default]:
             for field in dataclasses.fields(built):
                 assert getattr(cfg.model, field.name) == getattr(built, field.name), field.name
             assert cfg.model.scale == built.scale
+        # Both commands take their optimizer defaults from OptConfig; invert's
+        # K falls back to it when there is no meta.json to read.
+        parser, out = cli.build_parser(), ["--out", "x"]
+        invert = parser.parse_args(["invert", "optimize", "--alpha", "0.5", *out])
+        sweep = parser.parse_args(["sweep", "--graph", path, "--presets", "strap",
+                                   "--dims", "4", *out])
+        assert invert.k_horizon is None
+        assert cli._inversion(invert, None)[1] == default.k_horizon
+        for args in (invert, sweep):
+            assert (args.epochs, args.step_size, args.opt_epsilon) == (
+                default.epochs, default.step_size, default.epsilon)
+        assert sweep.k_horizon == default.k_horizon
         with pytest.raises(SystemExit) as exit_info:
             main(["invert", "optimize", "--embedding", str(emb_dir), "--graph", path,
                   "--epsilon", "5e-8", "--out", str(tmp_path / "rec.txt")])
@@ -361,7 +375,21 @@ class TestInvertCommand:
         ("epsilon", float("inf"), "epsilon must be positive and finite, got inf"),
         ("k_horizon", 0, "k_horizon must be >= 1, got 0"),
         ("preset", "node2vec", "'node2vec' is not a valid Preset"),
-    ], ids=["epsilon-inf", "k-horizon-0", "unknown-preset"])
+        ("k_horizon", True, "meta.json k_horizon has the wrong type: true"),
+        ("k_horizon", None, "meta.json k_horizon has the wrong type: null"),
+        ("k_horizon", 10.5, "meta.json k_horizon has the wrong type: 10.5"),
+        ("k_horizon", 10.0, "meta.json k_horizon has the wrong type: 10.0"),
+        ("alpha", "0.5", 'meta.json alpha has the wrong type: "0.5"'),
+        ("alpha", False, "meta.json alpha has the wrong type: false"),
+        ("epsilon", None, "meta.json epsilon has the wrong type: null"),
+        ("graph_volume", "14", 'meta.json graph_volume has the wrong type: "14"'),
+        ("preset", 1, "meta.json preset has the wrong type: 1"),
+        ("alpha_schedule", [0.5, "0.4"],
+         'meta.json alpha_schedule has the wrong type: [0.5, "0.4"]'),
+    ], ids=["epsilon-inf", "k-horizon-0", "unknown-preset", "k-horizon-true",
+            "k-horizon-null", "k-horizon-10.5", "k-horizon-10.0", "alpha-string",
+            "alpha-false", "epsilon-null", "graph-volume-string", "preset-number",
+            "schedule-with-a-string"])
     def test_meta_that_preset_config_rejects(
         self, two_triangles_embedding, tmp_path, capsys, monkeypatch, key, value, message
     ):
