@@ -84,9 +84,11 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _checked_meta(meta: dict) -> dict:
-    """meta, once every build key in it holds the JSON type cmd_embed writes
-    there (true and false are no numbers); else an error naming the key."""
+def _config_from_meta(meta: dict) -> prox.ProximityConfig | None:
+    """The config cmd_embed built, rebuilt from the meta.json it wrote; None
+    for a target without a preset (a --proximity matrix). Each build key must
+    hold the JSON type cmd_embed writes there (true and false are no
+    numbers), and a preset needs its k_horizon, else an error naming the key."""
     number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
     valid = {"preset": lambda v: isinstance(v, str), "epsilon": number,
              "alpha": lambda v: v is None or number(v), "graph_volume": number,
@@ -95,26 +97,23 @@ def _checked_meta(meta: dict) -> dict:
     for key, ok in valid.items():
         if key in meta and not ok(meta[key]):
             raise ValueError(f"meta.json {key} has the wrong type: {json.dumps(meta[key])}")
-    return meta
-
-
-def _config_from_meta(meta: dict) -> prox.ProximityConfig | None:
-    """The config cmd_embed built, rebuilt from the meta.json it wrote;
-    None for a target without a preset (a --proximity matrix)."""
-    if meta.get("preset") is None:
+    if "preset" not in meta:
         return None
+    if "k_horizon" not in meta:
+        raise ValueError("meta.json has no k_horizon")
     return prox.preset_config(
         meta["preset"], alpha=meta.get("alpha"), epsilon=meta.get("epsilon"),
-        k_horizon=meta.get("k_horizon"), volume=meta.get("graph_volume"),
+        k_horizon=meta["k_horizon"], volume=meta.get("graph_volume"),
         alpha_schedule=meta.get("alpha_schedule"),  # preset_config makes it a tuple
     )
 
 
-def _inversion(args, cfg: prox.ProximityConfig | None):
-    """The inversion's (alpha, K, optimizer epsilon), each flag first: alpha
-    else the target config's constant stopping probability; K else the
-    config's, else OptConfig's; epsilon from --opt-epsilon alone (None for
-    the closed form, which has no such flag). --epsilon is the embedding's."""
+def _inversion(args, cfg: prox.ProximityConfig | None, volume: float):
+    """What args.method runs, resolved and checked before any work: for
+    optimize the OptConfig (target_volume the graph's volume), for analytical
+    (alpha, K). Each flag comes first: alpha else the target config's
+    constant stopping probability; K else the config's, else OptConfig's.
+    The optimizer's epsilon is --opt-epsilon; --epsilon is the embedding's."""
     alpha = args.alpha
     if alpha is None:
         if cfg is None or len(set(cfg.alphas)) != 1:
@@ -124,28 +123,24 @@ def _inversion(args, cfg: prox.ProximityConfig | None):
     k_horizon = args.k_horizon
     if k_horizon is None:
         k_horizon = OptConfig.k_horizon if cfg is None else cfg.k_horizon
-    return alpha, k_horizon, getattr(args, "opt_epsilon", None)
+    if args.method == "analytical":
+        return alpha, k_horizon
+    return OptConfig(target_volume=volume, alpha=alpha, epochs=args.epochs,
+                     epsilon=args.opt_epsilon, k_horizon=k_horizon,
+                     step_size=args.step_size)
 
 
-def _invert(args, target, degrees, inversion):
-    """Run the inversion method args.method names with _inversion's
-    (alpha, K, epsilon); returns the recovered graph and the per-epoch
-    losses (empty for the closed form)."""
-    alpha, k_horizon, epsilon = inversion
+def _invert(target, degrees, inversion):
+    """Run _inversion's result: invert_optimize with its OptConfig, else the
+    closed form with its (alpha, K). Returns the recovered graph and the
+    per-epoch losses (empty for the closed form)."""
     degrees = np.asarray(degrees, dtype=np.float64)
     volume = float(degrees.sum())
     m_edges = int(volume) // 2
-    if args.method == "optimize":
-        cfg = OptConfig(
-            target_volume=volume,
-            alpha=alpha,
-            epochs=args.epochs,
-            epsilon=epsilon,
-            k_horizon=k_horizon,
-            step_size=args.step_size,
-        )
-        result = invert_optimize(target, cfg, m_edges)
+    if isinstance(inversion, OptConfig):
+        result = invert_optimize(target, inversion, m_edges)
         return result.graph, result.losses
+    alpha, k_horizon = inversion
     inputs = AnalyticalInputs(
         m_k=target,
         degrees=degrees,
@@ -160,9 +155,10 @@ def _invert(args, target, degrees, inversion):
 def cmd_invert(args) -> int:
     if args.embedding:
         pair = emb.load_embedding(args.embedding)
-        target, meta = emb.reconstruct_proximity(pair), _checked_meta(dict(pair.meta))
+        meta, cfg = pair.meta, _config_from_meta(pair.meta)
+        target = emb.reconstruct_proximity(pair)
     elif args.proximity:
-        target, meta = linalg.load_matrix(args.proximity), {}
+        target, meta, cfg = linalg.load_matrix(args.proximity), {}, None
     else:
         raise ValueError("supply --embedding DIR or --proximity FILE")
     names = None
@@ -186,8 +182,8 @@ def cmd_invert(args) -> int:
             f"degree sum {int(degrees.sum())} differs from the embedding's "
             f"graph_volume {volume}: not the graph it was built from"
         )
-    inversion = _inversion(args, _config_from_meta(meta))
-    recovered, losses = _invert(args, target, degrees, inversion)
+    inversion = _inversion(args, cfg, float(degrees.sum()))
+    recovered, losses = _invert(target, degrees, inversion)
     # Target rows and --graph degrees both follow the sorted-name order of
     # parse_edge_list, whatever each file's line order, so names line up.
     recovered = dataclasses.replace(recovered, node_names=names)
@@ -233,9 +229,7 @@ _SWEEP_COLUMNS = (
 def _sweep_cell(g, labels, m, args, dim, inversion) -> dict[str, str]:
     """One cell's error columns, leaving out each undefined one."""
     pair = emb.factorize(m, dim, args.seed)
-    recovered, losses = _invert(
-        args, emb.reconstruct_proximity(pair), g.degrees, inversion
-    )
+    recovered, losses = _invert(emb.reconstruct_proximity(pair), g.degrees, inversion)
     report = met.recovery_report(g, recovered, labels)
     values = {
         "err_A": report.err_a,
@@ -249,12 +243,16 @@ def _sweep_cell(g, labels, m, args, dim, inversion) -> dict[str, str]:
 def cmd_sweep(args) -> int:
     g = _load_graph(args.graph)
     labels = _load_labels(args.labels, g)
-    dims = [int(d) for d in args.dims.split(",") if d]
+    try:
+        dims = [int(d) for d in args.dims.split(",") if d]
+    except ValueError:
+        raise ValueError(f"--dims takes comma-separated integers, got {args.dims!r}") from None
     if not dims:
         raise ValueError("dims list must be nonempty")
-    # Every preset's config and inversion is checked before the first cell.
+    # Every preset's config and inversion is built before the first cell;
+    # a preset's cells share its inversion.
     names = [name for name in (p.strip() for p in args.presets.split(",")) if name]
-    configs = [(preset, cfg, _inversion(args, cfg))
+    configs = [(preset, cfg, _inversion(args, cfg, float(g.volume)))
                for preset, cfg in _build_configs(names, args, g)]
     rows = []  # in the order the cells run: --presets, then --dims, as given
     for preset, cfg, inversion in configs:

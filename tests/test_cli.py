@@ -304,7 +304,7 @@ class TestInvertCommand:
         sweep = parser.parse_args(["sweep", "--graph", path, "--presets", "strap",
                                    "--dims", "4", *out])
         assert invert.k_horizon is None
-        assert cli._inversion(invert, None)[1] == default.k_horizon
+        assert cli._inversion(invert, None, 14.0).k_horizon == default.k_horizon
         for args in (invert, sweep):
             assert (args.epochs, args.step_size, args.opt_epsilon) == (
                 default.epochs, default.step_size, default.epsilon)
@@ -408,6 +408,29 @@ class TestInvertCommand:
         ])
         assert rc == 1
         assert message in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--k-horizon", "10"]],
+                             ids=["no-flag", "k-horizon-10"])
+    def test_meta_without_k_horizon_rejected(
+        self, two_triangles_embedding, tmp_path, capsys, monkeypatch, flags
+    ):
+        # The preset config is rebuilt from meta.json before any flag is read.
+        meta_path = two_triangles_embedding / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        del meta["k_horizon"]
+        meta_path.write_text(json.dumps(meta))
+        calls = []
+        monkeypatch.setattr(cli, "invert_optimize", lambda *a: calls.append(a))
+        out = tmp_path / "rec.txt"
+        capsys.readouterr()
+        rc = main([
+            "invert", "optimize", "--embedding", str(two_triangles_embedding),
+            "--graph", str(tmp_path / "two_triangles.txt"), *flags, "--out", str(out),
+        ])
+        assert rc == 1
+        assert "meta.json has no k_horizon" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
 
@@ -849,6 +872,58 @@ class TestSweepCommand:
         assert "dims list must be nonempty" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_integer_dims_rejected(self, small_graph, tmp_path, capsys):
+        _, path = small_graph
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--graph", path, "--presets", "strap", "--dims", "4,x",
+                   "--alpha", "0.1", "--out", str(out)])
+        assert rc == 1
+        assert ("--dims takes comma-separated integers, got '4,x'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epochs", "0", "epochs must be >= 1"),
+        ("--step-size", "0", "step_size must be positive and finite, got 0.0"),
+        ("--step-size", "inf", "step_size must be positive and finite, got inf"),
+        ("--opt-epsilon", "0", "epsilon must be positive and finite, got 0.0"),
+        ("--opt-epsilon", "inf", "epsilon must be positive and finite, got inf"),
+    ], ids=["epochs-0", "step-size-0", "step-size-inf", "opt-epsilon-0", "opt-epsilon-inf"])
+    def test_bad_optimizer_flag_rejected_before_any_cell(
+        self, small_graph, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        _, path = small_graph
+        built = []
+        monkeypatch.setattr(cli.prox, "build_proximity", lambda *a: built.append(a))
+        out = tmp_path / "sweep.csv"
+        capsys.readouterr()
+        rc = main([
+            "sweep", "--graph", path, "--presets", "strap,deepwalk", "--dims", "2,4",
+            "--alpha", "0.1", flag, value, "--out", str(out),
+        ])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert built == []
+        assert not out.exists()
+
+    def test_one_opt_config_per_preset_shared_by_its_cells(
+        self, small_graph, tmp_path, monkeypatch
+    ):
+        _, path = small_graph
+        configs, original = [], cli.invert_optimize
+        monkeypatch.setattr(
+            cli, "invert_optimize", lambda *a: configs.append(a[1]) or original(*a)
+        )
+        assert main([
+            "sweep", "--graph", path, "--presets", "strap,deepwalk", "--dims", "2,4",
+            "--alpha", "0.1", "--epochs", "2", "--out", str(tmp_path / "sweep.csv"),
+        ]) == 0
+        # Cells run strap 2, strap 4, deepwalk 2, deepwalk 4.
+        assert len(configs) == 4
+        assert all(isinstance(cfg, OptConfig) for cfg in configs)
+        assert configs[0] is configs[1] and configs[2] is configs[3]
+        assert configs[0] is not configs[2]
+
     def test_unknown_preset_rejected_before_any_cell(
         self, small_graph, tmp_path, capsys, monkeypatch
     ):
@@ -922,6 +997,9 @@ class TestChainEqualsSweep:
     @example(n=8, seed=1, preset="deepwalk", method="optimize", dim=4, alpha=1.0,
              k_horizon=10, schedule=[0.5] * 13, epsilon=1e-7, opt_epsilon=5e-8,
              epochs=3, alpha_to_invert=True)
+    @example(n=8, seed=1, preset="strap", method="optimize", dim=4, alpha=1.0,
+             k_horizon=10, schedule=[0.5] * 13, epsilon=1e-7, opt_epsilon=None,
+             epochs=3, alpha_to_invert=False)
     @example(n=8, seed=1, preset="strap", method="optimize", dim=4, alpha=0.5,
              k_horizon=10, schedule=[0.5] * 13, epsilon=3e-7, opt_epsilon=None,
              epochs=3, alpha_to_invert=False)
@@ -958,11 +1036,9 @@ class TestChainEqualsSweep:
                              "--dim", str(dim), *build, "--out", emb_dir,
                              *([] if preset == "lemane" else alpha_flag)])
             # A config that fails to build fails both, with one message.
-            assert swept == embedded
-            if swept[0]:
+            if embedded[0]:
+                assert swept == embedded
                 return
-            with open(sweep_csv, newline="") as fh:
-                [row] = list(csv.DictReader(fh))
             # The embedding's meta.json supplies alpha and K unless given;
             # lemane's schedule has no constant alpha, so it is given there.
             given_alpha = alpha_flag if alpha_to_invert or preset == "lemane" else []
@@ -970,6 +1046,13 @@ class TestChainEqualsSweep:
                 fit += [*opt, "--loss-trace", trace]
             rc, message = _run(["invert", method, "--embedding", emb_dir, "--graph",
                                 graph, *given_alpha, *fit, "--out", rec])
+            # An OptConfig that fails to build (alpha = 1) fails the sweep
+            # before any cell, and the chain at invert, with one message.
+            if swept[0]:
+                assert (rc, message) == swept
+                return
+            with open(sweep_csv, newline="") as fh:
+                [row] = list(csv.DictReader(fh))
             if rc == 0:
                 rc, message = _run(["evaluate", "--graph", graph, "--recovered", rec,
                                     "--labels", labels, "--out", report])
