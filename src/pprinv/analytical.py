@@ -1,11 +1,15 @@
 """Closed-form adjacency recovery from a log-form proximity matrix.
 
-The pipeline inverts the chain proximity -> infinite-horizon limit ->
-normalized Laplacian -> adjacency, then binarizes to the original edge
-count. The input matrix follows the unclamped log convention of
-``proximity.deepwalk_log_proximity`` (entries may be negative). Each step
-is the exact algebraic inverse of the forward construction, so a connected
-graph whose walk sum has fully decayed at the horizon is recovered exactly.
+The input follows the unclamped log convention of
+``proximity.deepwalk_log_proximity`` (entries may be negative): the DEEPWALK
+closed form before its zero clamp. invert_analytical inverts it directly,
+reading the closed form's scale from the DEEPWALK ProximityConfig, and
+binarizes to the original edge count. The public chain proximity ->
+infinite-horizon limit -> normalized Laplacian -> adjacency
+(estimate_m_infinity, recover_laplacian, recover_adjacency) is the same
+inverse step by step, kept as its reference. Each step is the exact
+algebraic inverse of the forward construction, so a connected graph whose
+walk sum has fully decayed at the horizon is recovered exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .graph import Graph
 from .linalg import _spd_inverse, _strict_upper, _symmetrize, pseudoinverse
-from .proximity import _check_horizon
+from .proximity import Preset, _check_horizon, preset_config
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,6 +45,8 @@ class AnalyticalInputs:
         deg = np.asarray(self.degrees)
         if not np.all(np.isfinite(deg) & (deg >= 1)):
             raise ValueError("all degrees must be finite and >= 1")
+        if np.shape(self.m_k) != (deg.size, deg.size):
+            raise ValueError("proximity shape does not match degree vector")
         # Written so that a NaN volume fails the test too.
         if not abs(float(deg.sum()) - self.volume) <= 1e-9:
             raise ValueError("volume must be finite and equal the degree sum")
@@ -79,52 +85,22 @@ def recover_laplacian(
     """Normalized Laplacian implied by the infinite-horizon proximity.
 
     Inverts m_inf = (alpha*vol/(1-alpha)) D^{-1/2} (Z - I) D^{-1/2} - J with
-    Z = ((1-alpha) L + alpha I)^{-1}: rebuild Z, invert it, and peel off the
-    alpha shift. For exact inputs Z is symmetric positive definite (its
-    eigenvalues lie in [1/(2-alpha), 1/alpha]), so it is inverted by
-    Cholesky; a Z that is not positive definite or is near singular, as a
-    noisy low-rank target can give, is pseudoinverted instead. The result
-    is exactly symmetric on both routes: the Cholesky inverse is (see
-    _spd_inverse), and the pseudoinverse's is symmetrized to absorb its
-    floating-point asymmetry. m_inf is not modified.
+    Z = ((1-alpha) L + alpha I)^{-1}: rebuild Z, invert it (_inverse), and
+    peel off the alpha shift. The result is exactly symmetric: dividing and
+    shifting the diagonal keep the Cholesky inverse so, and the
+    pseudoinverse route symmetrizes it. m_inf is not modified.
     """
-    return _laplacian_in_place(
-        np.array(m_inf, dtype=np.float64),
-        np.asarray(degrees, dtype=np.float64),
-        volume,
-        alpha,
-    )
-
-
-def _laplacian_in_place(
-    m_inf: np.ndarray, deg: np.ndarray, volume: float, alpha: float
-) -> np.ndarray:
-    """recover_laplacian on a float64 m_inf that it overwrites with Z.
-
-    Each in-place step rounds as the out-of-place expression it replaces,
-    so the bits are those of (scale * (root * (m_inf + 1) * root) + I),
-    symmetrized, inverted, divided by 1-alpha, shifted by alpha/(1-alpha) on
-    the diagonal and, on the pseudoinverse route, symmetrized again. The
-    Cholesky inverse is exactly symmetric, and dividing every entry and
-    shifting the diagonal keep it so, so there (a + a^T) / 2 would be a
-    itself. Z stays intact for the pseudoinverse fallback; the Laplacian is
-    written over the inverse.
-    """
-    n = deg.size
-    if m_inf.shape != (n, n):
+    root = np.sqrt(np.asarray(degrees, dtype=np.float64))
+    n = root.size
+    if np.shape(m_inf) != (n, n):
         raise ValueError("proximity shape does not match degree vector")
-    root = np.sqrt(deg)
-    z = m_inf
+    z = np.array(m_inf, dtype=np.float64)
     z += 1.0
     z *= root[:, None]
     z *= root[None, :]
     z *= (1.0 - alpha) / (alpha * volume)
     z.flat[:: n + 1] += 1.0
-    _symmetrize(z)
-    lap = _spd_inverse(z)
-    exact = lap is not None
-    if not exact:
-        lap = pseudoinverse(z)
+    lap, exact = _inverse(z)
     lap /= 1.0 - alpha
     lap.flat[:: n + 1] -= alpha / (1.0 - alpha)
     if not exact:
@@ -132,26 +108,27 @@ def _laplacian_in_place(
     return lap
 
 
+def _inverse(z: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Symmetrize z in place and invert it by Cholesky (exactly symmetric),
+    else by the pseudoinverse: a noisy low-rank target can make z indefinite
+    or near singular. Returns the inverse and whether Cholesky gave it."""
+    _symmetrize(z)
+    inv = _spd_inverse(z)
+    if inv is not None:
+        return inv, True
+    return pseudoinverse(z), False
+
+
 def recover_adjacency(lap: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     """Soft adjacency scores A = D^{1/2} (I - L) D^{1/2}. lap is not
-    modified."""
-    return _adjacency_in_place(
-        np.array(lap, dtype=np.float64), np.asarray(degrees, dtype=np.float64)
-    )
-
-
-def _adjacency_in_place(lap: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """recover_adjacency on a float64 lap that it overwrites and returns.
-
-    I - L is 0 - L off the diagonal (not -L, which turns +0.0 into -0.0)
-    and (0 - L) + 1 = 1 - L on it, so the bits match the out-of-place form.
-    """
-    root = np.sqrt(deg)
-    np.subtract(0.0, lap, out=lap)
-    lap.flat[:: deg.size + 1] += 1.0
-    lap *= root[:, None]
-    lap *= root[None, :]
-    return lap
+    modified. I - L is 0 - L off the diagonal (not -L, which turns +0.0
+    into -0.0) and (0 - L) + 1 = 1 - L on it."""
+    root = np.sqrt(np.asarray(degrees, dtype=np.float64))
+    a = np.subtract(0.0, np.asarray(lap, dtype=np.float64))
+    a.flat[:: root.size + 1] += 1.0
+    a *= root[:, None]
+    a *= root[None, :]
+    return a
 
 
 def binarize(soft_a: np.ndarray, m_edges: int) -> Graph:
@@ -189,16 +166,25 @@ def binarize(soft_a: np.ndarray, m_edges: int) -> Graph:
 
 
 def invert_analytical(inputs: AnalyticalInputs) -> Graph:
-    """Full closed-form pipeline: estimate limit, recover Laplacian and
-    adjacency, binarize to the original edge count. The steps after the
-    limit run in place on the limit's buffer and the inverse's, so the
-    Cholesky route peaks at 3 n x n arrays above the inputs, which are left
-    untouched."""
-    deg = np.asarray(inputs.degrees, dtype=np.float64)
-    lap = _laplacian_in_place(
-        estimate_m_infinity(inputs.m_k, inputs.k_horizon),
-        deg,
-        inputs.volume,
-        inputs.alpha,
-    )
-    return binarize(_adjacency_in_place(lap, deg), inputs.m_edges)
+    """The closed form's direct inverse: with s = b/(epsilon*K) from the
+    DEEPWALK config, invert Z = D^{1/2} (exp(M_K)/s) D^{1/2} + alpha I
+    (_inverse) and binarize the scores -D^{1/2} Z^{-1} D^{1/2}. Z is alpha
+    times the chain's, so both take the same route, and off the diagonal the
+    scores are the chain's soft adjacency times (1-alpha)/alpha, up to
+    round-off. The Cholesky route peaks at 3 n x n arrays above the inputs,
+    which are left untouched."""
+    root = np.sqrt(np.asarray(inputs.degrees, dtype=np.float64))
+    scale = preset_config(Preset.DEEPWALK, alpha=inputs.alpha,
+                          k_horizon=inputs.k_horizon, volume=inputs.volume).scale
+    z = np.exp(np.asarray(inputs.m_k, dtype=np.float64))
+    z *= root[:, None]
+    z *= root[None, :]
+    z /= scale
+    z.flat[:: root.size + 1] += inputs.alpha
+    scores, exact = _inverse(z)
+    del z
+    if not exact:
+        _symmetrize(scores)
+    scores *= root[:, None]
+    scores *= -root[None, :]
+    return binarize(scores, inputs.m_edges)

@@ -56,12 +56,18 @@ def _build_configs(presets: list[str], args, g: gr.Graph):
     ]
 
 
+def _check_dim(dim: int, n: float = np.inf) -> None:
+    """A rank d with 1 <= d <= n. sweep passes no n: a d above a small
+    graph's node count fails only its own cell."""
+    if dim < 1:
+        raise ValueError(f"dimension {dim} out of range")
+    if dim > n:
+        raise ValueError("dimension exceeds node count")
+
+
 def cmd_embed(args) -> int:
     g = _load_graph(args.graph)
-    if args.dim < 1:
-        raise ValueError(f"dimension {args.dim} out of range")
-    if args.dim > g.n:
-        raise ValueError("dimension exceeds node count")
+    _check_dim(args.dim, g.n)
     [(_, cfg)] = _build_configs([args.preset], args, g)
     # sweep takes --alpha with lemane to invert it; embed would only record it.
     if args.preset == "lemane" and args.alpha is not None:
@@ -124,6 +130,8 @@ def _inversion(args, cfg: prox.ProximityConfig | None, volume: float):
     if k_horizon is None:
         k_horizon = OptConfig.k_horizon if cfg is None else cfg.k_horizon
     if args.method == "analytical":
+        if not 0.0 < alpha < 1.0:  # AnalyticalInputs' check, before any work
+            raise ValueError("alpha must lie in (0, 1)")
         return alpha, k_horizon
     return OptConfig(target_volume=volume, alpha=alpha, epochs=args.epochs,
                      epsilon=args.opt_epsilon, k_horizon=k_horizon,
@@ -249,6 +257,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--dims takes comma-separated integers, got {args.dims!r}") from None
     if not dims:
         raise ValueError("dims list must be nonempty")
+    for dim in dims:
+        _check_dim(dim)
     # Every preset's config and inversion is built before the first cell;
     # a preset's cells share its inversion.
     names = [name for name in (p.strip() for p in args.presets.split(",")) if name]

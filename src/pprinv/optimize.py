@@ -58,7 +58,7 @@ class OptConfig:
     newton_iters: ClassVar[int] = 10
     epsilon: float = 5e-8
     k_horizon: int = 10
-    step_size: float = 0.1
+    step_size: float = 0.3
     seed: int = 0
     model: ProximityConfig = field(init=False, repr=False, compare=False)
 

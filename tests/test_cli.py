@@ -882,6 +882,38 @@ class TestSweepCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_dimension_below_one_rejected_before_any_cell(
+        self, small_graph, tmp_path, capsys, monkeypatch
+    ):
+        # embed's rule; a dimension above the node count still fails only
+        # its own cell (test_error_cells_marked_and_run_continues).
+        _, path = small_graph
+        built = []
+        monkeypatch.setattr(cli.prox, "build_proximity", lambda *a: built.append(a))
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--graph", path, "--presets", "strap", "--dims", "4,-2,0",
+                   "--alpha", "0.1", "--out", str(out)])
+        assert rc == 1
+        assert "dimension -2 out of range" in capsys.readouterr().err
+        assert built == []
+        assert not out.exists()
+
+    def test_analytical_alpha_of_one_rejected_before_any_cell(
+        self, small_graph, tmp_path, capsys, monkeypatch
+    ):
+        # A stopping probability of 1 builds a strap config, but the closed
+        # form takes alpha in (0, 1) only.
+        _, path = small_graph
+        built = []
+        monkeypatch.setattr(cli.prox, "build_proximity", lambda *a: built.append(a))
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--graph", path, "--presets", "strap", "--dims", "2,4",
+                   "--method", "analytical", "--alpha", "1", "--out", str(out)])
+        assert rc == 1
+        assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert built == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--epochs", "0", "epochs must be >= 1"),
         ("--step-size", "0", "step_size must be positive and finite, got 0.0"),
