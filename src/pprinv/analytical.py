@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph import Graph
 from .linalg import _spd_inverse, _strict_upper, _symmetrize, pseudoinverse
-from .proximity import Preset, _check_horizon, preset_config
+from .proximity import Preset, _check_alpha, _check_horizon, preset_config
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +50,7 @@ class AnalyticalInputs:
         # Written so that a NaN volume fails the test too.
         if not abs(float(deg.sum()) - self.volume) <= 1e-9:
             raise ValueError("volume must be finite and equal the degree sum")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        _check_alpha(self.alpha)
         _check_edge_budget(deg.size, self.m_edges)
 
 

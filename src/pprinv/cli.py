@@ -130,8 +130,7 @@ def _inversion(args, cfg: prox.ProximityConfig | None, volume: float):
     if k_horizon is None:
         k_horizon = OptConfig.k_horizon if cfg is None else cfg.k_horizon
     if args.method == "analytical":
-        if not 0.0 < alpha < 1.0:  # AnalyticalInputs' check, before any work
-            raise ValueError("alpha must lie in (0, 1)")
+        prox._check_alpha(alpha)  # AnalyticalInputs' check, before any work
         return alpha, k_horizon
     return OptConfig(target_volume=volume, alpha=alpha, epochs=args.epochs,
                      epsilon=args.opt_epsilon, k_horizon=k_horizon,
@@ -149,14 +148,8 @@ def _invert(target, degrees, inversion):
         result = invert_optimize(target, inversion, m_edges)
         return result.graph, result.losses
     alpha, k_horizon = inversion
-    inputs = AnalyticalInputs(
-        m_k=target,
-        degrees=degrees,
-        volume=volume,
-        alpha=alpha,
-        k_horizon=k_horizon,
-        m_edges=m_edges,
-    )
+    inputs = AnalyticalInputs(m_k=target, degrees=degrees, volume=volume, alpha=alpha,
+                              k_horizon=k_horizon, m_edges=m_edges)
     return invert_analytical(inputs), ()
 
 

@@ -31,6 +31,7 @@ from .linalg import _strict_upper
 from .proximity import (
     ProximityConfig,
     _apply_activation,
+    _check_alpha,
     _closed_form,
     _horner,
     _similar_eigh,
@@ -68,8 +69,7 @@ class OptConfig:
         if not 0.0 < self.step_size < np.inf:
             raise ValueError(
                 f"step_size must be positive and finite, got {self.step_size}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        _check_alpha(self.alpha)
         model = _forward_model(self.alpha, self.epsilon, self.k_horizon)  # checks epsilon, K
         object.__setattr__(self, "model", model)
 

@@ -39,10 +39,19 @@ ROW_L2 = "row_l2"
 _ACTIVATIONS = (IDENTITY, LOG, ROW_L2)
 
 
-def _check_horizon(k_horizon: int) -> None:
-    """The proximity scalar b/(epsilon*K) needs at least one hop."""
-    if k_horizon < 1:
-        raise ValueError(f"k_horizon must be >= 1, got {k_horizon}")
+def _check_horizon(k_horizon: int, minimum: int = 1) -> None:
+    """K is an integer (a numpy one too, not a bool) of at least minimum: 1
+    wherever the scalar b/(epsilon*K) is taken, 0 for a bare walk sum."""
+    if isinstance(k_horizon, bool) or not isinstance(k_horizon, (int, np.integer)):
+        raise ValueError(f"k_horizon must be an integer, got {k_horizon!r}")
+    if k_horizon < minimum:
+        raise ValueError(f"k_horizon must be >= {minimum}, got {k_horizon}")
+
+
+def _check_alpha(alpha: float) -> None:
+    """A constant stopping probability in (0, 1); NaN fails too."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
 
 
 class Preset(enum.Enum):
@@ -78,6 +87,7 @@ class ProximityConfig:
             raise ValueError(f"b must be positive and finite, got {self.b}")
         if not 0.0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        _check_horizon(self.k_horizon, minimum=0)
         if not 0 <= self.k_start <= self.k_horizon:
             raise ValueError("need 0 <= k_start <= k_horizon")
         if len(self.alphas) != self.k_horizon + 1:
@@ -262,11 +272,9 @@ def deepwalk_log_proximity(g: Graph, alpha: float, k_horizon: int) -> np.ndarray
     i.e. the DEEPWALK preset before the zero clamp. Requires every entry of
     the walk sum to be positive (every pair reachable within K hops).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    cfg = preset_config(
-        Preset.DEEPWALK, alpha=alpha, k_horizon=k_horizon, volume=g.volume
-    )
+    _check_alpha(alpha)
+    cfg = preset_config(Preset.DEEPWALK, alpha=alpha, k_horizon=k_horizon,
+                        volume=g.volume)
     inner = _closed_form(truncated_ppr(g, cfg), g.degrees, cfg)
     if np.any(inner <= 0.0):
         raise ValueError(
@@ -306,6 +314,7 @@ def preset_config(
     per-hop stopping-probability schedule instead of a constant alpha.
     """
     preset = Preset(preset)
+    _check_horizon(k_horizon)
     if preset is Preset.LEMANE and alpha_schedule is None:
         raise ValueError("lemane preset requires an alpha schedule")
     if preset is Preset.DEEPWALK:
@@ -324,7 +333,6 @@ def preset_config(
         raise ValueError(f"{preset.value} preset requires alpha")
     else:
         alphas = (alpha,) * (k_horizon + 1)
-    _check_horizon(k_horizon)
     b, beta, gamma, k_start, activation = _PRESETS[preset]
     cfg = ProximityConfig(
         b=b(epsilon, k_horizon),

@@ -109,8 +109,11 @@ class TestEstimateMInfinity:
         assert np.all(estimate_m_infinity(b, 7) >= estimate_m_infinity(a, 7))
 
     def test_rejects_bad_horizon(self):
-        with pytest.raises(ValueError):
-            estimate_m_infinity(np.zeros((2, 2)), 0)
+        for k, message in ((0, "k_horizon must be >= 1, got 0"),
+                           (50.0, "k_horizon must be an integer, got 50.0"),
+                           (True, "k_horizon must be an integer, got True")):
+            with pytest.raises(ValueError, match=message):
+                estimate_m_infinity(np.zeros((2, 2)), k)
 
     @pytest.mark.parametrize("k", [1, 10, 2000])
     def test_bits_of_the_out_of_place_form(self, k):

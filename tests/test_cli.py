@@ -434,6 +434,28 @@ class TestInvertCommand:
         assert calls == []
         assert not out.exists()
 
+    def test_meta_without_preset_inverts_with_flags(
+        self, two_triangles_embedding, tmp_path, capsys, monkeypatch
+    ):
+        # A meta.json with no preset is a target with no config to rebuild:
+        # alpha comes from --alpha alone, and K from OptConfig.
+        (two_triangles_embedding / "meta.json").write_text("{}")
+        horizons, original = [], cli.invert_optimize
+        monkeypatch.setattr(cli, "invert_optimize",
+                            lambda *a: horizons.append(a[1].k_horizon) or original(*a))
+        out = tmp_path / "rec.txt"
+        argv = ["invert", "optimize", "--embedding", str(two_triangles_embedding),
+                "--graph", str(tmp_path / "two_triangles.txt"), "--epochs", "2",
+                "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "--alpha required (not in metadata)" in capsys.readouterr().err
+        assert horizons == []
+        assert not out.exists()
+        assert main([*argv, "--alpha", "0.5"]) == 0
+        assert horizons == [OptConfig.k_horizon]
+        assert parse_edge_list(out.read_text()).num_edges == 7
+
     def test_lemane_needs_alpha(self, small_graph, tmp_path, capsys, monkeypatch):
         # A lemane schedule has no one stopping probability to invert with.
         _, path = small_graph

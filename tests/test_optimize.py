@@ -571,10 +571,13 @@ class TestInvertOptimize:
             invert_optimize(target, cfg, g.num_edges)
 
     def test_horizon_below_one_rejected(self):
-        with pytest.raises(ValueError, match="k_horizon must be >= 1"):
-            OptConfig(target_volume=4.0, alpha=0.5, k_horizon=0)
-        with pytest.raises(ValueError, match="k_horizon must be >= 1"):
-            forward_proximity(np.ones((3, 3)) - np.eye(3), 0.5, 1e-7, 0)
+        for k, message in ((0, "k_horizon must be >= 1, got 0"),
+                           (10.0, "k_horizon must be an integer, got 10.0"),
+                           (True, "k_horizon must be an integer, got True")):
+            with pytest.raises(ValueError, match=message):
+                OptConfig(target_volume=4.0, alpha=0.5, k_horizon=k)
+            with pytest.raises(ValueError, match=message):
+                forward_proximity(np.ones((3, 3)) - np.eye(3), 0.5, 1e-7, k)
 
     def test_single_epoch_single_update(self):
         g, target, cfg = self.self_consistent_setup(0)

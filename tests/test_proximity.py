@@ -60,11 +60,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=r"scale b/\(epsilon\*K\) = inf"):
             preset_config(Preset.STRAP, alpha=0.5, epsilon=1e-320, k_horizon=10)
 
-    def test_scale_needs_a_hop(self):
+    def test_scale_needs_a_hop(self, k3):
         assert constant_cfg(0.5, 2, b=4.0, epsilon=0.5).scale == 4.0
         # K = 0 is a valid walk sum (c_0 I) but has no scale b/(epsilon*K).
         with pytest.raises(ValueError, match="k_horizon must be >= 1"):
             constant_cfg(0.5, 0).scale
+        # K is an integer, a numpy one too, but not a float or a bool; each
+        # entry says so before it builds anything.
+        assert preset_config(Preset.STRAP, alpha=0.5, epsilon=1e-7,
+                             k_horizon=np.int64(10)).k_horizon == 10
+        for k in (50.0, True):
+            message = f"k_horizon must be an integer, got {k}"
+            with pytest.raises(ValueError, match=message):
+                preset_config(Preset.STRAP, alpha=0.5, epsilon=1e-7, k_horizon=k)
+            with pytest.raises(ValueError, match=message):
+                deepwalk_log_proximity(k3, 0.5, k)
+            with pytest.raises(ValueError, match=message):
+                ProximityConfig(b=1, beta=0, gamma=0, k_start=0, k_horizon=k,
+                                alphas=(0.5,) * 51, epsilon=1.0, activation=IDENTITY)
 
     def test_rejects_bad_hop_window(self):
         with pytest.raises(ValueError, match="k_start"):
