@@ -123,6 +123,8 @@ def recover_adjacency(lap: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     modified. I - L is 0 - L off the diagonal (not -L, which turns +0.0
     into -0.0) and (0 - L) + 1 = 1 - L on it."""
     root = np.sqrt(np.asarray(degrees, dtype=np.float64))
+    if np.shape(lap) != (root.size, root.size):
+        raise ValueError("laplacian shape does not match degree vector")
     a = np.subtract(0.0, np.asarray(lap, dtype=np.float64))
     a.flat[:: root.size + 1] += 1.0
     a *= root[:, None]

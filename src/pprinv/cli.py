@@ -196,10 +196,9 @@ def cmd_invert(args) -> int:
                 writer.writerow(["epoch", "loss"])
                 for epoch, value in enumerate(losses, start=1):
                     writer.writerow([epoch, f"{value:.12g}"])
-        log.info(
-            "optimize inversion: %d epochs, loss %.6g -> %.6g",
-            len(losses), losses[0], losses[-1],
-        )
+        # A budget of every pair runs no epoch: the graph is forced.
+        trail = f", loss {losses[0]:.6g} -> {losses[-1]:.6g}" if losses else ""
+        log.info("optimize inversion: %d epochs%s", len(losses), trail)
     print(f"wrote recovered edge list ({recovered.num_edges} edges) to {args.out}")
     return 0
 

@@ -11,11 +11,11 @@ Per epoch the shift solve reads only the strict upper triangle of the logits
 and warm-starts from the previous epoch's shift. One symmetric
 eigendecomposition of the soft transition matrix serves both passes: the
 forward evaluates the walk sum on its spectrum (one matmul), and the
-backward is hand-written reverse mode through the log clamp, the walk sum
-(its Daleckii-Krein adjoint: four matmuls), row normalization and the
-logistic. Memory per epoch is O(n^2) whatever the horizon K.
-forward_proximity and gradient keep Horner's scheme (K matmuls) instead, as
-the loop's finite-difference oracle.
+backward chains the adjoints that sit beside each forward step in
+proximity (activation, closed form, walk sum: four matmuls) and then this
+module's own: row normalization and the logistic. Memory per epoch is
+O(n^2) whatever the horizon K. forward_proximity and gradient keep Horner's
+scheme (K matmuls) instead, as the loop's finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -30,12 +30,15 @@ from .graph import Graph
 from .linalg import _strict_upper
 from .proximity import (
     ProximityConfig,
+    _activation_adjoint,
     _apply_activation,
     _check_alpha,
     _closed_form,
+    _degree_adjoint,
     _horner,
     _similar_eigh,
     _spectral_walk_sum,
+    _spectral_walk_sum_adjoint,
     hop_coefficients,
     preset_config,
 )
@@ -213,59 +216,34 @@ def loss(m_hat: np.ndarray, m_target: np.ndarray) -> float:
     return float(np.sum(diff * diff))
 
 
-def _divided_differences(lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Gamma_ij = (f(lam_i) - f(lam_j)) / (lam_i - lam_j) for the polynomial
-    f(x) = sum_k c_k x^k, which is f'(lam_i) where lam_i = lam_j.
-
-    Horner's scheme h_k(x) = c_k + x h_{k+1}(x) carries the divided
-    difference along as [h_k](a, b) = h_{k+1}(a) + b [h_{k+1}](a, b). No
-    nearby values are subtracted, so clustered and repeated eigenvalues are
-    as accurate as separated ones.
-    """
-    h = np.full_like(lam, coeffs[-1])
-    gamma = np.zeros((lam.size, lam.size))
-    for c in coeffs[-2::-1]:
-        gamma *= lam[None, :]
-        gamma += h[:, None]
-        h = c + lam * h
-    return gamma
-
-
 def _loss_and_gradient(
     b_soft: np.ndarray, m_target: np.ndarray, model: ProximityConfig,
     *, horner: bool = False,
 ) -> tuple[float, np.ndarray]:
-    """Loss of m_hat = max{0, log s}, s = _forward(B) with beta = gamma = 0,
-    and its gradient w.r.t. the shared logits, from one eig = (lam, V,
-    ratio) = _similar_eigh of B: the forward's walk sum (Horner instead when
-    horner) and the reverse mode through the log clamp, the walk sum, row
-    normalization and the logistic. With R = D^(1/2), S = R^-1 B R^-1 =
-    V diag(lam) V^T and T = R^-1 S R, the Daleckii-Krein formula gives the
-    walk-sum adjoint of G as R V (Gamma o (V^T (R^-1 G R) V)) V^T R^-1: four
-    matmuls for any K. Every intermediate is n x n, so memory is O(n^2).
-    """
+    """Loss of m_hat = act(s), s = _forward(B), for a LOG or IDENTITY model,
+    and its gradient w.r.t. the shared logits from one eig = _similar_eigh(B):
+    the spectral forward (Horner when horner), then the chain of proximity's
+    adjoints, row normalization with the D term, and the logistic. Every
+    intermediate is n x n, so memory is O(n^2) for any K."""
     row_sums = _row_sums(b_soft)
-    eig = lam, v, ratio = _similar_eigh(b_soft, row_sums)
+    eig = _similar_eigh(b_soft, row_sums)
     coeffs = hop_coefficients(model)
     s_mat = (_forward(b_soft, row_sums, model) if horner
              else _closed_form(_spectral_walk_sum(eig, coeffs), row_sums, model))
-    g_h = _apply_activation(s_mat, model.activation)  # m_hat, then its adjoint
-    value = loss(g_h, m_target)
-    g_h -= m_target
-    g_h *= 2.0
-    g_h = np.divide(g_h, s_mat, out=np.zeros_like(g_h), where=s_mat > 1.0)
-    g_h *= model.scale
-    g_h *= ratio
-    inner = v.T @ g_h @ v
-    inner *= _divided_differences(lam, coeffs)
-    # V X V^T (X = inner) rounds its entries by ~n eps max|X|, which g_b divides
-    # by r_i r_j >= min D; the logistic's slope is <= 1/4 and grad sums two
-    # terms. A gradient within that is round-off of an exact zero, returned as 0.
-    noise = lam.size * np.finfo(np.float64).eps * np.abs(inner).max() / row_sums.min()
-    g_t = v @ inner @ v.T
-    g_t /= ratio
-    # T = D^-1 B, so dT/dB contributes (G_T - rowsum(G_T o T)) / D.
-    weighted = (g_t * b_soft).sum(axis=1) / row_sums
+    g_s = _apply_activation(s_mat, model.activation)  # m_hat, then its adjoint
+    value = loss(g_s, m_target)
+    g_s -= m_target
+    g_s *= 2.0
+    g_s = _activation_adjoint(g_s, s_mat, model.activation)
+    degree_term = _degree_adjoint(g_s, s_mat, model)
+    g_t, round_off = _spectral_walk_sum_adjoint(
+        eig, coeffs, _closed_form(g_s, row_sums, model))
+    # g_b divides V X V^T's round-off by r_i r_j >= min D; the logistic's slope
+    # is <= 1/4 and grad sums two terms. A gradient within that is round-off
+    # of an exact zero, returned as 0.
+    noise = round_off / row_sums.min()
+    # T = D^-1 B gives (G_T - rowsum(G_T o T)) / D; D^beta, D^gamma join the row term.
+    weighted = (g_t * b_soft).sum(axis=1) / row_sums - degree_term
     g_b = (g_t - weighted[:, None]) / row_sums[:, None]
     g_logit = b_soft * (1.0 - b_soft) * g_b
     grad = g_logit + g_logit.T
@@ -299,16 +277,19 @@ def invert_optimize(
     re-solve the shift from its last value; a gradient at round-off level
     takes no step and leaves the moments alone. Each epoch's loss agrees with
     loss(forward_proximity(B, ...), m_target) to round-off. After the final
-    epoch the soft adjacency binarizes to exactly m_edges edges.
+    epoch the soft adjacency binarizes to exactly m_edges edges. A budget
+    of every pair forces the answer: it is returned with no epoch run.
     """
     m_target = np.asarray(m_target, dtype=np.float64)
     n = m_target.shape[0]
     if m_target.shape != (n, n):
         raise ValueError("target proximity must be square")
-    _check_edge_budget(n, m_edges)
+    max_edges = _check_edge_budget(n, m_edges)
     if bad := np.count_nonzero(~np.isfinite(m_target)):
         raise ValueError(f"target proximity has {bad} non-finite entries")
     logits = np.zeros((n, n))
+    if 0 < m_edges == max_edges:
+        return OptimizeResult(graph=binarize(logits, m_edges), losses=())
     adam_m = adam_v = 0.0
     beta1, beta2, tiny = 0.9, 0.999, 1e-8
     losses = []

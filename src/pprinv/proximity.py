@@ -199,6 +199,34 @@ def _spectral_walk_sum(eig, coeffs: np.ndarray, *, guard: bool = False):
     return x
 
 
+def _divided_differences(lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Gamma_ij = (f(lam_i) - f(lam_j)) / (lam_i - lam_j), f'(lam_i) where
+    lam_i = lam_j, for f(x) = sum_k c_k x^k. Horner's h_k = c_k + x h_{k+1}
+    carries it as [h_k](a, b) = h_{k+1}(a) + b [h_{k+1}](a, b), subtracting
+    no nearby values: clustered eigenvalues are as accurate as separated."""
+    h = np.full_like(lam, coeffs[-1])
+    gamma = np.zeros((lam.size, lam.size))
+    for c in coeffs[-2::-1]:
+        gamma *= lam[None, :]
+        gamma += h[:, None]
+        h = c + lam * h
+    return gamma
+
+
+def _spectral_walk_sum_adjoint(eig, coeffs: np.ndarray, grad: np.ndarray):
+    """dL/dT for grad = dL/df(T), overwriting grad: by Daleckii-Krein,
+    R V (Gamma o (V^T (R^-1 grad R) V)) V^T R^-1 (four matmuls for any K),
+    and the absolute round-off n eps max|X| of V X V^T, X the middle factor."""
+    lam, v, ratio = eig
+    grad *= ratio
+    inner = v.T @ grad @ v
+    inner *= _divided_differences(lam, coeffs)
+    round_off = lam.size * np.finfo(np.float64).eps * np.abs(inner).max()
+    g_t = v @ inner @ v.T
+    g_t /= ratio
+    return g_t, round_off
+
+
 def truncated_ppr(g: Graph, cfg: ProximityConfig) -> np.ndarray:
     """Sum of c_i * P^i for i in [k_start, K].
 
@@ -243,6 +271,16 @@ def _apply_activation(
     return np.maximum(normed, 0.0, out=normed)
 
 
+def _activation_adjoint(grad: np.ndarray, scaled: np.ndarray, activation: str) -> np.ndarray:
+    """The adjoint of _apply_activation at scaled: grad / s where the log is
+    unclamped (s > 1), grad where the identity is (s > 0), 0 elsewhere."""
+    if activation == LOG:
+        return np.divide(grad, scaled, out=np.zeros_like(grad), where=scaled > 1.0)
+    if activation == IDENTITY:
+        return np.where(scaled > 0.0, grad, 0.0)
+    raise ValueError(f"no gradient through the {activation} activation (preset sensei)")
+
+
 def _closed_form(walk: np.ndarray, row_sums, cfg: ProximityConfig) -> np.ndarray:
     """(b/(epsilon*K)) * D^beta walk D^gamma with D = diag(row_sums), before
     activation. Scales walk in place and returns it."""
@@ -253,6 +291,16 @@ def _closed_form(walk: np.ndarray, row_sums, cfg: ProximityConfig) -> np.ndarray
         walk *= d[None, :] ** cfg.gamma
     walk *= cfg.scale
     return walk
+
+
+def _degree_adjoint(grad: np.ndarray, scaled: np.ndarray, cfg: ProximityConfig):
+    """D dL/dD through _closed_form's D^beta, D^gamma for grad = dL/d(scaled):
+    beta rowsum(grad o s) + gamma colsum(grad o s), 0 when beta = gamma = 0;
+    in walk, _closed_form is elementwise linear and so its own adjoint."""
+    if cfg.beta == 0.0 and cfg.gamma == 0.0:
+        return 0.0
+    weighted = grad * scaled
+    return cfg.beta * weighted.sum(axis=1) + cfg.gamma * weighted.sum(axis=0)
 
 
 def build_proximity(g: Graph, cfg: ProximityConfig) -> np.ndarray:

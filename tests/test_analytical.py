@@ -240,6 +240,12 @@ class TestRecoverAdjacency:
         a = recover_adjacency(np.eye(4), np.array([2.0, 3.0, 1.0, 5.0]))
         assert np.abs(a).max() == 0.0
 
+    def test_rejects_degrees_of_another_size(self):
+        # One degree for a 3-node Laplacian used to broadcast, its diagonal
+        # stride of 2 adding 1 off the diagonal.
+        with pytest.raises(ValueError, match="does not match degree vector"):
+            recover_adjacency(0.5 * np.eye(3), [4.0])
+
     def test_end_to_end_soft_scores(self):
         g = random_connected_graph(12, 0.4, 6, full_rank=True)
         m_k = deepwalk_log_proximity(g, 0.7, 2000)

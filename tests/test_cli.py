@@ -255,6 +255,26 @@ class TestInvertCommand:
         losses = [float(r[1]) for r in rows[1:]]
         assert losses[-1] < losses[0]
 
+    def test_optimize_inverts_a_complete_graph(self, tmp_path, capsys):
+        # Volume 6 on 3 nodes is every pair: the graph is forced, no epoch
+        # runs, and the sweep row leaves final_loss blank.
+        graph = tmp_path / "k3.txt"
+        graph.write_text("0 1\n0 2\n1 2\n")
+        emb_dir, out, trace = tmp_path / "emb", tmp_path / "rec.txt", tmp_path / "trace.csv"
+        assert main(["embed", "--graph", str(graph), "--preset", "strap", "--alpha", "0.5",
+                     "--dim", "2", "--out", str(emb_dir)]) == 0
+        assert main(["invert", "optimize", "--embedding", str(emb_dir), "--graph", str(graph),
+                     "--out", str(out), "--loss-trace", str(trace)]) == 0
+        assert "(3 edges)" in capsys.readouterr().out
+        assert out.read_text() == graph.read_text()
+        assert trace.read_text().splitlines() == ["epoch,loss"]
+        sweep = tmp_path / "sweep.csv"
+        assert main(["sweep", "--graph", str(graph), "--presets", "strap", "--dims", "2",
+                     "--alpha", "0.5", "--out", str(sweep)]) == 0
+        with sweep.open() as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"] == "ok" and row["final_loss"] == ""
+
     def test_optimize_uses_embedding_meta(self, small_graph, tmp_path):
         g, path = small_graph
         emb_dir = tmp_path / "emb"

@@ -29,6 +29,10 @@ from pprinv.optimize import (
     volume_shift,
 )
 from pprinv.proximity import (
+    IDENTITY,
+    LOG,
+    ProximityConfig,
+    _apply_activation,
     _closed_form,
     _horner,
     build_proximity,
@@ -337,6 +341,20 @@ def horner_reference_gradient(b_soft, m_target, cfg):
     return grad
 
 
+def richardson_gradient(f, logits, h=1e-3):
+    """(4 fd(h) - fd(2h)) / 3 of f over each shared symmetric logit pair,
+    fd the central difference at step h."""
+    n = logits.shape[0]
+    grad = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            step = np.zeros((n, n))
+            step[i, j] = step[j, i] = 1.0
+            fd = [(f(logits + t * step) - f(logits - t * step)) / (2 * t) for t in (h, 2 * h)]
+            grad[i, j] = grad[j, i] = (4.0 * fd[0] - fd[1]) / 3.0
+    return grad
+
+
 class TestGradient:
     def make_state(self, seed, n=8, k=4, noise=0.5):
         cfg = OptConfig(target_volume=20.0, alpha=0.5, epsilon=1e-7, k_horizon=k)
@@ -463,6 +481,56 @@ class TestGradient:
         assert np.array_equal(g, g.T)
         assert np.abs(np.diag(g)).max() == 0.0
 
+    @given(
+        activation=st.sampled_from([LOG, IDENTITY]),
+        beta=st.sampled_from([-1.0, 0.0, 1.0]),
+        gamma=st.sampled_from([-1.0, 0.0, 1.0]),
+        k_start=st.integers(0, 1),
+        n=st.integers(3, 12),
+        k_horizon=st.integers(1, 10),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        scale=st.sampled_from([0.0, 0.3, 1.0, 2.0]),
+        fraction=st.floats(0.1, 0.9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_spectral_backward_matches_finite_differences_over_models(
+        self, activation, beta, gamma, k_start, n, k_horizon, alpha, scale, fraction, seed
+    ):
+        # The loop's own path: spectral forward, the chain of adjoints.
+        model = ProximityConfig(
+            b=2.0 * k_horizon, beta=beta, gamma=gamma, k_start=k_start,
+            k_horizon=k_horizon, alphas=(alpha,) * (k_horizon + 1),
+            epsilon=1e-7 if activation == LOG else 1.0, activation=activation)
+        logits = symmetric_logits(n, seed, scale=scale)
+        shift = volume_shift(logits, fraction * n * (n - 1), OptConfig.newton_iters)
+
+        def model_output(lg):
+            b = _soft_adjacency(lg, shift)
+            return _forward(b, b.sum(axis=1), model)
+
+        s_mat = model_output(logits)
+        if activation == LOG:  # away from the clamp's kink, as above
+            with np.errstate(divide="ignore"):
+                assume(np.abs(np.log(s_mat)).min() > 1e-2)
+        # IDENTITY's kink, s = 0, is never crossed: s >= 0, and an exact zero
+        # (a diagonal entry of T) stays zero under every step.
+
+        # Noise at the output's own scale: an IDENTITY output near 1e-8 (a
+        # tiny alpha) under O(1) noise gives a loss whose round-off / h
+        # swamps its gradient in the differences below.
+        m_hat = _apply_activation(s_mat, activation)
+        rng = np.random.default_rng(seed)
+        m_target = m_hat + rng.normal(0.0, 0.5, (n, n)) * np.abs(m_hat).max()
+        value, analytic = _loss_and_gradient(_soft_adjacency(logits, shift), m_target, model)
+        fd = richardson_gradient(
+            lambda lg: loss(_apply_activation(model_output(lg), activation), m_target), logits)
+        # Each difference of the loss carries round-off ~eps * loss / h, so an
+        # entry is held to 1e-5 relative or to 10 times that, the larger.
+        floor = max(1e-10, 1e6 * np.finfo(np.float64).eps * value / 1e-3)
+        denom = np.maximum(np.maximum(np.abs(fd), np.abs(analytic)), floor)
+        off = ~np.eye(n, dtype=bool)
+        assert (np.abs(analytic - fd) / denom)[off].max() < 1e-5
+
 
 def traced_invert(monkeypatch, m_target, cfg, m_edges):
     """invert_optimize with each volume_shift call recorded as
@@ -578,6 +646,16 @@ class TestInvertOptimize:
                 OptConfig(target_volume=4.0, alpha=0.5, k_horizon=k)
             with pytest.raises(ValueError, match=message):
                 forward_proximity(np.ones((3, 3)) - np.eye(3), 0.5, 1e-7, k)
+
+    def test_every_pair_is_forced_with_no_epoch(self, k3, monkeypatch):
+        # The triangle's volume 6 fills all 6 off-diagonal entries, so no
+        # shift reaches it; its one answer comes back before the first solve.
+        target = forward_proximity(k3.adjacency(), 0.5, 1e-7, 10)
+        cfg = OptConfig(target_volume=float(k3.volume), alpha=0.5)
+        monkeypatch.setattr(pprinv.optimize, "volume_shift", None)
+        result = invert_optimize(target, cfg, k3.num_edges)
+        assert result.losses == ()
+        assert result.graph.edge_set() == k3.edge_set()
 
     def test_single_epoch_single_update(self):
         g, target, cfg = self.self_consistent_setup(0)

@@ -13,6 +13,7 @@ from pprinv.proximity import (
     ROW_L2,
     Preset,
     ProximityConfig,
+    _activation_adjoint,
     _apply_activation,
     _closed_form,
     _horner,
@@ -509,6 +510,12 @@ class TestInPlaceActivation:
         inner = _closed_form(truncated_ppr(g, cfg), g.degrees, cfg)
         got = deepwalk_log_proximity(g, 0.2, 10)
         assert got.tobytes() == np.log(inner).tobytes()
+
+
+def test_activation_adjoint_rejects_row_l2():
+    x = np.ones((3, 3))
+    with pytest.raises(ValueError, match="sensei"):
+        _activation_adjoint(x, x, ROW_L2)
 
 
 class TestPresetConfig:
