@@ -22,6 +22,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .linalg import _similar_eigh
+
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
 
@@ -41,8 +43,11 @@ class Graph:
     the original ids from the input file (internal ids are dense 0..n-1 in
     sorted-name order, see parse_edge_list); it is None for synthetic
     graphs. Both arrays are made read-only on construction, so values
-    memoized on the instance cannot go stale. Equality and hashing are by
-    identity; compare ``edge_set()`` for structure.
+    memoized on the instance cannot go stale: the path length, and the
+    spectrum of D^-1/2 A D^-1/2 (one n x n array), computed only when a
+    spectral walk sum first runs and shared by every configuration after.
+    Equality and hashing are by identity; compare ``edge_set()`` for
+    structure.
     """
 
     n: int
@@ -107,6 +112,19 @@ class Graph:
         if count == 0:
             return math.nan, 0
         return float(total) / 2 / count, count
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lam, V, r) of S = D^-1/2 A D^-1/2 = V diag(lam) V^T, r = sqrt(deg),
+        by linalg._similar_eigh, computed once per graph; the spectral walk
+        sum in proximity is its only reader, so a graph that never takes
+        that route never pays the eigh. The arrays are read-only and V is the
+        one n x n array kept. An isolated node raises before the eigh."""
+        _check_isolated(self)
+        spectrum = _similar_eigh(self.adjacency(), self.degrees)
+        for part in spectrum:
+            part.flags.writeable = False
+        return spectrum
 
     def adjacency(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (float64)."""
@@ -325,13 +343,19 @@ def parse_labels(text, g: Graph) -> tuple[tuple[str, frozenset[int]], ...]:
     return tuple((label, frozenset(nodes)) for label, nodes in ordered)
 
 
+def _check_isolated(g: Graph) -> None:
+    """A random walk needs every degree positive: raise naming the first
+    isolated node."""
+    if np.any(g.degrees == 0):
+        u = int(np.flatnonzero(g.degrees == 0)[0])
+        raise ValueError(f"node {u} is isolated; transition matrix undefined")
+
+
 def _walk_operator(g: Graph) -> csr_matrix:
     """Row-stochastic random-walk matrix in CSR form: uniform 1/deg(u) over
     u's neighbors."""
+    _check_isolated(g)
     deg = g.degrees
-    if np.any(deg == 0):
-        u = int(np.flatnonzero(deg == 0)[0])
-        raise ValueError(f"node {u} is isolated; transition matrix undefined")
     return g._csr(np.repeat(1.0 / deg, deg))
 
 

@@ -1,4 +1,5 @@
 """Dense-matrix kernels: randomized truncated SVD, symmetric pseudoinverse,
+the spectrum of a transition matrix D^-1 B through its symmetric similar,
 the Cholesky inverse of a symmetric positive definite matrix, and the binary
 matrix file format.
 
@@ -65,6 +66,18 @@ def pseudoinverse(m: np.ndarray) -> np.ndarray:
     inv_w = np.zeros_like(w)
     inv_w[keep] = 1.0 / w[keep]
     return (vecs * inv_w) @ vecs.T
+
+
+def _similar_eigh(b: np.ndarray, row_sums: np.ndarray):
+    """Eigendecomposition of T = D^-1 B (B symmetric, D = diag(row_sums))
+    through its symmetric similar S = R^-1 B R^-1, R = D^(1/2).
+
+    Returns (lam, V, r) with S = V diag(lam) V^T and r = sqrt(row_sums), so
+    that f(T) = R^-1 V f(lam) V^T R for any polynomial f.
+    """
+    r = np.sqrt(row_sums)
+    lam, v = np.linalg.eigh(b / np.outer(r, r))
+    return lam, v, r
 
 
 def _lower_inverse(l: np.ndarray) -> None:

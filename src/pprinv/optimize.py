@@ -27,7 +27,7 @@ import numpy as np
 
 from .analytical import _check_edge_budget, binarize
 from .graph import Graph
-from .linalg import _strict_upper
+from .linalg import _similar_eigh, _strict_upper
 from .proximity import (
     ProximityConfig,
     _activation_adjoint,
@@ -36,7 +36,6 @@ from .proximity import (
     _closed_form,
     _degree_adjoint,
     _horner,
-    _similar_eigh,
     _spectral_walk_sum,
     _spectral_walk_sum_adjoint,
     hop_coefficients,

@@ -10,10 +10,12 @@ by the size of the input. Horner's scheme over the CSR walk operator costs
 about L sparse-times-dense products (L normal coefficients, nnz stored
 entries each); the spectral form R^-1 V f(Lambda) V^T R (the NetMF closed
 form, with S = D^-1/2 A D^-1/2 = V Lambda V^T and R = D^1/2) costs one
-symmetric eigendecomposition and one matmul, O(n^3) whatever the horizon.
-The spectral form is taken when L * nnz >= n^2, and kept only when every
-entry clears a floor set by its round-off; otherwise Horner runs, so exact
-zeros (pairs more than K hops apart, parity on bipartite graphs) stay exact.
+matmul, O(n^3) whatever the horizon, on a spectrum the graph computes once,
+when a spectral walk sum first runs, and keeps (one n x n array) for every
+alpha and every preset after. The spectral form is taken when L * nnz >= n^2,
+and kept only when every entry clears a floor set by its round-off;
+otherwise Horner runs, so exact zeros (pairs more than K hops apart, parity
+on bipartite graphs) stay exact.
 Horner runs the whole recurrence on one block of _ROW_BLOCK columns at a
 time, for a CSR or a dense operator, so its two iterates stay in cache; on
 the CSR operator the blocks give the bits of the whole-matrix recurrence.
@@ -158,20 +160,6 @@ def _horner(p, coeffs: np.ndarray) -> np.ndarray:
     return walk
 
 
-def _similar_eigh(b: np.ndarray, row_sums: np.ndarray):
-    """Eigendecomposition of T = D^-1 B (B symmetric, D = diag(row_sums))
-    through its symmetric similar S = R^-1 B R^-1, R = D^(1/2).
-
-    Returns (lam, V, ratio) with S = V diag(lam) V^T and ratio[i, j] =
-    r_j / r_i, so that R^-1 X R = X * ratio elementwise and
-    f(T) = (V f(lam) V^T) * ratio for any polynomial f.
-    """
-    r = np.sqrt(row_sums)
-    lam, v = np.linalg.eigh(b / np.outer(r, r))
-    ratio = r[None, :] / r[:, None]
-    return lam, v, ratio
-
-
 # Round-off in V f(lam) V^T is absolute: every entry, whatever its size,
 # carries an error of up to a few eps * max|f(lam)| (at most 8.3 measured on
 # ER graphs, n = 50..800, alpha = 0.01..0.9, K = 10..1000). A walk-sum entry
@@ -183,11 +171,17 @@ def _similar_eigh(b: np.ndarray, row_sums: np.ndarray):
 _SPECTRAL_FLOOR = 1e10
 
 
+def _ratio(r: np.ndarray) -> np.ndarray:
+    """ratio[i, j] = r_j / r_i, so that R^-1 X R = X o ratio elementwise."""
+    return r[None, :] / r[:, None]
+
+
 def _spectral_walk_sum(eig, coeffs: np.ndarray, *, guard: bool = False):
-    """f(T) = (V f(lam) V^T) o ratio for eig = _similar_eigh(B, D), with
-    f(x) = sum_i c_i x^i by Horner's scheme on the eigenvalues; with guard,
-    None when some entry does not clear the round-off floor."""
-    lam, v, ratio = eig
+    """f(T) = (V f(lam) V^T) o _ratio(r) for eig = (lam, V, r) of
+    linalg._similar_eigh(B, D), with f(x) = sum_i c_i x^i by Horner's scheme
+    on the eigenvalues; with guard, None when some entry does not clear the
+    round-off floor."""
+    lam, v, r = eig
     f = np.full_like(lam, coeffs[-1])
     for c in coeffs[-2::-1]:
         f *= lam
@@ -195,7 +189,7 @@ def _spectral_walk_sum(eig, coeffs: np.ndarray, *, guard: bool = False):
     x = (v * f) @ v.T
     if guard and x.min() < _SPECTRAL_FLOOR * np.finfo(np.float64).eps * np.abs(f).max():
         return None
-    x *= ratio
+    x *= _ratio(r)
     return x
 
 
@@ -217,7 +211,8 @@ def _spectral_walk_sum_adjoint(eig, coeffs: np.ndarray, grad: np.ndarray):
     """dL/dT for grad = dL/df(T), overwriting grad: by Daleckii-Krein,
     R V (Gamma o (V^T (R^-1 grad R) V)) V^T R^-1 (four matmuls for any K),
     and the absolute round-off n eps max|X| of V X V^T, X the middle factor."""
-    lam, v, ratio = eig
+    lam, v, r = eig
+    ratio = _ratio(r)
     grad *= ratio
     inner = v.T @ grad @ v
     inner *= _divided_differences(lam, coeffs)
@@ -231,21 +226,23 @@ def truncated_ppr(g: Graph, cfg: ProximityConfig) -> np.ndarray:
     """Sum of c_i * P^i for i in [k_start, K].
 
     Spectral (_spectral_walk_sum) when L * nnz >= n^2, with L the number of
-    hop coefficients (see hop_coefficients) and nnz the walk operator's
-    stored entries; Horner over the CSR walk operator otherwise, and also
-    when the spectral result has an entry below its round-off floor, so
-    pairs that no walk of the allowed lengths connects stay exactly 0.
-    Horner runs on blocks of _ROW_BLOCK columns (see _horner), bit for bit
-    the whole-matrix recurrence.
+    hop coefficients (see hop_coefficients) and nnz = g.volume the walk
+    operator's stored entries; Horner over the CSR walk operator otherwise,
+    and also when the spectral result has an entry below its round-off
+    floor, so pairs that no walk of the allowed lengths connects stay
+    exactly 0. The spectral form reads the graph's spectrum, computed on
+    its first use and kept on the graph (Graph._spectrum, one n x n array),
+    so every alpha and every preset on one graph shares one eigh; only the
+    Horner route builds the CSR operator. Horner runs on blocks of
+    _ROW_BLOCK columns (see _horner), bit for bit the whole-matrix
+    recurrence. An isolated node raises before either route's work.
     """
-    p = _walk_operator(g)
     coeffs = hop_coefficients(cfg)
-    if coeffs.size * p.nnz >= g.n * g.n:
-        eig = _similar_eigh(g.adjacency(), g.degrees)
-        walk_sum = _spectral_walk_sum(eig, coeffs, guard=True)
+    if coeffs.size * g.volume >= g.n * g.n:
+        walk_sum = _spectral_walk_sum(g._spectrum, coeffs, guard=True)
         if walk_sum is not None:
             return walk_sum
-    return _horner(p, coeffs)
+    return _horner(_walk_operator(g), coeffs)
 
 
 def _log_clamp(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import random_connected_graph
 from test_graph import NODE_NAME
+from test_optimize import run_fresh_import
 from pprinv import cli
 from pprinv.cli import main
 from pprinv.embedding import load_embedding
@@ -997,6 +998,32 @@ class TestSweepCommand:
         assert all(isinstance(cfg, OptConfig) for cfg in configs)
         assert configs[0] is configs[1] and configs[2] is configs[3]
         assert configs[0] is not configs[2]
+
+    def test_presets_share_one_spectrum_and_leak_nothing(self, tmp_path, monkeypatch):
+        # At K = 200 every preset's walk sum on this graph is spectral.
+        path = write_graph(tmp_path / "g.txt", random_connected_graph(12, 0.4, 2))
+        eighs, eigh = [], cli.gr._similar_eigh
+        monkeypatch.setattr(cli.gr, "_similar_eigh",
+                            lambda *a: eighs.append(a) or eigh(*a))
+        presets = ["strap", "approxppr", "nrp"]
+        flags = ["--graph", path, "--dims", "2,4", "--method", "analytical",
+                 "--alpha", "0.1", "--k-horizon", "200"]
+        shared = tmp_path / "shared.csv"
+        assert main(["sweep", *flags, "--presets", ",".join(presets),
+                     "--out", str(shared)]) == 0
+        assert len(eighs) == 1
+        # Each preset alone, in a new interpreter: the header once, then
+        # each preset's rows in --presets order.
+        lines = []
+        for preset in presets:
+            out = tmp_path / f"{preset}.csv"
+            argv = ["sweep", *flags, "--presets", preset, "--out", str(out)]
+            done = run_fresh_import(
+                f"from pprinv.cli import main; raise SystemExit(main({argv!r}))")
+            assert done.returncode == 0, done.stderr
+            header, *rows = out.read_bytes().splitlines(keepends=True)
+            lines += rows if lines else [header, *rows]
+        assert shared.read_bytes() == b"".join(lines)
 
     def test_unknown_preset_rejected_before_any_cell(
         self, small_graph, tmp_path, capsys, monkeypatch

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import random_connected_graph, transition_matrix
 from pprinv.graph import EdgeListError, Graph, _walk_operator
-from pprinv.linalg import _ROW_BLOCK
+from pprinv.linalg import _ROW_BLOCK, _similar_eigh
 from pprinv.proximity import (
     IDENTITY,
     LOG,
@@ -18,7 +20,6 @@ from pprinv.proximity import (
     _closed_form,
     _horner,
     _log_clamp,
-    _similar_eigh,
     _spectral_walk_sum,
     build_proximity,
     deepwalk_log_proximity,
@@ -300,6 +301,85 @@ class TestSpectralWalkSum:
             assert np.all(out[~zero] > 0.0)
             assert np.abs(np.log(out[~zero]) - np.log(ref[~zero])).max(initial=0.0) <= 1e-9
         event("spectral form tried" if spectral_selected(g, cfg) else "Horner by size")
+
+
+def counting_eigh(monkeypatch):
+    """Patch np.linalg.eigh, which linalg._similar_eigh calls, with a
+    wrapper that records each call; returns the list of recorded shapes."""
+    calls, eigh = [], np.linalg.eigh
+
+    def wrapper(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", wrapper)
+    return calls
+
+
+def retained_bytes(g):
+    """Bytes of every array memoized on g, its CSR fields aside, counting
+    the whole buffer each one views."""
+    buffers = {}
+    for value in vars(g).values():
+        for a in value if isinstance(value, tuple) else (value,):
+            if not isinstance(a, np.ndarray) or a is g.indptr or a is g.indices:
+                continue
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            buffers[id(a)] = a.nbytes
+    return sum(buffers.values())
+
+
+class TestGraphSpectrum:
+    """The spectral walk sum reads Graph._spectrum: one eigh per graph,
+    shared by every alpha and preset, with the bits of a fresh graph's."""
+
+    def test_one_eigh_per_graph(self, monkeypatch):
+        n, edges = 40, sorted(random_connected_graph(40, 0.3, 6).edge_set())
+        strap = preset_config(Preset.STRAP, alpha=0.1, epsilon=1e-7, k_horizon=2000)
+        calls = [
+            *((deepwalk_log_proximity, alpha, 2000) for alpha in (0.1, 0.7, 0.1)),
+            (build_proximity, strap),
+        ]
+        g = Graph.from_edges(n, edges)
+        # alpha = 0.7 has the fewest hop coefficients of the four.
+        shortest = preset_config(Preset.DEEPWALK, alpha=0.7, k_horizon=2000,
+                                 volume=g.volume)
+        assert spectral_selected(g, shortest) and spectral_selected(g, strap)
+        eighs = counting_eigh(monkeypatch)
+        outs = [fn(g, *args) for fn, *args in calls]
+        assert eighs == [(n, n)]
+        for out, (fn, *args) in zip(outs, calls):
+            assert np.array_equal(out, fn(Graph.from_edges(n, edges), *args))
+
+    def test_horner_route_leaves_spectrum_uncomputed(self, monkeypatch):
+        g = random_connected_graph(40, 0.1, 3)
+        cfg = constant_cfg(0.5, 2)
+        assert not spectral_selected(g, cfg)
+        eighs = counting_eigh(monkeypatch)
+        truncated_ppr(g, cfg)
+        assert eighs == [] and "_spectrum" not in vars(g)
+
+    def test_spectrum_read_only_and_one_square_array(self):
+        n = 30
+        g = random_connected_graph(n, 0.3, 4)
+        truncated_ppr(g, constant_cfg(0.1, 2000))
+        lam, v, r = g._spectrum
+        for part in (lam, v, r):
+            with pytest.raises(ValueError, match="read-only"):
+                part[0] = 1.0
+        assert retained_bytes(g) <= 8 * (n * n + 2 * n)
+
+    def test_isolated_node_raises_before_eigh(self, monkeypatch):
+        g = Graph.from_edges(3, [(0, 1)])
+        cfg = constant_cfg(0.1, 2000)
+        assert spectral_selected(g, cfg)
+        eighs = counting_eigh(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="node 2"):
+                truncated_ppr(g, cfg)
+        assert eighs == [] and "_spectrum" not in vars(g)
 
 
 def whole_matrix_horner(p, coeffs):
