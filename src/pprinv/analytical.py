@@ -2,10 +2,14 @@
 
 The input follows the unclamped log convention of
 ``proximity.deepwalk_log_proximity`` (entries may be negative): the DEEPWALK
-closed form before its zero clamp. invert_analytical inverts it directly,
-reading the closed form's scale from the DEEPWALK ProximityConfig, and
-binarizes to the original edge count. The public chain proximity ->
-infinite-horizon limit -> normalized Laplacian -> adjacency
+closed form before its zero clamp, given as an n x n matrix or as the
+embedding pair whose product X @ Y.T approximates it. invert_analytical
+inverts it directly, reading the closed form's scale from the DEEPWALK
+ProximityConfig, and binarizes to the original edge count. It reads its
+target one block of _ROW_BLOCK rows at a time (a pair's product_blocks), so
+a pair's n x n product is never formed: an analytical sweep cell peaks at
+about 3 n x n arrays above the proximity it factorizes. The public chain
+proximity -> infinite-horizon limit -> normalized Laplacian -> adjacency
 (estimate_m_infinity, recover_laplacian, recover_adjacency) is the same
 inverse step by step, kept as its reference. Each step is the exact
 algebraic inverse of the forward construction, so a connected graph whose
@@ -18,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embedding import EmbeddingPair, product_blocks
 from .graph import Graph
-from .linalg import _spd_inverse, _strict_upper, _symmetrize, pseudoinverse
+from .linalg import _ROW_BLOCK, _spd_inverse, _strict_upper, _symmetrize, pseudoinverse
 from .proximity import Preset, _check_alpha, _check_horizon, preset_config
 
 
@@ -27,12 +32,15 @@ from .proximity import Preset, _check_alpha, _check_horizon, preset_config
 class AnalyticalInputs:
     """Inputs to the closed-form recovery.
 
-    m_k is the finite-horizon log-form proximity; degrees/volume describe
-    the original graph (only its topology is treated as unknown); m_edges
-    sets the binarization budget.
+    m_k is the finite-horizon log-form proximity, an n x n matrix or the
+    EmbeddingPair whose product X @ Y.T stands for it; degrees/volume
+    describe the original graph (only its topology is treated as unknown);
+    m_edges sets the binarization budget. A matrix's non-finite entries are
+    an error here; a pair's, counted over the blocks of its product, when
+    invert_analytical reads them, before it inverts anything.
     """
 
-    m_k: np.ndarray
+    m_k: np.ndarray | EmbeddingPair
     degrees: np.ndarray
     volume: float
     alpha: float
@@ -40,18 +48,56 @@ class AnalyticalInputs:
     m_edges: int
 
     def __post_init__(self) -> None:
-        if bad := np.count_nonzero(~np.isfinite(self.m_k)):
+        if isinstance(self.m_k, EmbeddingPair):
+            shape = (len(self.m_k.x), len(self.m_k.y))
+        elif bad := _non_finite(self.m_k):
             raise ValueError(f"proximity m_k has {bad} non-finite entries")
+        else:
+            shape = np.shape(self.m_k)
         deg = np.asarray(self.degrees)
         if not np.all(np.isfinite(deg) & (deg >= 1)):
             raise ValueError("all degrees must be finite and >= 1")
-        if np.shape(self.m_k) != (deg.size, deg.size):
+        if shape != (deg.size, deg.size):
             raise ValueError("proximity shape does not match degree vector")
         # Written so that a NaN volume fails the test too.
         if not abs(float(deg.sum()) - self.volume) <= 1e-9:
             raise ValueError("volume must be finite and equal the degree sum")
         _check_alpha(self.alpha)
         _check_edge_budget(deg.size, self.m_edges)
+
+
+def _non_finite(m) -> int:
+    return np.count_nonzero(~np.isfinite(m))
+
+
+def _log_rows(m_k: np.ndarray | EmbeddingPair):
+    """AnalyticalInputs.m_k as (rows, block) for each block of _ROW_BLOCK
+    rows: slices of the matrix, or a pair's product_blocks."""
+    if isinstance(m_k, EmbeddingPair):
+        yield from product_blocks(m_k)
+        return
+    m_k = np.asarray(m_k, dtype=np.float64)
+    for start in range(0, len(m_k), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        yield rows, m_k[rows]
+
+
+def _scaled_exp(m_k: np.ndarray | EmbeddingPair, root: np.ndarray, scale: float):
+    """D^{1/2} (exp(M_K)/s) D^{1/2} for root = sqrt(deg), filled from
+    _log_rows one block at a time by the whole-matrix steps in their order,
+    so no block outlives the fill. M_K's non-finite entries, counted over
+    every block, are an error."""
+    z = np.empty((root.size, root.size))
+    bad = 0
+    for rows, block in _log_rows(m_k):
+        bad += _non_finite(block)
+        z_rows = np.exp(block, out=z[rows])
+        z_rows *= root[rows, None]
+        z_rows *= root[None, :]
+        z_rows /= scale
+    if bad:
+        raise ValueError(f"proximity m_k has {bad} non-finite entries")
+    return z
 
 
 def _check_edge_budget(n: int, m_edges: int) -> int:
@@ -172,15 +218,14 @@ def invert_analytical(inputs: AnalyticalInputs) -> Graph:
     (_inverse) and binarize the scores -D^{1/2} Z^{-1} D^{1/2}. Z is alpha
     times the chain's, so both take the same route, and off the diagonal the
     scores are the chain's soft adjacency times (1-alpha)/alpha, up to
-    round-off. The Cholesky route peaks at 3 n x n arrays above the inputs,
-    which are left untouched."""
+    round-off. Z is filled one block of M_K's rows at a time (_scaled_exp),
+    so a pair's Z is bit for bit the one its reconstruct_proximity gives,
+    and its product is never held. The Cholesky route peaks at 3 n x n
+    arrays above the inputs, which are left untouched."""
     root = np.sqrt(np.asarray(inputs.degrees, dtype=np.float64))
     scale = preset_config(Preset.DEEPWALK, alpha=inputs.alpha,
                           k_horizon=inputs.k_horizon, volume=inputs.volume).scale
-    z = np.exp(np.asarray(inputs.m_k, dtype=np.float64))
-    z *= root[:, None]
-    z *= root[None, :]
-    z /= scale
+    z = _scaled_exp(inputs.m_k, root, scale)
     z.flat[:: root.size + 1] += inputs.alpha
     scores, exact = _inverse(z)
     del z

@@ -138,13 +138,17 @@ def _inversion(args, cfg: prox.ProximityConfig | None, volume: float):
 
 
 def _invert(target, degrees, inversion):
-    """Run _inversion's result: invert_optimize with its OptConfig, else the
-    closed form with its (alpha, K). Returns the recovered graph and the
-    per-epoch losses (empty for the closed form)."""
+    """Run _inversion's result on target, an n x n proximity or an
+    EmbeddingPair: invert_optimize with its OptConfig, on a pair's product,
+    else the closed form with its (alpha, K), which reads a pair's factors.
+    Returns the recovered graph and the per-epoch losses (empty for the
+    closed form)."""
     degrees = np.asarray(degrees, dtype=np.float64)
     volume = float(degrees.sum())
     m_edges = int(volume) // 2
     if isinstance(inversion, OptConfig):
+        if isinstance(target, emb.EmbeddingPair):
+            target = emb.reconstruct_proximity(target)
         result = invert_optimize(target, inversion, m_edges)
         return result.graph, result.losses
     alpha, k_horizon = inversion
@@ -155,11 +159,12 @@ def _invert(target, degrees, inversion):
 
 def cmd_invert(args) -> int:
     if args.embedding:
-        pair = emb.load_embedding(args.embedding)
-        meta, cfg = pair.meta, _config_from_meta(pair.meta)
-        target = emb.reconstruct_proximity(pair)
+        target = emb.load_embedding(args.embedding)
+        meta, cfg = target.meta, _config_from_meta(target.meta)
+        n = len(target.x)
     elif args.proximity:
         target, meta, cfg = linalg.load_matrix(args.proximity), {}, None
+        n = len(target)
     else:
         raise ValueError("supply --embedding DIR or --proximity FILE")
     names = None
@@ -173,10 +178,8 @@ def cmd_invert(args) -> int:
             raise ValueError("degrees must be non-negative integers with an even sum")
     else:
         raise ValueError(f"{args.method} method requires the degree sequence")
-    if degrees.shape != target.shape[:1]:
-        raise ValueError(
-            f"{degrees.size} degrees for a {target.shape[0]}-node target proximity"
-        )
+    if degrees.shape != (n,):
+        raise ValueError(f"{degrees.size} degrees for a {n}-node target proximity")
     volume = meta.get("graph_volume")
     if volume is not None and degrees.sum() != volume:
         raise ValueError(
@@ -229,7 +232,7 @@ _SWEEP_COLUMNS = (
 def _sweep_cell(g, labels, m, args, dim, inversion) -> dict[str, str]:
     """One cell's error columns, leaving out each undefined one."""
     pair = emb.factorize(m, dim, args.seed)
-    recovered, losses = _invert(emb.reconstruct_proximity(pair), g.degrees, inversion)
+    recovered, losses = _invert(pair, g.degrees, inversion)
     report = met.recovery_report(g, recovered, labels)
     values = {
         "err_A": report.err_a,

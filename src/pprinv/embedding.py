@@ -7,17 +7,25 @@ the PPREIM1 binary format plus a meta.json holding the pair's meta as given.
 `pprinv invert` rebuilds that config (cli._config_from_meta) and takes alpha
 (when every hop's is one value) and the horizon K from it unless a flag gives
 them; the optimizer's epsilon comes from --opt-epsilon, never from meta.
+
+The product X @ Y.T is formed one way, _ROW_BLOCK rows at a time
+(product_blocks): whole for the optimizer (reconstruct_proximity, one n x n
+array), or streamed by the analytical inverse, which fills its own n x n
+array from the blocks and never holds the product, so an analytical cell
+peaks at about 3 n x n arrays (its Z and the Cholesky inverse's two) where
+the product made it 4. Both routes see the same bits.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .linalg import load_matrix, randomized_svd, save_matrix
+from .linalg import _ROW_BLOCK, load_matrix, randomized_svd, save_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,9 +42,23 @@ def factorize(m: np.ndarray, d: int, seed: int) -> EmbeddingPair:
     return EmbeddingPair(x=u * root, y=v * root)
 
 
+def product_blocks(pair: EmbeddingPair) -> Iterator[tuple[slice, np.ndarray]]:
+    """X @ Y.T as (rows, X[rows] @ Y.T) for each block of _ROW_BLOCK rows.
+    GEMM need not sum a block's entries in the order it sums the whole
+    product's (OpenBLAS differs at n = 129 and 300, not at 400 or 1600), so
+    every reader of the product takes these blocks."""
+    for start in range(0, len(pair.x), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        yield rows, pair.x[rows] @ pair.y.T
+
+
 def reconstruct_proximity(pair: EmbeddingPair) -> np.ndarray:
-    """Truncated proximity matrix X @ Y.T implied by the embeddings."""
-    return pair.x @ pair.y.T
+    """Truncated proximity matrix X @ Y.T implied by the embeddings, filled
+    from product_blocks."""
+    m = np.empty((len(pair.x), len(pair.y)))
+    for rows, block in product_blocks(pair):
+        m[rows] = block
+    return m
 
 
 def save_embedding(directory, pair: EmbeddingPair) -> None:

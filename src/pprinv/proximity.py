@@ -232,8 +232,9 @@ def truncated_ppr(g: Graph, cfg: ProximityConfig) -> np.ndarray:
     floor, so pairs that no walk of the allowed lengths connects stay
     exactly 0. The spectral form reads the graph's spectrum, computed on
     its first use and kept on the graph (Graph._spectrum, one n x n array),
-    so every alpha and every preset on one graph shares one eigh; only the
-    Horner route builds the CSR operator. Horner runs on blocks of
+    so every alpha and every preset on one graph shares one eigh; a rejected
+    spectral sum drops it again. Only the Horner route builds the CSR
+    operator. Horner runs on blocks of
     _ROW_BLOCK columns (see _horner), bit for bit the whole-matrix
     recurrence. An isolated node raises before either route's work.
     """
@@ -242,6 +243,9 @@ def truncated_ppr(g: Graph, cfg: ProximityConfig) -> np.ndarray:
         walk_sum = _spectral_walk_sum(g._spectrum, coeffs, guard=True)
         if walk_sum is not None:
             return walk_sum
+        # Rejected: the graph keeps no spectrum it did not use, and a later
+        # call computes it again.
+        vars(g).pop("_spectrum", None)
     return _horner(_walk_operator(g), coeffs)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_connected_graph
 from pprinv import analytical as analytical_module
+from pprinv import cli
 from pprinv.analytical import (
     AnalyticalInputs,
     binarize,
@@ -15,10 +17,15 @@ from pprinv.analytical import (
     recover_adjacency,
     recover_laplacian,
 )
-from pprinv.embedding import factorize, reconstruct_proximity
+from pprinv.embedding import EmbeddingPair, factorize, reconstruct_proximity
 from pprinv.graph import Graph
 from pprinv.linalg import _ROW_BLOCK, _TRI_INV_LEAF, pseudoinverse
-from pprinv.proximity import deepwalk_log_proximity
+from pprinv.proximity import (
+    Preset,
+    build_proximity,
+    deepwalk_log_proximity,
+    preset_config,
+)
 
 
 def normalized_laplacian(g):
@@ -452,6 +459,16 @@ class TestInvertAnalytical:
             recover_laplacian, m_inf, inputs.degrees, inputs.volume, 0.7
         ) <= 3.25 * n2
 
+    def test_sweep_cell_peak_memory_above_its_proximity(self):
+        # In n x n float64 arrays at n=300, d=16: 3.12, the inverse's Z and
+        # the Cholesky route's two; 4.12 when the cell formed X @ Y.T.
+        g = random_connected_graph(300, 0.05, 3)
+        cfg = preset_config(Preset.DEEPWALK, alpha=0.1, k_horizon=10, volume=g.volume)
+        m = build_proximity(g, cfg)
+        args = argparse.Namespace(seed=0)
+        peak = peak_bytes(cli._sweep_cell, g, None, m, args, 16, (0.1, 10))
+        assert peak <= 3.25 * 8.0 * g.n**2
+
     def test_non_finite_proximity_rejected(self, k3):
         m_k = deepwalk_log_proximity(k3, 0.7, 2000)
         m_k[0, 2] = np.nan
@@ -483,11 +500,12 @@ class TestInvertAnalytical:
                 m_k=np.zeros((2, 2)), degrees=np.array([1.0, 1.0]), volume=3.0,
                 alpha=0.5, k_horizon=10, m_edges=1,
             )
-        with pytest.raises(ValueError, match="proximity shape does not match"):
-            AnalyticalInputs(
-                m_k=np.zeros((2, 2)), degrees=np.ones(3), volume=3.0,
-                alpha=0.5, k_horizon=10, m_edges=1,
-            )
+        for m_k in (np.zeros((2, 2)), EmbeddingPair(np.ones((2, 1)), np.ones((2, 1)))):
+            with pytest.raises(ValueError, match="proximity shape does not match"):
+                AnalyticalInputs(
+                    m_k=m_k, degrees=np.ones(3), volume=3.0,
+                    alpha=0.5, k_horizon=10, m_edges=1,
+                )
         with pytest.raises(ValueError, match="alpha"):
             AnalyticalInputs(
                 m_k=np.zeros((2, 2)), degrees=np.array([1.0, 1.0]), volume=2.0,
@@ -506,3 +524,70 @@ class TestInvertAnalytical:
                     m_k=m_k, degrees=degrees, volume=volume, alpha=0.7,
                     k_horizon=50, m_edges=3,
                 )
+
+
+def inverted(inputs):
+    """invert_analytical's recovered graph and the scores it binarized."""
+    scores = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analytical_module, "binarize",
+                   lambda s, m: scores.append(s) or binarize(s, m))
+        rec = invert_analytical(inputs)
+    return rec, scores[0]
+
+
+# At least two row blocks, the last one partial.
+spanning_blocks = st.integers(_ROW_BLOCK + 1, 3 * _ROW_BLOCK - 1).filter(
+    lambda n: n % _ROW_BLOCK)
+
+
+class TestFactorRoute:
+    """AnalyticalInputs(m_k=pair) reads the pair's product one row block at a
+    time: the bits of AnalyticalInputs(m_k=reconstruct_proximity(pair))."""
+
+    @settings(max_examples=8)
+    @given(n=spanning_blocks, p=st.floats(0.05, 0.2), alpha=st.floats(0.05, 0.95),
+           rank=st.floats(0.0, 1.0), seed=st.integers(0, 10_000))
+    # A last block of one row, at d = 1 and d = n; the CI smoke's n at 16
+    # and 64 (OpenBLAS sums a block's product unlike the whole one's there).
+    @example(n=_ROW_BLOCK + 1, p=0.06, alpha=0.1, rank=0.0, seed=1)
+    @example(n=_ROW_BLOCK + 1, p=0.06, alpha=0.1, rank=1.0, seed=1)
+    @example(n=300, p=0.05, alpha=0.1, rank=15 / 299, seed=2)
+    @example(n=300, p=0.05, alpha=0.1, rank=63 / 299, seed=2)
+    def test_factors_give_the_bits_of_their_product(self, n, p, alpha, rank, seed):
+        g = random_connected_graph(n, p, seed)
+        d = 1 + int(rank * (n - 1))
+        pair = factorize(deepwalk_log_proximity(g, alpha, 40), d, seed)
+        x_bits, y_bits = pair.x.tobytes(), pair.y.tobytes()
+        common = dict(degrees=g.degrees.astype(float), volume=float(g.volume),
+                      alpha=alpha, k_horizon=40, m_edges=g.num_edges)
+        rec, scores = inverted(AnalyticalInputs(m_k=pair, **common))
+        want_rec, want = inverted(
+            AnalyticalInputs(m_k=reconstruct_proximity(pair), **common))
+        assert np.array_equal(scores, want)
+        assert rec.edge_set() == want_rec.edge_set()
+        assert pair.x.tobytes() == x_bits and pair.y.tobytes() == y_bits
+
+    @settings(max_examples=20)
+    @given(n=spanning_blocks, d=st.integers(1, 8), seed=st.integers(0, 10_000),
+           poison=st.lists(st.tuples(st.booleans(), st.integers(0, 2**20),
+                                     st.integers(0, 7)), min_size=1, max_size=4))
+    def test_non_finite_product_rejected_before_the_inverse(self, n, d, seed, poison):
+        # A NaN factor entry poisons a row (in X) or a column (in Y) of the
+        # product; the count is over the whole product, as for a matrix.
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=(2, n, d))
+        for in_x, row, col in poison:
+            (x if in_x else y)[row % n, col % d] = np.nan
+        pair = EmbeddingPair(x, y)
+        bad = np.count_nonzero(~np.isfinite(reconstruct_proximity(pair)))
+        deg = rng.integers(1, 6, size=n).astype(float)
+        inputs = AnalyticalInputs(m_k=pair, degrees=deg, volume=float(deg.sum()),
+                                  alpha=0.5, k_horizon=10, m_edges=n - 1)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analytical_module, "_inverse", lambda z: calls.append(z))
+            with pytest.raises(ValueError,
+                               match=f"proximity m_k has {bad} non-finite entries"):
+                invert_analytical(inputs)
+        assert calls == []

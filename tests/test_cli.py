@@ -1173,3 +1173,32 @@ class TestChainEqualsSweep:
                 assert float(row["final_loss"]) == pytest.approx(last, rel=1e-8, abs=0)
             else:
                 assert row["final_loss"] == ""
+
+    def test_circulant_analytical_rows_span_row_blocks(self, tmp_path):
+        # The CI smoke's 300-node circulant (offsets 1 and 37): the closed
+        # form reads each embedding's product over three row blocks.
+        graph, labels = tmp_path / "circ.txt", tmp_path / "labels.txt"
+        graph.write_text("".join(f"{i} {(i + 1) % 300}\n{i} {(i + 37) % 300}\n"
+                                 for i in range(300)))
+        labels.write_text("".join(f"{i} {i // 100}\n" for i in range(300)))
+        flags = ["--graph", str(graph), "--alpha", "0.1"]
+        sweep_csv = tmp_path / "sweep.csv"
+        assert _run(["sweep", *flags, "--labels", str(labels), "--presets", "deepwalk",
+                     "--dims", "16,64", "--method", "analytical",
+                     "--out", str(sweep_csv)]) == (0, "")
+        with open(sweep_csv, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["dim"] for row in rows] == ["16", "64"]
+        for row in rows:
+            emb_dir, rec, report = (tmp_path / f"{name}{row['dim']}"
+                                    for name in ("emb", "rec", "report"))
+            assert _run(["embed", *flags, "--preset", "deepwalk", "--dim", row["dim"],
+                         "--out", str(emb_dir)]) == (0, "")
+            assert _run(["invert", "analytical", "--embedding", str(emb_dir),
+                         "--graph", str(graph), "--out", str(rec)]) == (0, "")
+            assert _run(["evaluate", "--graph", str(graph), "--recovered", str(rec),
+                         "--labels", str(labels), "--out", str(report)]) == (0, "")
+            chain = json.loads(report.read_text())
+            assert row["status"] == "ok"
+            for key in ("err_A", "err_l", "err_phi_avg"):
+                assert row[key] == f"{chain[key]:.9g}", key

@@ -370,6 +370,17 @@ class TestGraphSpectrum:
                 part[0] = 1.0
         assert retained_bytes(g) <= 8 * (n * n + 2 * n)
 
+    def test_rejected_spectrum_is_not_kept(self, monkeypatch):
+        # At K = 2000 the barbell's far pairs fall below the round-off
+        # floor: each call computes the spectrum, rejects it and drops it.
+        g = long_barbell(40, 15)
+        cfg = constant_cfg(0.9, 2000)
+        assert spectral_selected(g, cfg)
+        eighs = counting_eigh(monkeypatch)
+        for calls in (1, 2):
+            assert np.array_equal(truncated_ppr(g, cfg), horner_walk_sum(g, cfg))
+            assert eighs == [(g.n, g.n)] * calls and "_spectrum" not in vars(g)
+
     def test_isolated_node_raises_before_eigh(self, monkeypatch):
         g = Graph.from_edges(3, [(0, 1)])
         cfg = constant_cfg(0.1, 2000)
