@@ -37,7 +37,8 @@ class AnalyticalInputs:
     describe the original graph (only its topology is treated as unknown);
     m_edges sets the binarization budget. A matrix's non-finite entries are
     an error here; a pair's, counted over the blocks of its product, when
-    invert_analytical reads them, before it inverts anything.
+    invert_analytical reads them, before it inverts anything, as is a
+    finite entry whose scaled exponential overflows.
     """
 
     m_k: np.ndarray | EmbeddingPair
@@ -86,15 +87,26 @@ def _scaled_exp(m_k: np.ndarray | EmbeddingPair, root: np.ndarray, scale: float)
     """D^{1/2} (exp(M_K)/s) D^{1/2} for root = sqrt(deg), filled from
     _log_rows one block at a time by the whole-matrix steps in their order,
     so no block outlives the fill. M_K's non-finite entries, counted over
-    every block, are an error."""
+    every block, are an error, and so is a finite entry whose scaled
+    exponential overflows: the fill stops at the first overflow, and only
+    then are such entries counted, by the same steps."""
     z = np.empty((root.size, root.size))
     bad = 0
-    for rows, block in _log_rows(m_k):
-        bad += _non_finite(block)
-        z_rows = np.exp(block, out=z[rows])
-        z_rows *= root[rows, None]
-        z_rows *= root[None, :]
-        z_rows /= scale
+    try:
+        for rows, block in _log_rows(m_k):
+            bad += _non_finite(block)
+            with np.errstate(over="raise"):
+                z_rows = np.exp(block, out=z[rows])
+                z_rows *= root[rows, None]
+                z_rows *= root[None, :]
+                z_rows /= scale
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            over = sum(np.count_nonzero(np.isinf(np.exp(b) * root[r, None] * root / scale)
+                                        & np.isfinite(b)) for r, b in _log_rows(m_k))
+        raise ValueError(
+            f"proximity m_k has {over} finite entries whose exponential overflows"
+        ) from None
     if bad:
         raise ValueError(f"proximity m_k has {bad} non-finite entries")
     return z

@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import json
 import logging
+import os
 import sys
 import time
 from pathlib import Path
@@ -158,26 +159,26 @@ def _invert(target, degrees, inversion):
 
 
 def cmd_invert(args) -> int:
+    # A rejected run writes neither out-file: both are checked before any work.
+    for path in (args.out, args.loss_trace):
+        if path and (Path(path).is_dir() or not os.access(Path(path).parent, os.W_OK)):
+            raise ValueError(f"cannot write {path}: not a file in a writable directory")
     if args.embedding:
         target = emb.load_embedding(args.embedding)
         meta, cfg = target.meta, _config_from_meta(target.meta)
         n = len(target.x)
-    elif args.proximity:
+    else:
         target, meta, cfg = linalg.load_matrix(args.proximity), {}, None
         n = len(target)
-    else:
-        raise ValueError("supply --embedding DIR or --proximity FILE")
     names = None
     if args.graph:
         g = _load_graph(args.graph)
         degrees, names = g.degrees, g.node_names
-    elif args.degrees:
+    else:
         degrees = np.array(gr._numbers(Path(args.degrees).read_bytes(), "one degree"))
         whole = np.isfinite(degrees) & (degrees >= 0) & (degrees == np.floor(degrees))
         if not whole.all() or degrees.sum() % 2:
             raise ValueError("degrees must be non-negative integers with an even sum")
-    else:
-        raise ValueError(f"{args.method} method requires the degree sequence")
     if degrees.shape != (n,):
         raise ValueError(f"{degrees.size} degrees for a {n}-node target proximity")
     volume = meta.get("graph_volume")
@@ -192,18 +193,25 @@ def cmd_invert(args) -> int:
     # parse_edge_list, whatever each file's line order, so names line up.
     recovered = dataclasses.replace(recovered, node_names=names)
     Path(args.out).write_text(gr.serialize_edge_list(recovered), encoding="utf-8")
+    if args.loss_trace:
+        with open(args.loss_trace, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["epoch", "loss"])
+            for epoch, value in enumerate(losses, start=1):
+                writer.writerow([epoch, f"{value:.12g}"])
     if args.method == "optimize":
-        if args.loss_trace:
-            with open(args.loss_trace, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["epoch", "loss"])
-                for epoch, value in enumerate(losses, start=1):
-                    writer.writerow([epoch, f"{value:.12g}"])
         # A budget of every pair runs no epoch: the graph is forced.
         trail = f", loss {losses[0]:.6g} -> {losses[-1]:.6g}" if losses else ""
         log.info("optimize inversion: %d epochs%s", len(losses), trail)
     print(f"wrote recovered edge list ({recovered.num_edges} edges) to {args.out}")
     return 0
+
+
+# Sweep CSV columns; the errors (evaluate prints them) are to_dict() keys.
+_SWEEP_COLUMNS = (
+    "preset", "method", "dim", "err_A", "err_l", "err_phi_avg", "final_loss",
+    "status",
+)
 
 
 def cmd_evaluate(args) -> int:
@@ -213,50 +221,46 @@ def cmd_evaluate(args) -> int:
     meta = {"graph": args.graph}
     if labels is None:
         meta["labels_missing"] = True
-    report = met.recovery_report(g, g_hat, labels)
-    payload = json.dumps({**report.to_dict(), "meta": meta}, sort_keys=True, indent=2)
+    values = met.recovery_report(g, g_hat, labels).to_dict()
+    payload = json.dumps({**values, "meta": meta}, sort_keys=True, indent=2)
     Path(args.out).write_text(payload + "\n")
-    phi = "n/a" if report.err_phi_avg is None else f"{report.err_phi_avg:.6f}"
-    print(
-        f"err_A={report.err_a:.6f} err_l={report.err_l:.6f} err_phi_avg={phi}"
-    )
+    print(" ".join(f"{key}={'n/a' if v is None else f'{v:.6f}'}"
+                   for key, v in values.items() if key in _SWEEP_COLUMNS))
     return 0
 
 
-_SWEEP_COLUMNS = (
-    "preset", "method", "dim", "err_A", "err_l", "err_phi_avg", "final_loss",
-    "status",
-)
-
-
 def _sweep_cell(g, labels, m, args, dim, inversion) -> dict[str, str]:
-    """One cell's error columns, leaving out each undefined one."""
+    """A cell's report columns in _SWEEP_COLUMNS and final_loss, if defined."""
     pair = emb.factorize(m, dim, args.seed)
     recovered, losses = _invert(pair, g.degrees, inversion)
-    report = met.recovery_report(g, recovered, labels)
-    values = {
-        "err_A": report.err_a,
-        "err_l": report.err_l,
-        "err_phi_avg": report.err_phi_avg,
-        "final_loss": losses[-1] if losses else None,
-    }
-    return {key: f"{v:.9g}" for key, v in values.items() if v is not None}
+    values = met.recovery_report(g, recovered, labels).to_dict()
+    values["final_loss"] = losses[-1] if losses else None
+    return {key: f"{v:.9g}" for key, v in values.items()
+            if key in _SWEEP_COLUMNS and v is not None}
+
+
+def _comma_list(text: str, flag: str) -> list[str]:
+    """A comma-separated flag's items, each stripped, empty ones dropped;
+    an empty list is an error naming the flag."""
+    items = [item for item in (part.strip() for part in text.split(",")) if item]
+    if not items:
+        raise ValueError(f"{flag} list must be nonempty")
+    return items
 
 
 def cmd_sweep(args) -> int:
     g = _load_graph(args.graph)
     labels = _load_labels(args.labels, g)
+    dims = _comma_list(args.dims, "--dims")
     try:
-        dims = [int(d) for d in args.dims.split(",") if d]
+        dims = [int(d) for d in dims]
     except ValueError:
         raise ValueError(f"--dims takes comma-separated integers, got {args.dims!r}") from None
-    if not dims:
-        raise ValueError("dims list must be nonempty")
     for dim in dims:
         _check_dim(dim)
     # Every preset's config and inversion is built before the first cell;
     # a preset's cells share its inversion.
-    names = [name for name in (p.strip() for p in args.presets.split(",")) if name]
+    names = _comma_list(args.presets, "--presets")
     configs = [(preset, cfg, _inversion(args, cfg, float(g.volume)))
                for preset, cfg in _build_configs(names, args, g)]
     rows = []  # in the order the cells run: --presets, then --dims, as given
@@ -333,17 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
     for method, summary in (("analytical", "closed-form recovery"),
                             ("optimize", "gradient-descent recovery")):
         p = inv_sub.add_parser(method, help=summary)
-        # Neither group is required: cmd_invert reports a missing target or
-        # degree sequence itself, with exit code 1.
-        _add_flags(p.add_mutually_exclusive_group(), "--embedding", "--proximity")
-        degrees = p.add_mutually_exclusive_group()
+        _add_flags(p.add_mutually_exclusive_group(required=True),
+                   "--embedding", "--proximity")
+        degrees = p.add_mutually_exclusive_group(required=True)
         _add_flags(degrees, "--graph", required=False,
                    help="original graph (degrees and node names)")
         _add_flags(degrees, "--degrees")
         # A missing --k-horizon falls back to meta.json, then OptConfig's.
         _add_flags(p, "--k-horizon", default=None)
         _add_flags(p, "--alpha", "--out")
-        p.set_defaults(func=cmd_invert)
+        p.set_defaults(func=cmd_invert, loss_trace=None)
     # p is now the optimize parser; the flags below are its own.
     _add_flags(p, "--opt-epsilon", "--epochs", "--step-size", "--loss-trace")
 

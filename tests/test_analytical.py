@@ -1,5 +1,6 @@
 import argparse
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -478,6 +479,23 @@ class TestInvertAnalytical:
                 m_k=m_k, degrees=k3.degrees.astype(float), volume=float(k3.volume),
                 alpha=0.7, k_horizon=2000, m_edges=k3.num_edges,
             )
+
+    def test_overflowing_exponential_rejected_before_the_inverse(self, barbell,
+                                                                 monkeypatch):
+        # exp overflows above ~709.78; the count runs only once the fill
+        # has overflowed, and no RuntimeWarning is issued on the way.
+        m_k = deepwalk_log_proximity(barbell, 0.5, 10)
+        m_k[1, 4], m_k[5, 0] = 800.0, 1e6
+        inputs = AnalyticalInputs(
+            m_k=m_k, degrees=barbell.degrees.astype(float), volume=float(barbell.volume),
+            alpha=0.5, k_horizon=10, m_edges=barbell.num_edges,
+        )
+        monkeypatch.setattr(analytical_module, "_inverse", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="proximity m_k has 2 finite entries "
+                                                 "whose exponential overflows"):
+                invert_analytical(inputs)
 
     def test_impossible_edge_budget_rejected_before_any_work(self, k3, monkeypatch):
         # Checked at construction, with binarize's message, not after the

@@ -21,9 +21,19 @@ from pprinv.graph import Graph, parse_edge_list, serialize_edge_list
 from pprinv.linalg import save_matrix
 from pprinv.metrics import relative_frobenius_error
 from pprinv.optimize import OptConfig, forward_proximity
+from pprinv.proximity import deepwalk_log_proximity
 
 
 _PRESETS = ("strap", "approxppr", "nrp", "lemane", "sensei", "deepwalk")
+
+
+def exit_code(argv):
+    """main's return value, or the status of the SystemExit that argparse
+    raises for a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def write_graph(path, g):
@@ -321,7 +331,8 @@ class TestInvertCommand:
         # Both commands take their optimizer defaults from OptConfig; invert's
         # K falls back to it when there is no meta.json to read.
         parser, out = cli.build_parser(), ["--out", "x"]
-        invert = parser.parse_args(["invert", "optimize", "--alpha", "0.5", *out])
+        invert = parser.parse_args(["invert", "optimize", "--proximity", "m.mat",
+                                    "--degrees", "d.txt", "--alpha", "0.5", *out])
         sweep = parser.parse_args(["sweep", "--graph", path, "--presets", "strap",
                                    "--dims", "4", *out])
         assert invert.k_horizon is None
@@ -504,37 +515,70 @@ class TestInvertCommand:
         assert out.exists()
 
     def test_analytical_requires_degrees(self, tmp_path, capsys):
+        # A usage error, as for two degree sources (test_conflicting_inputs_rejected).
         mat = tmp_path / "m.mat"
         save_matrix(mat, np.zeros((3, 3)))
-        rc = main([
+        out = tmp_path / "rec.txt"
+        assert exit_code([
             "invert", "analytical", "--proximity", str(mat), "--alpha", "0.7",
-            "--out", str(tmp_path / "rec.txt"),
-        ])
-        assert rc == 1
-        assert "analytical method requires the degree sequence" in capsys.readouterr().err
+            "--out", str(out),
+        ]) == 2
+        assert ("one of the arguments --graph --degrees is required"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
-    @pytest.mark.parametrize("flags, message", [
-        (["--degrees", "deg3.txt", "--alpha", "0.7"],
-         "supply --embedding DIR or --proximity FILE"),
-        (["--proximity", "m.mat", "--degrees", "deg3.txt"],
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--degrees", "deg3.txt", "--alpha", "0.7"], 2,
+         "one of the arguments --embedding --proximity is required"),
+        (["--proximity", "m.mat", "--degrees", "deg3.txt"], 1,
          "--alpha required (not in metadata)"),
-        (["--proximity", "m.mat", "--degrees", "deg4.txt", "--alpha", "0.7"],
+        (["--proximity", "m.mat", "--degrees", "deg4.txt", "--alpha", "0.7"], 1,
          "4 degrees for a 3-node target proximity"),
     ], ids=["no-target", "no-alpha", "degree-count"])
     def test_missing_or_mismatched_input_rejected(
-        self, tmp_path, capsys, monkeypatch, flags, message
+        self, tmp_path, capsys, monkeypatch, flags, code, message
     ):
         monkeypatch.chdir(tmp_path)
         save_matrix("m.mat", np.zeros((3, 3)))
         Path("deg3.txt").write_text("2\n2\n2\n")
         Path("deg4.txt").write_text("1\n1\n1\n1\n")
-        assert main(["invert", "analytical", *flags, "--out", "rec.txt"]) == 1
+        assert exit_code(["invert", "analytical", *flags, "--out", "rec.txt"]) == code
         assert message in capsys.readouterr().err
         assert not Path("rec.txt").exists()
 
-    def test_analytical_exact_proximity_recovers(self, tmp_path):
-        from pprinv.proximity import deepwalk_log_proximity
+    def test_overflowing_proximity_rejected_before_any_output(self, tmp_path, capsys):
+        path = write_graph(tmp_path / "g.txt", random_connected_graph(6, 0.5, 2))
+        g = parse_edge_list(Path(path).read_text())
+        m = deepwalk_log_proximity(g, 0.7, 10)
+        m[1, 4] = 800.0
+        mat = tmp_path / "m.mat"
+        save_matrix(mat, m)
+        out = tmp_path / "rec.txt"
+        rc = main([
+            "invert", "analytical", "--proximity", str(mat), "--graph", path,
+            "--alpha", "0.7", "--out", str(out),
+        ])
+        assert rc == 1
+        assert ("proximity m_k has 1 finite entries whose exponential overflows"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
+    def test_unwritable_loss_trace_rejected_before_any_output(
+        self, two_triangles_embedding, tmp_path, capsys, monkeypatch
+    ):
+        graph = tmp_path / "two_triangles.txt"
+        out, trace = tmp_path / "rec.txt", tmp_path / "missing" / "trace.csv"
+        monkeypatch.setattr(cli, "invert_optimize", None)
+        rc = main([
+            "invert", "optimize", "--embedding", str(two_triangles_embedding),
+            "--graph", str(graph), "--loss-trace", str(trace), "--out", str(out),
+        ])
+        assert rc == 1
+        assert (f"cannot write {trace}: not a file in a writable directory"
+                in capsys.readouterr().err)
+        assert not out.exists() and not trace.exists()
+
+    def test_analytical_exact_proximity_recovers(self, tmp_path):
         path = write_graph(
             tmp_path / "g.txt", random_connected_graph(12, 0.4, 3, full_rank=True)
         )
@@ -550,8 +594,6 @@ class TestInvertCommand:
         assert out.read_text() == serialize_edge_list(g)
 
     def test_analytical_degree_file(self, tmp_path):
-        from pprinv.proximity import deepwalk_log_proximity
-
         g = random_connected_graph(10, 0.4, 5, full_rank=True)
         mat = tmp_path / "m.mat"
         save_matrix(mat, deepwalk_log_proximity(g, 0.7, 2000))
@@ -913,6 +955,16 @@ class TestSweepCommand:
                    "--alpha", "0.1", "--out", str(out)])
         assert rc == 1
         assert "dims list must be nonempty" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("presets", [",", "", " , "])
+    def test_empty_presets_rejected(self, small_graph, tmp_path, capsys, presets):
+        _, path = small_graph
+        out = tmp_path / "sweep.csv"
+        rc = main(["sweep", "--graph", path, "--presets", presets, "--dims", "4",
+                   "--alpha", "0.1", "--out", str(out)])
+        assert rc == 1
+        assert "--presets list must be nonempty" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_integer_dims_rejected(self, small_graph, tmp_path, capsys):

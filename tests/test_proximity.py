@@ -13,6 +13,7 @@ from pprinv.proximity import (
     IDENTITY,
     LOG,
     ROW_L2,
+    _SPECTRAL_FLOOR,
     Preset,
     ProximityConfig,
     _activation_adjoint,
@@ -601,6 +602,82 @@ class TestInPlaceActivation:
         inner = _closed_form(truncated_ppr(g, cfg), g.degrees, cfg)
         got = deepwalk_log_proximity(g, 0.2, 10)
         assert got.tobytes() == np.log(inner).tobytes()
+
+
+def relabeled(g, perm):
+    """g with node i renamed perm[i]."""
+    return Graph.from_edges(g.n, perm[np.array(sorted(g.edge_set()))])
+
+
+def permuted(m, perm):
+    """pi M pi^T for the relabeling perm: entry (i, j) moves to (perm[i], perm[j])."""
+    out = np.empty_like(m)
+    out[np.ix_(perm, perm)] = m
+    return out
+
+
+def assert_within(got, want, atol):
+    """|got - want| <= atol entrywise; an all-zero want is matched exactly."""
+    if not want.any():
+        assert not got.any()
+    else:
+        assert np.abs(got - want).max() <= atol
+
+
+# A LOG preset takes the log of a walk-sum entry, so its error is that
+# entry's relative error. The spectral sum's round-off is absolute, at most
+# a few eps * max|f(lam)| (8.3 measured; see proximity._SPECTRAL_FLOOR), and
+# an entry it keeps clears _SPECTRAL_FLOOR * eps * max|f(lam)|: relative
+# error at most 10 / _SPECTRAL_FLOOR on each side of the comparison. The
+# zero clamp is 1-Lipschitz. A 1e-12 max|M| bound, which the other
+# activations meet, does not hold here: 2,000 draws reached 8.6e-12 max|M|
+# (1.4e-10 absolute, on LEMANE).
+LOG_RELABEL_ATOL = 2 * 10 / _SPECTRAL_FLOOR
+
+
+class TestRelabeling:
+    """Renaming the nodes by a permutation pi permutes the walk sum and
+    every proximity, up to round-off: truncated_ppr(pi G) = pi W pi^T and
+    build_proximity(pi G) = pi M pi^T."""
+
+    strategies = dict(
+        n=st.integers(3, 30), p=st.floats(0.1, 0.9), seed=st.integers(0, 10_000),
+        k_horizon=st.sampled_from([1, 2, 5, 10, 50, 400]),
+        # Relative to max|W| >= alpha, the spectral round-off grows as 1/alpha:
+        # 1.5e-14 max|W| at alpha >= 0.05 over 2,000 draws, 8.5e-14 at 0.01-0.1.
+        alpha=st.floats(0.05, 0.95),
+        perm=st.data(),
+    )
+
+    @staticmethod
+    def draw(n, p, seed, perm):
+        g = random_connected_graph(n, p, seed)
+        return g, np.array(perm.draw(st.permutations(range(n)), label="perm"))
+
+    @settings(max_examples=100)
+    @given(**strategies)
+    def test_walk_sum(self, n, p, seed, k_horizon, alpha, perm):
+        g, perm = self.draw(n, p, seed, perm)
+        cfg = constant_cfg(alpha, k_horizon)
+        want = permuted(truncated_ppr(g, cfg), perm)
+        assert_within(truncated_ppr(relabeled(g, perm), cfg), want,
+                      1e-13 * np.abs(want).max())
+
+    @settings(max_examples=100)
+    @given(**strategies)
+    def test_every_preset(self, n, p, seed, k_horizon, alpha, perm):
+        g, perm = self.draw(n, p, seed, perm)
+        h = relabeled(g, perm)
+        for preset in Preset:
+            schedule = (alpha,) * k_horizon + (1.0,) if preset is Preset.LEMANE else None
+            cfg = preset_config(preset, alpha=alpha, epsilon=1e-7, k_horizon=k_horizon,
+                                volume=g.volume, alpha_schedule=schedule)
+            want = permuted(build_proximity(g, cfg), perm)
+            atol = (LOG_RELABEL_ATOL if cfg.activation == LOG
+                    else 1e-12 * np.abs(want).max())
+            assert_within(build_proximity(h, cfg), want, atol)
+            if not want.any():  # DEEPWALK's closed form at a long horizon
+                event(f"{preset.value}: all zero")
 
 
 def test_activation_adjoint_rejects_row_l2():
