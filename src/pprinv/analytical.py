@@ -8,7 +8,8 @@ inverts it directly, reading the closed form's scale from the DEEPWALK
 ProximityConfig, and binarizes to the original edge count. It reads its
 target one block of _ROW_BLOCK rows at a time (a pair's product_blocks), so
 a pair's n x n product is never formed: an analytical sweep cell peaks at
-about 3 n x n arrays above the proximity it factorizes. The public chain
+about 3 n x n arrays above its pair, and a sweep whose pairs fit in the
+proximity's room has let the proximity go by then. The public chain
 proximity -> infinite-horizon limit -> normalized Laplacian -> adjacency
 (estimate_m_infinity, recover_laplacian, recover_adjacency) is the same
 inverse step by step, kept as its reference. Each step is the exact

@@ -6,6 +6,7 @@ All commands are deterministic for fixed flags and seed.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import json
@@ -158,11 +159,16 @@ def _invert(target, degrees, inversion):
     return invert_analytical(inputs), ()
 
 
-def cmd_invert(args) -> int:
-    # A rejected run writes neither out-file: both are checked before any work.
-    for path in (args.out, args.loss_trace):
+def _check_writable(*paths: str | None) -> None:
+    """Each out-file given must be a file in a writable directory. Every
+    command runs this before any work, so a rejected run writes no file."""
+    for path in paths:
         if path and (Path(path).is_dir() or not os.access(Path(path).parent, os.W_OK)):
             raise ValueError(f"cannot write {path}: not a file in a writable directory")
+
+
+def cmd_invert(args) -> int:
+    _check_writable(args.out, args.loss_trace)
     if args.embedding:
         target = emb.load_embedding(args.embedding)
         meta, cfg = target.meta, _config_from_meta(target.meta)
@@ -215,6 +221,7 @@ _SWEEP_COLUMNS = (
 
 
 def cmd_evaluate(args) -> int:
+    _check_writable(args.out)
     g = _load_graph(args.graph)
     g_hat = gr.parse_recovered(Path(args.recovered).read_bytes(), g)
     labels = _load_labels(args.labels, g)
@@ -229,9 +236,37 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _sweep_cell(g, labels, m, args, dim, inversion) -> dict[str, str]:
-    """A cell's report columns in _SWEEP_COLUMNS and final_loss, if defined."""
-    pair = emb.factorize(m, dim, args.seed)
+def _factorize(m, dim: int, seed: int):
+    """factorize(m, dim, seed), or the error it raised for the dim's cell to
+    raise, without the traceback whose frames would keep m alive."""
+    try:
+        return emb.factorize(m, dim, seed)
+    except Exception as exc:
+        return exc.with_traceback(None)
+
+
+def _embeddings(g, cfg, dims: list[int], seed: int):
+    """(dim, its pair or _factorize's error) for each dim in order, from the
+    preset's proximity M. When the pairs together take no more room than M
+    (2 n sum(dims) <= n^2 doubles), every dim is factorized first and M is
+    let go before the first cell, so no cell's inverse sits beside M; else
+    each dim is factorized as its cell comes, beside M."""
+    m = prox.build_proximity(g, cfg)
+    if 2 * sum(dims) > g.n:
+        for dim in dims:
+            yield dim, _factorize(m, dim, seed)
+        return
+    pairs = collections.deque([_factorize(m, dim, seed) for dim in dims])
+    del m
+    for dim in dims:
+        yield dim, pairs.popleft()
+
+
+def _sweep_cell(g, labels, pair, inversion) -> dict[str, str]:
+    """A cell's report columns in _SWEEP_COLUMNS and final_loss, if defined,
+    for its pair; a factorize error in place of the pair fails the cell."""
+    if isinstance(pair, Exception):
+        raise pair
     recovered, losses = _invert(pair, g.degrees, inversion)
     values = met.recovery_report(g, recovered, labels).to_dict()
     values["final_loss"] = losses[-1] if losses else None
@@ -249,6 +284,7 @@ def _comma_list(text: str, flag: str) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
+    _check_writable(args.out)
     g = _load_graph(args.graph)
     labels = _load_labels(args.labels, g)
     dims = _comma_list(args.dims, "--dims")
@@ -265,13 +301,12 @@ def cmd_sweep(args) -> int:
                for preset, cfg in _build_configs(names, args, g)]
     rows = []  # in the order the cells run: --presets, then --dims, as given
     for preset, cfg, inversion in configs:
-        # Proximity is dimension-independent: build once per preset.
-        m = prox.build_proximity(g, cfg)
-        for dim in dims:
+        for dim, pair in _embeddings(g, cfg, dims, args.seed):
             try:
-                row, status = _sweep_cell(g, labels, m, args, dim, inversion), "ok"
+                row, status = _sweep_cell(g, labels, pair, inversion), "ok"
             except Exception as exc:  # cell failures must not kill the sweep
                 row, status = {}, f"error: {exc}"
+            del pair  # the cell's pair goes before the next one is made
             rows.append({
                 "preset": preset, "method": args.method, "dim": dim, **row,
                 "status": status,

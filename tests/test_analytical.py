@@ -1,4 +1,3 @@
-import argparse
 import tracemalloc
 import warnings
 
@@ -460,14 +459,13 @@ class TestInvertAnalytical:
             recover_laplacian, m_inf, inputs.degrees, inputs.volume, 0.7
         ) <= 3.25 * n2
 
-    def test_sweep_cell_peak_memory_above_its_proximity(self):
-        # In n x n float64 arrays at n=300, d=16: 3.12, the inverse's Z and
-        # the Cholesky route's two; 4.12 when the cell formed X @ Y.T.
+    def test_sweep_cell_peak_memory_above_its_pair(self):
+        # In n x n float64 arrays at n=300, d=16: 3.01, the inverse's Z
+        # and the Cholesky route's two; one more when the cell formed X @ Y.T.
         g = random_connected_graph(300, 0.05, 3)
         cfg = preset_config(Preset.DEEPWALK, alpha=0.1, k_horizon=10, volume=g.volume)
-        m = build_proximity(g, cfg)
-        args = argparse.Namespace(seed=0)
-        peak = peak_bytes(cli._sweep_cell, g, None, m, args, 16, (0.1, 10))
+        pair = factorize(build_proximity(g, cfg), 16, 0)
+        peak = peak_bytes(cli._sweep_cell, g, None, pair, (0.1, 10))
         assert peak <= 3.25 * 8.0 * g.n**2
 
     def test_non_finite_proximity_rejected(self, k3):

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -578,6 +579,19 @@ class TestInvertCommand:
                 in capsys.readouterr().err)
         assert not out.exists() and not trace.exists()
 
+    def test_unwritable_out_rejected_before_any_work(self, tmp_path, capsys, monkeypatch):
+        path = write_graph(tmp_path / "g.txt", random_connected_graph(6, 0.5, 2))
+        mat, out = tmp_path / "m.mat", tmp_path / "missing" / "rec.txt"
+        save_matrix(mat, deepwalk_log_proximity(parse_edge_list(Path(path).read_text()),
+                                                0.7, 10))
+        monkeypatch.setattr(cli, "invert_analytical", None)
+        rc = main(["invert", "analytical", "--proximity", str(mat), "--graph", path,
+                   "--alpha", "0.7", "--out", str(out)])
+        assert rc == 1
+        assert (f"cannot write {out}: not a file in a writable directory"
+                in capsys.readouterr().err)
+        assert not out.parent.exists()
+
     def test_analytical_exact_proximity_recovers(self, tmp_path):
         path = write_graph(
             tmp_path / "g.txt", random_connected_graph(12, 0.4, 3, full_rank=True)
@@ -694,6 +708,17 @@ class TestEvaluateCommand:
         report = json.loads(out.read_text())
         assert report["err_A"] == 0.0
         assert report["err_l"] == 0.0
+
+    def test_unwritable_out_rejected_before_any_work(self, small_graph, tmp_path, capsys,
+                                                     monkeypatch):
+        _, path = small_graph
+        out = tmp_path / "missing" / "report.json"
+        monkeypatch.setattr(cli.met, "recovery_report", None)
+        rc = main(["evaluate", "--graph", path, "--recovered", path, "--out", str(out)])
+        assert rc == 1
+        assert (f"cannot write {out}: not a file in a writable directory"
+                in capsys.readouterr().err)
+        assert not out.parent.exists()
 
     def test_missing_labels_flagged(self, small_graph, tmp_path):
         _, path = small_graph
@@ -870,6 +895,62 @@ class TestSweepCommand:
         assert by_dim["999"]["status"].startswith("error:")
         assert by_dim["999"]["err_A"] == ""
 
+    @pytest.mark.parametrize("dims", ["2,3", "2,9"], ids=["pairs-first", "interleaved"])
+    def test_factorize_error_fails_only_its_cell(self, small_graph, tmp_path, monkeypatch,
+                                                 dims):
+        # n = 10: 2 (2 + 3) <= n factorizes both dims before the first cell,
+        # 2 (2 + 9) > n each in its cell's turn; both mark the same row.
+        _, path = small_graph
+        factorize = cli.emb.factorize
+
+        def fail_at_2(m, dim, seed):
+            if dim == 2:
+                raise ValueError("no rank 2 here")
+            return factorize(m, dim, seed)
+
+        monkeypatch.setattr(cli.emb, "factorize", fail_at_2)
+        rows = self.sweep(tmp_path, path, ["--dims", dims, "--method", "analytical"])
+        assert [(r["dim"], r["status"]) for r in rows] == [
+            ("2", "error: no rank 2 here"), (dims[-1], "ok"),
+        ]
+
+    def test_proximity_let_go_before_the_first_inversion(self, tmp_path, monkeypatch):
+        # n = 300: 2 (16 + 64) <= n, so both pairs are made first and the
+        # proximity goes. The peak, 3.75 n^2 doubles, is the first inverse's
+        # 3 n^2 above the pairs (0.53 n^2) and the parsed graph; with the
+        # proximity beside them it was about 4.6. 2 (64 + 128) > n keeps each
+        # factorization in its cell's turn.
+        g = random_connected_graph(300, 0.05, 3)
+        path = write_graph(tmp_path / "g.txt", g)
+        calls = []
+
+        def record(module, name):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a: calls.append(name) or original(*a))
+
+        record(cli.emb, "factorize")
+        record(cli, "invert_analytical")
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--graph", path, "--presets", "deepwalk", "--method", "analytical",
+                "--alpha", "0.1", "--k-horizon", "10", "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--dims", "16,64"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pairs = 8.0 * 2 * g.n * (16 + 64)
+        assert peak <= 3.5 * 8.0 * g.n**2 + pairs
+        factorize, invert = "factorize", "invert_analytical"
+        assert calls == [factorize, factorize, invert, invert]
+        calls.clear()
+        assert main([*argv, "--dims", "64,128"]) == 0
+        assert calls == [factorize, invert, factorize, invert]
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["dim"], r["status"]) for r in rows] == [("64", "ok"), ("128", "ok")]
+
     def test_dimension_trend_on_n34(self, tmp_path):
         g = random_connected_graph(34, 0.15, 1)
         path = write_graph(tmp_path / "g34.txt", g)
@@ -947,6 +1028,21 @@ class TestSweepCommand:
         assert rc == 1
         assert "--alpha" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_out_rejected_before_any_proximity(
+        self, small_graph, tmp_path, capsys, monkeypatch
+    ):
+        _, path = small_graph
+        built = []
+        monkeypatch.setattr(cli.prox, "build_proximity", lambda *a: built.append(a))
+        out = tmp_path / "missing" / "sweep.csv"
+        rc = main(["sweep", "--graph", path, "--presets", "strap", "--dims", "2,4",
+                   "--alpha", "0.1", "--out", str(out)])
+        assert rc == 1
+        assert (f"cannot write {out}: not a file in a writable directory"
+                in capsys.readouterr().err)
+        assert built == []
+        assert not out.parent.exists()
 
     def test_empty_dims_rejected(self, small_graph, tmp_path, capsys):
         _, path = small_graph
