@@ -5,9 +5,9 @@ The input follows the unclamped log convention of
 closed form before its zero clamp, given as an n x n matrix or as the
 embedding pair whose product X @ Y.T approximates it. invert_analytical
 inverts it directly, reading the closed form's scale from the DEEPWALK
-ProximityConfig, and binarizes to the original edge count. It reads its
-target one block of _ROW_BLOCK rows at a time (a pair's product_blocks), so
-a pair's n x n product is never formed: an analytical sweep cell peaks at
+ProximityConfig, and binarizes to the original edge count. It reads a
+matrix whole and a pair one block of rows at a time (product_blocks), so a
+pair's n x n product is never formed: an analytical sweep cell peaks at
 about 3 n x n arrays above its pair, and a sweep whose pairs fit in the
 proximity's room has let the proximity go by then. The public chain
 proximity -> infinite-horizon limit -> normalized Laplacian -> adjacency
@@ -25,7 +25,7 @@ import numpy as np
 
 from .embedding import EmbeddingPair, product_blocks
 from .graph import Graph
-from .linalg import _ROW_BLOCK, _spd_inverse, _strict_upper, _symmetrize, pseudoinverse
+from .linalg import _spd_inverse, _strict_upper, _symmetrize, pseudoinverse
 from .proximity import Preset, _check_alpha, _check_horizon, preset_config
 
 
@@ -36,10 +36,9 @@ class AnalyticalInputs:
     m_k is the finite-horizon log-form proximity, an n x n matrix or the
     EmbeddingPair whose product X @ Y.T stands for it; degrees/volume
     describe the original graph (only its topology is treated as unknown);
-    m_edges sets the binarization budget. A matrix's non-finite entries are
-    an error here; a pair's, counted over the blocks of its product, when
-    invert_analytical reads them, before it inverts anything, as is a
-    finite entry whose scaled exponential overflows.
+    m_edges sets the binarization budget. Construction checks the shapes,
+    degrees, volume, alpha and budget but reads no entry of m_k: the
+    target's entries are checked by invert_analytical (_scaled_exp).
     """
 
     m_k: np.ndarray | EmbeddingPair
@@ -50,12 +49,8 @@ class AnalyticalInputs:
     m_edges: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.m_k, EmbeddingPair):
-            shape = (len(self.m_k.x), len(self.m_k.y))
-        elif bad := _non_finite(self.m_k):
-            raise ValueError(f"proximity m_k has {bad} non-finite entries")
-        else:
-            shape = np.shape(self.m_k)
+        m_k = self.m_k
+        shape = (len(m_k.x), len(m_k.y)) if isinstance(m_k, EmbeddingPair) else np.shape(m_k)
         deg = np.asarray(self.degrees)
         if not np.all(np.isfinite(deg) & (deg >= 1)):
             raise ValueError("all degrees must be finite and >= 1")
@@ -68,34 +63,28 @@ class AnalyticalInputs:
         _check_edge_budget(deg.size, self.m_edges)
 
 
-def _non_finite(m) -> int:
-    return np.count_nonzero(~np.isfinite(m))
-
-
 def _log_rows(m_k: np.ndarray | EmbeddingPair):
-    """AnalyticalInputs.m_k as (rows, block) for each block of _ROW_BLOCK
-    rows: slices of the matrix, or a pair's product_blocks."""
+    """AnalyticalInputs.m_k as (rows, block) pairs: a pair's product_blocks,
+    or a matrix as one block of all its rows (every step of the fill is
+    elementwise, so a block's bits do not depend on where it was cut)."""
     if isinstance(m_k, EmbeddingPair):
-        yield from product_blocks(m_k)
-        return
-    m_k = np.asarray(m_k, dtype=np.float64)
-    for start in range(0, len(m_k), _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        yield rows, m_k[rows]
+        return product_blocks(m_k)
+    return [(slice(None), np.asarray(m_k, dtype=np.float64))]
 
 
 def _scaled_exp(m_k: np.ndarray | EmbeddingPair, root: np.ndarray, scale: float):
     """D^{1/2} (exp(M_K)/s) D^{1/2} for root = sqrt(deg), filled from
     _log_rows one block at a time by the whole-matrix steps in their order,
-    so no block outlives the fill. M_K's non-finite entries, counted over
-    every block, are an error, and so is a finite entry whose scaled
-    exponential overflows: the fill stops at the first overflow, and only
-    then are such entries counted, by the same steps."""
+    so no block outlives the fill. The target is checked here, in one pass
+    for either kind: its non-finite entries, counted over every block, are
+    an error, and so is a finite entry whose scaled exponential overflows:
+    the fill stops at the first overflow, and only then are such entries
+    counted, by the same steps."""
     z = np.empty((root.size, root.size))
     bad = 0
     try:
         for rows, block in _log_rows(m_k):
-            bad += _non_finite(block)
+            bad += np.count_nonzero(~np.isfinite(block))
             with np.errstate(over="raise"):
                 z_rows = np.exp(block, out=z[rows])
                 z_rows *= root[rows, None]

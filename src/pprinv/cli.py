@@ -68,6 +68,7 @@ def _check_dim(dim: int, n: float = np.inf) -> None:
 
 
 def cmd_embed(args) -> int:
+    _check_writable(args.out, directory=True)
     g = _load_graph(args.graph)
     _check_dim(args.dim, g.n)
     [(_, cfg)] = _build_configs([args.preset], args, g)
@@ -159,12 +160,21 @@ def _invert(target, degrees, inversion):
     return invert_analytical(inputs), ()
 
 
-def _check_writable(*paths: str | None) -> None:
-    """Each out-file given must be a file in a writable directory. Every
-    command runs this before any work, so a rejected run writes no file."""
-    for path in paths:
-        if path and (Path(path).is_dir() or not os.access(Path(path).parent, os.W_OK)):
-            raise ValueError(f"cannot write {path}: not a file in a writable directory")
+def _check_writable(*paths: str | None, directory: bool = False) -> None:
+    """The one out-path rule, run by every command before any work, so a
+    rejected run writes no file. An out-file must not be a directory, and its
+    parent must be a writable directory. An out-directory (embed's --out)
+    must be a directory or missing, and the nearest of it and its ancestors
+    that exists a writable directory (save_embedding makes the missing ones)."""
+    for path in filter(None, paths):
+        path = Path(path)
+        if directory:
+            home = next(p for p in (path, *path.parents) if p.exists())
+        else:
+            home = None if path.is_dir() else path.parent
+        if not (home and home.is_dir() and os.access(home, os.W_OK)):
+            kind = "directory" if directory else "file"
+            raise ValueError(f"cannot write {path}: not a {kind} in a writable directory")
 
 
 def cmd_invert(args) -> int:
@@ -182,9 +192,10 @@ def cmd_invert(args) -> int:
         degrees, names = g.degrees, g.node_names
     else:
         degrees = np.array(gr._numbers(Path(args.degrees).read_bytes(), "one degree"))
-        whole = np.isfinite(degrees) & (degrees >= 0) & (degrees == np.floor(degrees))
+        # No graph that embed reads has an isolated node.
+        whole = np.isfinite(degrees) & (degrees >= 1) & (degrees == np.floor(degrees))
         if not whole.all() or degrees.sum() % 2:
-            raise ValueError("degrees must be non-negative integers with an even sum")
+            raise ValueError("degrees must be positive integers with an even sum")
     if degrees.shape != (n,):
         raise ValueError(f"{degrees.size} degrees for a {n}-node target proximity")
     volume = meta.get("graph_volume")
@@ -329,7 +340,7 @@ _FLAGS = {
     "--recovered": dict(required=True),
     "--embedding": dict(),
     "--proximity": dict(help="PPREIM1 matrix file"),
-    "--degrees": dict(help="one degree per line: non-negative integers, even sum"),
+    "--degrees": dict(help="one degree per line: positive integers, even sum"),
     "--method": dict(choices=["optimize", "analytical"], default="optimize"),
     "--alpha": dict(type=float, help="stopping probability (0.7 for the flight "
                                      "graphs, 0.1 for the large social graphs)"),

@@ -13,7 +13,7 @@ The product X @ Y.T is formed one way, _ROW_BLOCK rows at a time
 array), or streamed by the analytical inverse, which fills its own n x n
 array from the blocks and never holds the product, so an analytical cell
 peaks at about 3 n x n arrays above its pair (its Z and the Cholesky
-inverse's two) where the product made it 4. Both routes see the same bits.
+inverse's two). Both routes see the same bits.
 A pair is 2 n d doubles, so `pprinv sweep` factorizes every dimension
 before its first cell, and lets the proximity go, when the pairs together
 fit in the proximity's n x n (cli._embeddings).

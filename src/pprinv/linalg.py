@@ -10,6 +10,7 @@ power iterations) and is deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -163,27 +164,34 @@ def _spd_inverse(m: np.ndarray) -> np.ndarray | None:
 
 
 def save_matrix(path, m: np.ndarray) -> None:
-    """Write a matrix in the PPREIM1 binary format (little-endian float64)."""
+    """Write a matrix in the PPREIM1 binary format (little-endian float64),
+    the payload straight from the array's own buffer."""
     m = np.ascontiguousarray(np.asarray(m, dtype="<f8"))
     if m.ndim != 2:
         raise ValueError("save_matrix expects a 2-D matrix")
     with open(path, "wb") as fh:
         fh.write(MATRIX_MAGIC)
         fh.write(struct.pack("<QQ", m.shape[0], m.shape[1]))
-        fh.write(m.tobytes())
+        fh.write(m.data)
 
 
 def load_matrix(path) -> np.ndarray:
+    """Read a PPREIM1 matrix, the payload straight into the result array
+    once the header's shape matches the file's size."""
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[: len(MATRIX_MAGIC)] != MATRIX_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a PPREIM1 matrix file")
-    rows, cols = struct.unpack_from("<QQ", raw, len(MATRIX_MAGIC))
-    body = raw[len(MATRIX_MAGIC) + 16 :]
-    expected = rows * cols * 8
-    if len(body) != expected:
-        raise ValueError(f"{path}: expected {expected} payload bytes, got {len(body)}")
-    m = np.frombuffer(body, dtype="<f8").reshape(rows, cols).astype(np.float64)
+    with open(path, "rb") as fh:
+        header = fh.read(len(MATRIX_MAGIC) + 16)
+        if header[: len(MATRIX_MAGIC)] != MATRIX_MAGIC:
+            raise ValueError(f"{path}: bad magic, not a PPREIM1 matrix file")
+        rows, cols = struct.unpack_from("<QQ", header, len(MATRIX_MAGIC))
+        expected = rows * cols * 8
+        size = os.fstat(fh.fileno()).st_size - len(header)
+        if size == expected:
+            m = np.empty((rows, cols), dtype="<f8")
+            size = fh.readinto(m)
+        if size != expected:
+            raise ValueError(f"{path}: expected {expected} payload bytes, got {size}")
+    m = m.astype(np.float64, copy=False)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{path}: matrix contains non-finite values")
     return m

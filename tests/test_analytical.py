@@ -468,15 +468,19 @@ class TestInvertAnalytical:
         peak = peak_bytes(cli._sweep_cell, g, None, pair, (0.1, 10))
         assert peak <= 3.25 * 8.0 * g.n**2
 
-    def test_non_finite_proximity_rejected(self, k3):
+    def test_non_finite_proximity_rejected(self, k3, monkeypatch):
+        # Construction reads no entry of m_k; invert_analytical counts them
+        # as it fills Z, before it inverts anything.
         m_k = deepwalk_log_proximity(k3, 0.7, 2000)
         m_k[0, 2] = np.nan
         m_k[1, 1] = -np.inf
+        inputs = AnalyticalInputs(
+            m_k=m_k, degrees=k3.degrees.astype(float), volume=float(k3.volume),
+            alpha=0.7, k_horizon=2000, m_edges=k3.num_edges,
+        )
+        monkeypatch.setattr(analytical_module, "_inverse", None)
         with pytest.raises(ValueError, match="proximity m_k has 2 non-finite entries"):
-            AnalyticalInputs(
-                m_k=m_k, degrees=k3.degrees.astype(float), volume=float(k3.volume),
-                alpha=0.7, k_horizon=2000, m_edges=k3.num_edges,
-            )
+            invert_analytical(inputs)
 
     def test_overflowing_exponential_rejected_before_the_inverse(self, barbell,
                                                                  monkeypatch):
@@ -590,20 +594,23 @@ class TestFactorRoute:
                                      st.integers(0, 7)), min_size=1, max_size=4))
     def test_non_finite_product_rejected_before_the_inverse(self, n, d, seed, poison):
         # A NaN factor entry poisons a row (in X) or a column (in Y) of the
-        # product; the count is over the whole product, as for a matrix.
+        # product; the count is over the whole product, and the product as a
+        # matrix target is counted by the same pass, with the same message.
         rng = np.random.default_rng(seed)
         x, y = rng.normal(size=(2, n, d))
         for in_x, row, col in poison:
             (x if in_x else y)[row % n, col % d] = np.nan
         pair = EmbeddingPair(x, y)
-        bad = np.count_nonzero(~np.isfinite(reconstruct_proximity(pair)))
+        product = reconstruct_proximity(pair)
+        bad = np.count_nonzero(~np.isfinite(product))
         deg = rng.integers(1, 6, size=n).astype(float)
-        inputs = AnalyticalInputs(m_k=pair, degrees=deg, volume=float(deg.sum()),
-                                  alpha=0.5, k_horizon=10, m_edges=n - 1)
         calls = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analytical_module, "_inverse", lambda z: calls.append(z))
-            with pytest.raises(ValueError,
-                               match=f"proximity m_k has {bad} non-finite entries"):
-                invert_analytical(inputs)
+        for m_k in (pair, product):
+            inputs = AnalyticalInputs(m_k=m_k, degrees=deg, volume=float(deg.sum()),
+                                      alpha=0.5, k_horizon=10, m_edges=n - 1)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(analytical_module, "_inverse", lambda z: calls.append(z))
+                with pytest.raises(ValueError,
+                                   match=f"proximity m_k has {bad} non-finite entries"):
+                    invert_analytical(inputs)
         assert calls == []

@@ -103,6 +103,20 @@ class TestEmbedCommand:
             assert "out of range" in capsys.readouterr().err
             assert not (tmp_path / "emb").exists()
 
+    def test_unwritable_out_rejected_before_any_proximity(self, p3_file, capsys,
+                                                          monkeypatch):
+        # An existing regular file, and a path under one.
+        built = []
+        monkeypatch.setattr(cli.prox, "build_proximity", lambda *a: built.append(a))
+        for out in (p3_file, str(Path(p3_file, "emb"))):
+            rc = main(["embed", "--graph", p3_file, "--preset", "strap", "--alpha", "0.5",
+                       "--dim", "2", "--out", out])
+            assert rc == 1
+            assert (f"cannot write {out}: not a directory in a writable directory"
+                    in capsys.readouterr().err)
+        assert built == []
+        assert Path(p3_file).read_text() == "0 1\n1 2\n"
+
     def test_non_finite_or_overflowing_epsilon_rejected(self, p3_file, tmp_path, capsys,
                                                         monkeypatch):
         # Rejected before the proximity is built: inf would give an all-zero
@@ -581,16 +595,19 @@ class TestInvertCommand:
 
     def test_unwritable_out_rejected_before_any_work(self, tmp_path, capsys, monkeypatch):
         path = write_graph(tmp_path / "g.txt", random_connected_graph(6, 0.5, 2))
-        mat, out = tmp_path / "m.mat", tmp_path / "missing" / "rec.txt"
+        mat = tmp_path / "m.mat"
         save_matrix(mat, deepwalk_log_proximity(parse_edge_list(Path(path).read_text()),
                                                 0.7, 10))
         monkeypatch.setattr(cli, "invert_analytical", None)
-        rc = main(["invert", "analytical", "--proximity", str(mat), "--graph", path,
-                   "--alpha", "0.7", "--out", str(out)])
-        assert rc == 1
-        assert (f"cannot write {out}: not a file in a writable directory"
-                in capsys.readouterr().err)
-        assert not out.parent.exists()
+        # A missing parent directory, and a "parent" that is a regular file.
+        for parent in ("missing", "g.txt"):
+            out = tmp_path / parent / "rec.txt"
+            rc = main(["invert", "analytical", "--proximity", str(mat), "--graph", path,
+                       "--alpha", "0.7", "--out", str(out)])
+            assert rc == 1
+            assert (f"cannot write {out}: not a file in a writable directory"
+                    in capsys.readouterr().err)
+            assert not out.parent.is_dir()
 
     def test_analytical_exact_proximity_recovers(self, tmp_path):
         path = write_graph(
@@ -631,8 +648,8 @@ class TestInvertCommand:
         assert "not allowed with argument" in capsys.readouterr().err
 
     @pytest.mark.parametrize("degrees", [
-        "2\n3\n2\n2\n", "2.5\n3\n2\n2.5\n", "-2\n2\n2\n2\n",
-    ], ids=["odd-sum", "fractional", "negative"])
+        "2\n3\n2\n2\n", "2.5\n3\n2\n2.5\n", "-2\n2\n2\n2\n", "2\n2\n0\n2\n",
+    ], ids=["odd-sum", "fractional", "negative", "zero"])
     def test_invalid_degree_file_rejected(self, tmp_path, capsys, degrees):
         mat = tmp_path / "m.mat"
         save_matrix(mat, np.zeros((4, 4)))
@@ -644,7 +661,7 @@ class TestInvertCommand:
             "--alpha", "0.5", "--epochs", "2", "--out", str(out),
         ])
         assert rc == 1
-        assert "non-negative integers with an even sum" in capsys.readouterr().err
+        assert "positive integers with an even sum" in capsys.readouterr().err
         assert not out.exists()
 
     def test_degrees_on_one_line_rejected(self, tmp_path, capsys):
@@ -712,13 +729,15 @@ class TestEvaluateCommand:
     def test_unwritable_out_rejected_before_any_work(self, small_graph, tmp_path, capsys,
                                                      monkeypatch):
         _, path = small_graph
-        out = tmp_path / "missing" / "report.json"
         monkeypatch.setattr(cli.met, "recovery_report", None)
-        rc = main(["evaluate", "--graph", path, "--recovered", path, "--out", str(out)])
-        assert rc == 1
-        assert (f"cannot write {out}: not a file in a writable directory"
-                in capsys.readouterr().err)
-        assert not out.parent.exists()
+        # A missing parent directory, and a "parent" that is a regular file.
+        for parent in ("missing", "g.txt"):
+            out = tmp_path / parent / "report.json"
+            rc = main(["evaluate", "--graph", path, "--recovered", path, "--out", str(out)])
+            assert rc == 1
+            assert (f"cannot write {out}: not a file in a writable directory"
+                    in capsys.readouterr().err)
+            assert not out.parent.is_dir()
 
     def test_missing_labels_flagged(self, small_graph, tmp_path):
         _, path = small_graph
@@ -1035,14 +1054,16 @@ class TestSweepCommand:
         _, path = small_graph
         built = []
         monkeypatch.setattr(cli.prox, "build_proximity", lambda *a: built.append(a))
-        out = tmp_path / "missing" / "sweep.csv"
-        rc = main(["sweep", "--graph", path, "--presets", "strap", "--dims", "2,4",
-                   "--alpha", "0.1", "--out", str(out)])
-        assert rc == 1
-        assert (f"cannot write {out}: not a file in a writable directory"
-                in capsys.readouterr().err)
+        # A missing parent directory, and a "parent" that is a regular file.
+        for parent in ("missing", "g.txt"):
+            out = tmp_path / parent / "sweep.csv"
+            rc = main(["sweep", "--graph", path, "--presets", "strap", "--dims", "2,4",
+                       "--alpha", "0.1", "--out", str(out)])
+            assert rc == 1
+            assert (f"cannot write {out}: not a file in a writable directory"
+                    in capsys.readouterr().err)
+            assert not out.parent.is_dir()
         assert built == []
-        assert not out.parent.exists()
 
     def test_empty_dims_rejected(self, small_graph, tmp_path, capsys):
         _, path = small_graph

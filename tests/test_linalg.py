@@ -1,4 +1,5 @@
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -226,3 +227,22 @@ class TestMatrixFiles:
         save_matrix(path, np.array([[1.0, np.nan]]))
         with pytest.raises(ValueError, match="non-finite"):
             load_matrix(path)
+
+    def test_payload_is_not_copied(self, tmp_path):
+        # tracemalloc peaks in n x n float64 arrays at n=500: the loaded
+        # array and its finiteness mask (1.13), where holding the bytes read,
+        # their slice and a cast copy made 3.13; save writes from the
+        # array's buffer, where tobytes copied it (1.00).
+        n = 500
+        m = np.random.default_rng(0).normal(size=(n, n))
+        path = tmp_path / "m.mat"
+        peaks = []
+        for call in (lambda: save_matrix(path, m), lambda: load_matrix(path)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1] / (8.0 * n * n))
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 0.25 and peaks[1] <= 1.25, peaks
+        assert load_matrix(path).tobytes() == m.tobytes()
