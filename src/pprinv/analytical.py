@@ -7,9 +7,10 @@ embedding pair whose product X @ Y.T approximates it. invert_analytical
 inverts it directly, reading the closed form's scale from the DEEPWALK
 ProximityConfig, and binarizes to the original edge count. It reads a
 matrix whole and a pair one block of rows at a time (product_blocks), so a
-pair's n x n product is never formed: an analytical sweep cell peaks at
-about 3 n x n arrays above its pair, and a sweep whose pairs fit in the
-proximity's room has let the proximity go by then. The public chain
+pair's n x n product is never formed, and inverts Z in the buffer it fills:
+an analytical sweep cell peaks at about 2 n x n arrays above its pair, and
+a sweep whose pairs fit in the proximity's room has let the proximity go
+by then. The public chain
 proximity -> infinite-horizon limit -> normalized Laplacian -> adjacency
 (estimate_m_infinity, recover_laplacian, recover_adjacency) is the same
 inverse step by step, kept as its reference. Each step is the exact
@@ -19,6 +20,7 @@ walk sum has fully decayed at the horizon is recovered exactly.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,15 +74,15 @@ def _log_rows(m_k: np.ndarray | EmbeddingPair):
     return [(slice(None), np.asarray(m_k, dtype=np.float64))]
 
 
-def _scaled_exp(m_k: np.ndarray | EmbeddingPair, root: np.ndarray, scale: float):
-    """D^{1/2} (exp(M_K)/s) D^{1/2} for root = sqrt(deg), filled from
+def _scaled_exp(m_k: np.ndarray | EmbeddingPair, root: np.ndarray, scale: float,
+                z: np.ndarray) -> None:
+    """Fill z with D^{1/2} (exp(M_K)/s) D^{1/2} for root = sqrt(deg), from
     _log_rows one block at a time by the whole-matrix steps in their order,
     so no block outlives the fill. The target is checked here, in one pass
     for either kind: its non-finite entries, counted over every block, are
     an error, and so is a finite entry whose scaled exponential overflows:
     the fill stops at the first overflow, and only then are such entries
     counted, by the same steps."""
-    z = np.empty((root.size, root.size))
     bad = 0
     try:
         for rows, block in _log_rows(m_k):
@@ -99,7 +101,6 @@ def _scaled_exp(m_k: np.ndarray | EmbeddingPair, root: np.ndarray, scale: float)
         ) from None
     if bad:
         raise ValueError(f"proximity m_k has {bad} non-finite entries")
-    return z
 
 
 def _check_edge_budget(n: int, m_edges: int) -> int:
@@ -132,22 +133,29 @@ def recover_laplacian(
     """Normalized Laplacian implied by the infinite-horizon proximity.
 
     Inverts m_inf = (alpha*vol/(1-alpha)) D^{-1/2} (Z - I) D^{-1/2} - J with
-    Z = ((1-alpha) L + alpha I)^{-1}: rebuild Z, invert it (_inverse), and
-    peel off the alpha shift. The result is exactly symmetric: dividing and
-    shifting the diagonal keep the Cholesky inverse so, and the
-    pseudoinverse route symmetrizes it. m_inf is not modified.
+    Z = ((1-alpha) L + alpha I)^{-1}: rebuild Z, invert it in its own buffer
+    (_inverse), and peel off the alpha shift. The result is exactly
+    symmetric: dividing and shifting the diagonal keep the in-place inverse
+    so, and the pseudoinverse route symmetrizes it. The peak is Z and the
+    inverse's scratch (about n^2/2 doubles at large n); m_inf is not
+    modified.
     """
     root = np.sqrt(np.asarray(degrees, dtype=np.float64))
     n = root.size
     if np.shape(m_inf) != (n, n):
         raise ValueError("proximity shape does not match degree vector")
-    z = np.array(m_inf, dtype=np.float64)
-    z += 1.0
-    z *= root[:, None]
-    z *= root[None, :]
-    z *= (1.0 - alpha) / (alpha * volume)
-    z.flat[:: n + 1] += 1.0
-    lap, exact = _inverse(z)
+
+    def fill(z):
+        np.copyto(z, m_inf)
+        z += 1.0
+        z *= root[:, None]
+        z *= root[None, :]
+        z *= (1.0 - alpha) / (alpha * volume)
+        z.flat[:: n + 1] += 1.0
+
+    lap = np.empty((n, n))
+    fill(lap)
+    exact = _inverse(lap, fill)
     lap /= 1.0 - alpha
     lap.flat[:: n + 1] -= alpha / (1.0 - alpha)
     if not exact:
@@ -155,15 +163,19 @@ def recover_laplacian(
     return lap
 
 
-def _inverse(z: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Symmetrize z in place and invert it by Cholesky (exactly symmetric),
-    else by the pseudoinverse: a noisy low-rank target can make z indefinite
-    or near singular. Returns the inverse and whether Cholesky gave it."""
+def _inverse(z: np.ndarray, fill: Callable[[np.ndarray], None]) -> bool:
+    """Symmetrize z in place and write its inverse over it (_spd_inverse,
+    exactly symmetric), else the pseudoinverse: a noisy low-rank target can
+    make z indefinite or near singular. The in-place attempt leaves z spent,
+    so fill(z) writes the same Z into it again first. Returns whether the
+    in-place inverse held."""
     _symmetrize(z)
-    inv = _spd_inverse(z)
-    if inv is not None:
-        return inv, True
-    return pseudoinverse(z), False
+    if _spd_inverse(z):
+        return True
+    fill(z)
+    _symmetrize(z)
+    z[...] = pseudoinverse(z)
+    return False
 
 
 def recover_adjacency(lap: np.ndarray, degrees: np.ndarray) -> np.ndarray:
@@ -222,16 +234,21 @@ def invert_analytical(inputs: AnalyticalInputs) -> Graph:
     scores are the chain's soft adjacency times (1-alpha)/alpha, up to
     round-off. Z is filled one block of M_K's rows at a time (_scaled_exp),
     so a pair's Z is bit for bit the one its reconstruct_proximity gives,
-    and its product is never held. The Cholesky route peaks at 3 n x n
-    arrays above the inputs, which are left untouched."""
+    and its product is never held. Z is inverted and scaled in its own
+    buffer, so the peak is about 2 n x n arrays above the inputs (Z, then
+    binarize's gather beside the scores), which are left untouched."""
     root = np.sqrt(np.asarray(inputs.degrees, dtype=np.float64))
+    n = root.size
     scale = preset_config(Preset.DEEPWALK, alpha=inputs.alpha,
                           k_horizon=inputs.k_horizon, volume=inputs.volume).scale
-    z = _scaled_exp(inputs.m_k, root, scale)
-    z.flat[:: root.size + 1] += inputs.alpha
-    scores, exact = _inverse(z)
-    del z
-    if not exact:
+
+    def fill(z):
+        _scaled_exp(inputs.m_k, root, scale, z)
+        z.flat[:: n + 1] += inputs.alpha
+
+    scores = np.empty((n, n))
+    fill(scores)
+    if not _inverse(scores, fill):
         _symmetrize(scores)
     scores *= root[:, None]
     scores *= -root[None, :]

@@ -1,7 +1,7 @@
 """Dense-matrix kernels: randomized truncated SVD, symmetric pseudoinverse,
 the spectrum of a transition matrix D^-1 B through its symmetric similar,
-the Cholesky inverse of a symmetric positive definite matrix, and the binary
-matrix file format.
+the in-place inverse of a symmetric positive definite matrix by halves, and
+the binary matrix file format.
 
 Everything works on float64 numpy arrays. The randomized SVD follows the
 standard Gaussian range-finder recipe (oversampling 10, two QR-stabilized
@@ -81,29 +81,6 @@ def _similar_eigh(b: np.ndarray, row_sums: np.ndarray):
     return lam, v, r
 
 
-def _lower_inverse(l: np.ndarray) -> None:
-    """Invert a lower-triangular matrix in place, by halves:
-    [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]].
-
-    A and B are inverted where they lie, then C is overwritten with
-    -B^-1 (C A^-1); the only scratch is the (n/2) x (n/2) product C A^-1.
-    Blocks of up to _TRI_INV_LEAF rows go to np.linalg.inv. Above
-    that most of the n^3/3 flops are matmuls: at n=1600 this took 0.04 s
-    against 0.23 s for np.linalg.inv of the whole matrix, an LU solve blind
-    to the zeros (2-core x86_64 VM, OpenBLAS 0.3.31).
-    """
-    n = len(l)
-    if n <= _TRI_INV_LEAF:
-        l[...] = np.linalg.inv(l)
-        return
-    h = n // 2
-    a, b, c = l[:h, :h], l[h:, h:], l[h:, :h]
-    _lower_inverse(a)
-    _lower_inverse(b)
-    np.matmul(b, c @ a, out=c)
-    np.negative(c, out=c)
-
-
 def _norm1(m: np.ndarray) -> float:
     """The 1-norm (largest absolute column sum), summed over blocks of
     _ROW_BLOCK rows so that no n x n copy of |m| is made."""
@@ -133,34 +110,62 @@ def _strict_upper(m: np.ndarray) -> np.ndarray:
     return np.concatenate(rows) if rows else np.empty(0, dtype=m.dtype)
 
 
-def _spd_inverse(m: np.ndarray) -> np.ndarray | None:
-    """Inverse of a symmetric positive definite matrix by Cholesky,
-    m^-1 = L^-T L^-1 with m = L L^T; None when m is not positive definite, or
-    when its 1-norm condition number reaches 1/_PINV_RTOL, where
-    pseudoinverse would start dropping eigenvalues.
+def _invert_by_halves(m: np.ndarray) -> None:
+    """Write the inverse of a symmetric positive definite m over m, reading
+    only its lower triangle. With A, B, C = m[:h, :h], m[h:, :h], m[h:, h:]
+    and T = B A^-1, the Schur complement S = C - T B^T gives
+    m^-1 = [[A^-1 + T^T S^-1 T, .], [-S^-1 T, S^-1]]:
+    A and then S are inverted where they lie, B becomes -S^-1 T, and A takes
+    A^-1 - T^T B. The scratch is T and one product of its size. Every Schur
+    complement of an SPD matrix is SPD, with a condition number no larger
+    than m's. Blocks of up to _TRI_INV_LEAF rows go to inv(cholesky(.)) and
+    L^-T L^-1, which numpy forms by BLAS syrk (one triangle, mirrored); a
+    block that is not positive definite raises LinAlgError there. So a leaf
+    comes out exactly symmetric, and a split keeps it so by averaging A with
+    its transpose and mirroring B into the upper block.
+    """
+    n = len(m)
+    if n <= _TRI_INV_LEAF:
+        factor_inv = np.linalg.inv(np.linalg.cholesky(m))
+        np.matmul(factor_inv.T, factor_inv, out=m)
+        return
+    h = n // 2
+    a, b, c = m[:h, :h], m[h:, :h], m[h:, h:]
+    _invert_by_halves(a)
+    t = b @ a
+    c -= t @ b.T
+    _invert_by_halves(c)
+    np.matmul(c, t, out=b)
+    np.negative(b, out=b)
+    a -= t.T @ b
+    _symmetrize(a)
+    m[:h, h:] = b.T
 
-    m is left untouched, so a None still leaves it for pseudoinverse. L is
-    inverted in place and dropped once the inverse exists, and both 1-norms
-    are column sums over row blocks, not sums of n x n copies of |m|: the
-    peak above m is two n x n arrays, L^-1 and the inverse.
 
-    The inverse is exactly symmetric: numpy computes L^-T L^-1, a product
-    of an array with its own transpose, by BLAS syrk, which forms one
-    triangle and mirrors it.
+def _spd_inverse(m: np.ndarray) -> bool:
+    """Write the inverse of a symmetric positive definite m over m
+    (_invert_by_halves) and say whether it holds: False when m is not
+    positive definite, or when its 1-norm condition number reaches
+    1/_PINV_RTOL, where pseudoinverse would start dropping eigenvalues. m's
+    1-norm is taken before m is overwritten; after a False m holds no
+    matrix of use.
+
+    About 4n^3/3 flops, all but the leaves' in matmuls. The peak above m is
+    T and one product of its size at the top split, n^2/2 doubles, or a
+    leaf's factor and its inverse where those are more (0.91 n^2 at n=200).
+    Both 1-norms are column sums over row blocks, not sums of n x n copies
+    of |m|.
 
     It stays on numpy's BLAS on purpose. scipy's LAPACK (potrf, potri) links
     a second OpenBLAS whose threads keep spinning after a call; on a 2-core
     machine that doubled the time of the next numpy eigh.
     """
+    norm = _norm1(m)
     try:
-        factor_inv = np.linalg.cholesky(m)
+        _invert_by_halves(m)
     except np.linalg.LinAlgError:
-        return None
-    _lower_inverse(factor_inv)
-    inv = factor_inv.T @ factor_inv
-    del factor_inv
-    cond = _norm1(m) * _norm1(inv)
-    return inv if cond * _PINV_RTOL < 1.0 else None
+        return False
+    return norm * _norm1(m) * _PINV_RTOL < 1.0
 
 
 def save_matrix(path, m: np.ndarray) -> None:
@@ -180,12 +185,15 @@ def load_matrix(path) -> np.ndarray:
     once the header's shape matches the file's size."""
     path = Path(path)
     with open(path, "rb") as fh:
-        header = fh.read(len(MATRIX_MAGIC) + 16)
+        header_size = len(MATRIX_MAGIC) + 16
+        header = fh.read(header_size)
         if header[: len(MATRIX_MAGIC)] != MATRIX_MAGIC:
             raise ValueError(f"{path}: bad magic, not a PPREIM1 matrix file")
+        if len(header) < header_size:
+            raise ValueError(f"{path}: expected {header_size} header bytes, got {len(header)}")
         rows, cols = struct.unpack_from("<QQ", header, len(MATRIX_MAGIC))
         expected = rows * cols * 8
-        size = os.fstat(fh.fileno()).st_size - len(header)
+        size = os.fstat(fh.fileno()).st_size - header_size
         if size == expected:
             m = np.empty((rows, cols), dtype="<f8")
             size = fh.readinto(m)

@@ -45,7 +45,7 @@ def closed_form_m_infinity(g, alpha):
 
 def pinv_laplacian(m_inf, degrees, volume, alpha):
     """recover_laplacian with Z pseudoinverted: the reference for its
-    Cholesky route and the exact expected output of its fallback."""
+    in-place route and the exact expected output of its fallback."""
     n = degrees.size
     root = np.sqrt(degrees)
     z = ((1.0 - alpha) / (alpha * volume)) * (
@@ -181,8 +181,8 @@ class TestRecoverLaplacian:
         alpha=st.floats(0.05, 0.95),
         seed=st.integers(0, 10_000),
     )
-    # Above the leaf the inverse runs the recursive triangular inverse; it
-    # comes out exactly symmetric with no symmetrize pass after it.
+    # Above the leaf Z is inverted by halves, in place; it comes out exactly
+    # symmetric with no symmetrize pass after it.
     @example(n=_TRI_INV_LEAF + 22, p=0.05, alpha=0.4, seed=3)
     def test_cholesky_matches_pseudoinverse(self, n, p, alpha, seed):
         g = random_connected_graph(n, p, seed)
@@ -448,25 +448,29 @@ class TestInvertAnalytical:
         assert m_k.tobytes() == m_k_bits and deg.tobytes() == deg_bits
 
     def test_peak_memory_above_inputs(self):
-        # In n x n float64 arrays at n=200: 3.04 for both, where the
-        # out-of-place steps peaked at 6.02 (invert_analytical) and 5.02.
+        # In n x n float64 arrays at n=200: 2.04 for both, Z inverted in its
+        # own buffer and about one more array of scratch (the inverse's, or
+        # binarize's gather). The Cholesky route, with its factor and a
+        # separate inverse, peaked at 3.01, and the out-of-place steps
+        # before it at 6.02 (invert_analytical) and 5.02.
         g = random_connected_graph(200, 0.05, 3)
         inputs = self.inputs_for(g, k=10)
         m_inf = estimate_m_infinity(inputs.m_k, 10)
         n2 = 8.0 * g.n**2
-        assert peak_bytes(invert_analytical, inputs) <= 3.25 * n2
+        assert peak_bytes(invert_analytical, inputs) <= 2.25 * n2
         assert peak_bytes(
             recover_laplacian, m_inf, inputs.degrees, inputs.volume, 0.7
-        ) <= 3.25 * n2
+        ) <= 2.25 * n2
 
     def test_sweep_cell_peak_memory_above_its_pair(self):
-        # In n x n float64 arrays at n=300, d=16: 3.01, the inverse's Z
-        # and the Cholesky route's two; one more when the cell formed X @ Y.T.
+        # In n x n float64 arrays at n=300, d=16: 2.01, Z (inverted in place)
+        # and binarize's gather beside it; the Cholesky route's factor and
+        # separate inverse made 3.01, and forming X @ Y.T one more.
         g = random_connected_graph(300, 0.05, 3)
         cfg = preset_config(Preset.DEEPWALK, alpha=0.1, k_horizon=10, volume=g.volume)
         pair = factorize(build_proximity(g, cfg), 16, 0)
         peak = peak_bytes(cli._sweep_cell, g, None, pair, (0.1, 10))
-        assert peak <= 3.25 * 8.0 * g.n**2
+        assert peak <= 2.25 * 8.0 * g.n**2
 
     def test_non_finite_proximity_rejected(self, k3, monkeypatch):
         # Construction reads no entry of m_k; invert_analytical counts them

@@ -1,17 +1,17 @@
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pprinv.linalg import (
     _ROW_BLOCK,
     _TRI_INV_LEAF,
-    _lower_inverse,
     _spd_inverse,
     _strict_upper,
     _symmetrize,
@@ -105,29 +105,7 @@ class TestPseudoinverse:
             pseudoinverse(m)
 
 
-def lower_inverse_by_halves(l):
-    """The out-of-place triangular inverse that _lower_inverse replaced,
-    kept as its reference."""
-    n = len(l)
-    if n <= _TRI_INV_LEAF:
-        return np.linalg.inv(l)
-    h = n // 2
-    a, b = lower_inverse_by_halves(l[:h, :h]), lower_inverse_by_halves(l[h:, h:])
-    inv = np.zeros_like(l)
-    inv[:h, :h], inv[h:, h:] = a, b
-    inv[h:, :h] = -(b @ (l[h:, :h] @ a))
-    return inv
-
-
 class TestInPlaceKernels:
-    @pytest.mark.parametrize("n", [1, 7, _TRI_INV_LEAF + 1, 300])
-    def test_lower_inverse_bits_of_the_out_of_place_form(self, n):
-        rng = np.random.default_rng(n)
-        l = np.linalg.cholesky(np.cov(rng.normal(size=(n, 2 * n))) + np.eye(n))
-        want = lower_inverse_by_halves(l)
-        _lower_inverse(l)
-        assert l.tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("n", [1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 7])
     def test_symmetrize_bits_of_the_whole_matrix_form(self, n):
         m = np.random.default_rng(n).normal(size=(n, n))
@@ -146,18 +124,35 @@ class TestStrictUpper:
         assert got.tobytes() == want.tobytes()
 
 
+def random_spd(n, seed):
+    b = np.random.default_rng(seed).normal(size=(n, n)) / np.sqrt(n)
+    return b @ b.T + 0.5 * np.eye(n)
+
+
 class TestSpdInverse:
-    # Sizes on each side of the leaf, and one that splits unevenly twice and
-    # spans three row blocks of the 1-norm.
+    @staticmethod
+    def check_inverse(m):
+        want = pseudoinverse(m)
+        inv = m.copy()
+        assert _spd_inverse(inv)
+        assert np.array_equal(inv, inv.T)
+        assert np.abs(inv - want).max() <= 1e-12 * np.abs(want).max()
+
+    # Sizes on each side of the leaf, one that splits unevenly, and one that
+    # splits twice and spans three row blocks of the 1-norm.
     @pytest.mark.parametrize("n", [1, 7, _TRI_INV_LEAF, _TRI_INV_LEAF + 1, 300])
     def test_matches_pseudoinverse(self, n):
-        rng = np.random.default_rng(n)
-        b = rng.normal(size=(n, n)) / np.sqrt(n)
-        m = b @ b.T + 0.5 * np.eye(n)
-        inv = _spd_inverse(m)
-        assert np.array_equal(inv, inv.T)
-        want = pseudoinverse(m)
-        assert np.abs(inv - want).max() <= 1e-12 * np.abs(want).max()
+        self.check_inverse(random_spd(n, n))
+
+    # Every n from 1 to 300 splits into leaves of at most _TRI_INV_LEAF
+    # rows within two levels of halves; odd n split unevenly.
+    @settings(max_examples=100)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 10_000))
+    @example(n=_TRI_INV_LEAF, seed=0)
+    @example(n=_TRI_INV_LEAF + 1, seed=0)
+    @example(n=2 * _TRI_INV_LEAF + 3, seed=0)
+    def test_matches_pseudoinverse_property(self, n, seed):
+        self.check_inverse(random_spd(n, seed))
 
     @pytest.mark.parametrize(
         "m",
@@ -172,7 +167,7 @@ class TestSpdInverse:
         ids=["indefinite", "singular", "near-singular", "near-singular-n300", "nan"],
     )
     def test_rejects_what_pseudoinverse_must_handle(self, m):
-        assert _spd_inverse(m) is None
+        assert not _spd_inverse(m.copy())
 
 
 class TestMatrixFiles:
@@ -220,6 +215,12 @@ class TestMatrixFiles:
         save_matrix(path, np.eye(3))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="payload"):
+            load_matrix(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "short.mat"
+        path.write_bytes(b"PPREIM1\x00abcd")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: expected 24 header bytes, got 12")):
             load_matrix(path)
 
     def test_non_finite_rejected(self, tmp_path):
