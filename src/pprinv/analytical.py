@@ -53,16 +53,26 @@ class AnalyticalInputs:
     def __post_init__(self) -> None:
         m_k = self.m_k
         shape = (len(m_k.x), len(m_k.y)) if isinstance(m_k, EmbeddingPair) else np.shape(m_k)
-        deg = np.asarray(self.degrees)
-        if not np.all(np.isfinite(deg) & (deg >= 1)):
-            raise ValueError("all degrees must be finite and >= 1")
-        if shape != (deg.size, deg.size):
+        n = _check_graph(self.degrees, self.volume, self.alpha).size
+        if shape != (n, n):
             raise ValueError("proximity shape does not match degree vector")
-        # Written so that a NaN volume fails the test too.
-        if not abs(float(deg.sum()) - self.volume) <= 1e-9:
-            raise ValueError("volume must be finite and equal the degree sum")
-        _check_alpha(self.alpha)
-        _check_edge_budget(deg.size, self.m_edges)
+        _check_edge_budget(n, self.m_edges)
+
+
+def _check_graph(degrees, volume: float, alpha: float) -> np.ndarray:
+    """degrees as float64, after the rules on the known graph that both
+    closed-form entries check before any work: at least one degree, each
+    finite and >= 1, volume their sum, and alpha in (0, 1)."""
+    deg = np.asarray(degrees, dtype=np.float64)
+    if deg.size == 0:
+        raise ValueError("degrees must be nonempty")
+    if not np.all(np.isfinite(deg) & (deg >= 1)):
+        raise ValueError("all degrees must be finite and >= 1")
+    # Written so that a NaN volume fails the test too.
+    if not abs(float(deg.sum()) - volume) <= 1e-9:
+        raise ValueError("volume must be finite and equal the degree sum")
+    _check_alpha(alpha)
+    return deg
 
 
 def _log_rows(m_k: np.ndarray | EmbeddingPair):
@@ -138,9 +148,10 @@ def recover_laplacian(
     symmetric: dividing and shifting the diagonal keep the in-place inverse
     so, and the pseudoinverse route symmetrizes it. The peak is Z and the
     inverse's scratch (about n^2/2 doubles at large n); m_inf is not
-    modified.
+    modified. The degrees, volume and alpha are checked first, as
+    AnalyticalInputs checks them.
     """
-    root = np.sqrt(np.asarray(degrees, dtype=np.float64))
+    root = np.sqrt(_check_graph(degrees, volume, alpha))
     n = root.size
     if np.shape(m_inf) != (n, n):
         raise ValueError("proximity shape does not match degree vector")

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import embedding as emb
 from . import graph as gr
-from . import linalg
 from . import metrics as met
 from . import proximity as prox
 from .analytical import AnalyticalInputs, invert_analytical
@@ -93,11 +92,11 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _config_from_meta(meta: dict) -> prox.ProximityConfig | None:
-    """The config cmd_embed built, rebuilt from the meta.json it wrote; None
-    for a target without a preset (a --proximity matrix). Each build key must
-    hold the JSON type cmd_embed writes there (true and false are no
-    numbers), and a preset needs its k_horizon, else an error naming the key."""
+def _config_from_meta(meta: dict) -> prox.ProximityConfig:
+    """The config cmd_embed built, rebuilt from the meta.json it wrote. Each
+    build key must hold the JSON type cmd_embed writes there (true and false
+    are no numbers), and preset, k_horizon and graph_volume must be there,
+    else an error naming the key."""
     number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
     valid = {"preset": lambda v: isinstance(v, str), "epsilon": number,
              "alpha": lambda v: v is None or number(v), "graph_volume": number,
@@ -106,56 +105,48 @@ def _config_from_meta(meta: dict) -> prox.ProximityConfig | None:
     for key, ok in valid.items():
         if key in meta and not ok(meta[key]):
             raise ValueError(f"meta.json {key} has the wrong type: {json.dumps(meta[key])}")
-    if "preset" not in meta:
-        return None
-    if "k_horizon" not in meta:
-        raise ValueError("meta.json has no k_horizon")
+    for key in ("preset", "k_horizon", "graph_volume"):
+        if key not in meta:
+            raise ValueError(f"meta.json has no {key}")
     return prox.preset_config(
         meta["preset"], alpha=meta.get("alpha"), epsilon=meta.get("epsilon"),
-        k_horizon=meta["k_horizon"], volume=meta.get("graph_volume"),
+        k_horizon=meta["k_horizon"], volume=meta["graph_volume"],
         alpha_schedule=meta.get("alpha_schedule"),  # preset_config makes it a tuple
     )
 
 
-def _inversion(args, cfg: prox.ProximityConfig | None, volume: float):
-    """What args.method runs, resolved and checked before any work: for
-    optimize the OptConfig (target_volume the graph's volume), for analytical
-    (alpha, K). Each flag comes first: alpha else the target config's
-    constant stopping probability; K else the config's, else OptConfig's.
-    The optimizer's epsilon is --opt-epsilon; --epsilon is the embedding's."""
+def _inversion(args, cfg: prox.ProximityConfig, volume: float):
+    """What args.method runs on cfg's target, resolved and checked before any
+    work: for optimize the OptConfig (target_volume the graph's volume), for
+    analytical (alpha, K). alpha is --alpha, else cfg's constant stopping
+    probability; K is cfg's. The optimizer's epsilon is --opt-epsilon;
+    --epsilon is the embedding's."""
     alpha = args.alpha
     if alpha is None:
-        if cfg is None or len(set(cfg.alphas)) != 1:
-            raise ValueError("--alpha required (not in metadata)" if cfg is None else
-                             "--alpha required: the stopping probability varies by hop")
+        if len(set(cfg.alphas)) != 1:
+            raise ValueError("--alpha required: the stopping probability varies by hop")
         alpha = cfg.alphas[0]
-    k_horizon = args.k_horizon
-    if k_horizon is None:
-        k_horizon = OptConfig.k_horizon if cfg is None else cfg.k_horizon
     if args.method == "analytical":
         prox._check_alpha(alpha)  # AnalyticalInputs' check, before any work
-        return alpha, k_horizon
+        return alpha, cfg.k_horizon
     return OptConfig(target_volume=volume, alpha=alpha, epochs=args.epochs,
-                     epsilon=args.opt_epsilon, k_horizon=k_horizon,
+                     epsilon=args.opt_epsilon, k_horizon=cfg.k_horizon,
                      step_size=args.step_size)
 
 
-def _invert(target, degrees, inversion):
-    """Run _inversion's result on target, an n x n proximity or an
-    EmbeddingPair: invert_optimize with its OptConfig, on a pair's product,
-    else the closed form with its (alpha, K), which reads a pair's factors.
-    Returns the recovered graph and the per-epoch losses (empty for the
-    closed form)."""
+def _invert(pair: emb.EmbeddingPair, degrees, inversion):
+    """Run _inversion's result on an embedding pair: invert_optimize with its
+    OptConfig, on the pair's product, else the closed form with its
+    (alpha, K), which reads the pair's factors. Returns the recovered graph
+    and the per-epoch losses (empty for the closed form)."""
     degrees = np.asarray(degrees, dtype=np.float64)
     volume = float(degrees.sum())
     m_edges = int(volume) // 2
     if isinstance(inversion, OptConfig):
-        if isinstance(target, emb.EmbeddingPair):
-            target = emb.reconstruct_proximity(target)
-        result = invert_optimize(target, inversion, m_edges)
+        result = invert_optimize(emb.reconstruct_proximity(pair), inversion, m_edges)
         return result.graph, result.losses
     alpha, k_horizon = inversion
-    inputs = AnalyticalInputs(m_k=target, degrees=degrees, volume=volume, alpha=alpha,
+    inputs = AnalyticalInputs(m_k=pair, degrees=degrees, volume=volume, alpha=alpha,
                               k_horizon=k_horizon, m_edges=m_edges)
     return invert_analytical(inputs), ()
 
@@ -179,13 +170,9 @@ def _check_writable(*paths: str | None, directory: bool = False) -> None:
 
 def cmd_invert(args) -> int:
     _check_writable(args.out, args.loss_trace)
-    if args.embedding:
-        target = emb.load_embedding(args.embedding)
-        meta, cfg = target.meta, _config_from_meta(target.meta)
-        n = len(target.x)
-    else:
-        target, meta, cfg = linalg.load_matrix(args.proximity), {}, None
-        n = len(target)
+    pair = emb.load_embedding(args.embedding)
+    cfg = _config_from_meta(pair.meta)
+    n = len(pair.x)
     names = None
     if args.graph:
         g = _load_graph(args.graph)
@@ -198,15 +185,15 @@ def cmd_invert(args) -> int:
             raise ValueError("degrees must be positive integers with an even sum")
     if degrees.shape != (n,):
         raise ValueError(f"{degrees.size} degrees for a {n}-node target proximity")
-    volume = meta.get("graph_volume")
-    if volume is not None and degrees.sum() != volume:
+    volume = pair.meta["graph_volume"]
+    if degrees.sum() != volume:
         raise ValueError(
             f"degree sum {int(degrees.sum())} differs from the embedding's "
             f"graph_volume {volume}: not the graph it was built from"
         )
     inversion = _inversion(args, cfg, float(degrees.sum()))
-    recovered, losses = _invert(target, degrees, inversion)
-    # Target rows and --graph degrees both follow the sorted-name order of
+    recovered, losses = _invert(pair, degrees, inversion)
+    # Embedding rows and --graph degrees both follow the sorted-name order of
     # parse_edge_list, whatever each file's line order, so names line up.
     recovered = dataclasses.replace(recovered, node_names=names)
     Path(args.out).write_text(gr.serialize_edge_list(recovered), encoding="utf-8")
@@ -338,8 +325,7 @@ _FLAGS = {
     "--presets": dict(required=True, help="comma-separated preset names"),
     "--labels": dict(),
     "--recovered": dict(required=True),
-    "--embedding": dict(),
-    "--proximity": dict(help="PPREIM1 matrix file"),
+    "--embedding": dict(required=True, help="directory written by embed"),
     "--degrees": dict(help="one degree per line: positive integers, even sum"),
     "--method": dict(choices=["optimize", "analytical"], default="optimize"),
     "--alpha": dict(type=float, help="stopping probability (0.7 for the flight "
@@ -383,14 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     for method, summary in (("analytical", "closed-form recovery"),
                             ("optimize", "gradient-descent recovery")):
         p = inv_sub.add_parser(method, help=summary)
-        _add_flags(p.add_mutually_exclusive_group(required=True),
-                   "--embedding", "--proximity")
+        _add_flags(p, "--embedding")
         degrees = p.add_mutually_exclusive_group(required=True)
         _add_flags(degrees, "--graph", required=False,
                    help="original graph (degrees and node names)")
         _add_flags(degrees, "--degrees")
-        # A missing --k-horizon falls back to meta.json, then OptConfig's.
-        _add_flags(p, "--k-horizon", default=None)
         _add_flags(p, "--alpha", "--out")
         p.set_defaults(func=cmd_invert, loss_trace=None)
     # p is now the optimize parser; the flags below are its own.

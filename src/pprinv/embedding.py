@@ -4,9 +4,10 @@ An embedding pair (X, Y) satisfies X @ Y.T ~ M for the proximity matrix M it
 was built from. Embeddings persist as a directory holding X.mat / Y.mat in
 the PPREIM1 binary format plus a meta.json holding the pair's meta as given.
 `pprinv embed` (cli.cmd_embed) fills meta with the preset_config arguments.
-`pprinv invert` rebuilds that config (cli._config_from_meta) and takes alpha
-(when every hop's is one value) and the horizon K from it unless a flag gives
-them; the optimizer's epsilon comes from --opt-epsilon, never from meta.
+`pprinv invert` reads only such a directory: it rebuilds that config
+(cli._config_from_meta) and takes the horizon K from it, and alpha too (when
+every hop's is one value) unless --alpha gives it; the optimizer's epsilon
+comes from --opt-epsilon, never from meta.
 
 The product X @ Y.T is formed one way, _ROW_BLOCK rows at a time
 (product_blocks): whole for the optimizer (reconstruct_proximity, one n x n

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -163,6 +164,22 @@ class TestRecoverLaplacian:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             recover_laplacian(np.zeros((3, 3)), np.ones(4), 4.0, 0.5)
+
+    # Each input breaks one of AnalyticalInputs' rules and nothing else;
+    # they once gave a NaN Laplacian, numpy's zero-size reduction error, a
+    # ZeroDivisionError and a silent matrix.
+    @pytest.mark.parametrize("m_inf, degrees, volume, alpha, message", [
+        (np.zeros((2, 2)), [1.0, -1.0], 0.0, 0.5, "all degrees must be finite and >= 1"),
+        (np.zeros((0, 0)), [], 0.0, 0.5, "degrees must be nonempty"),
+        (np.zeros((2, 2)), [1.0, 1.0], 0.0, 0.5,
+         "volume must be finite and equal the degree sum"),
+        (np.zeros((2, 2)), [1.0, 1.0], 2.0, 1.5, "alpha must lie in (0, 1)"),
+    ], ids=["negative-degree", "no-nodes", "volume-0", "alpha-1.5"])
+    def test_invalid_graph_rejected_before_any_work(self, monkeypatch, m_inf, degrees,
+                                                    volume, alpha, message):
+        monkeypatch.setattr(analytical_module, "_inverse", None)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            recover_laplacian(m_inf, np.array(degrees), volume, alpha)
 
     @staticmethod
     def count_pseudoinverse(monkeypatch):

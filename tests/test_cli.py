@@ -3,6 +3,8 @@ import csv
 import dataclasses
 import io
 import json
+import re
+import shlex
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -17,12 +19,12 @@ from test_graph import NODE_NAME
 from test_optimize import run_fresh_import
 from pprinv import cli
 from pprinv.cli import main
-from pprinv.embedding import load_embedding
+from pprinv.analytical import AnalyticalInputs, invert_analytical
+from pprinv.embedding import EmbeddingPair, load_embedding, save_embedding
 from pprinv.graph import Graph, parse_edge_list, serialize_edge_list
-from pprinv.linalg import save_matrix
 from pprinv.metrics import relative_frobenius_error
 from pprinv.optimize import OptConfig, forward_proximity
-from pprinv.proximity import deepwalk_log_proximity
+from pprinv.proximity import deepwalk_log_proximity, preset_config
 
 
 _PRESETS = ("strap", "approxppr", "nrp", "lemane", "sensei", "deepwalk")
@@ -40,6 +42,20 @@ def exit_code(argv):
 def write_graph(path, g):
     path.write_text(serialize_edge_list(g))
     return str(path)
+
+
+def save_target(directory, m, volume, preset="deepwalk", alpha=0.7, k_horizon=10,
+                epsilon=1e-7):
+    """The n x n target m as a d = n embedding (m, I), whose meta.json names
+    the config that built m as embed records it; product_blocks gives m back
+    bit for bit."""
+    cfg = preset_config(preset, alpha=alpha, epsilon=epsilon, k_horizon=k_horizon,
+                        volume=volume)
+    meta = {"preset": preset, "alpha": alpha, "epsilon": cfg.epsilon,
+            "k_horizon": k_horizon, "graph_volume": volume}
+    m = np.asarray(m, dtype=np.float64)
+    save_embedding(directory, EmbeddingPair(m, np.eye(len(m)), meta))
+    return str(directory)
 
 
 @pytest.fixture
@@ -251,27 +267,25 @@ class TestInvertCommand:
     def test_optimize_self_consistent_target(self, small_graph, tmp_path):
         _, path = small_graph
         g = parse_edge_list(Path(path).read_text())
-        target = forward_proximity(g.adjacency(), 0.5, 1e-7, 10)
-        mat = tmp_path / "target.mat"
-        save_matrix(mat, target)
+        # The optimizer's model at --opt-epsilon 1e-7: STRAP at 2e-7.
+        target = save_target(tmp_path / "emb", forward_proximity(g.adjacency(), 0.5, 1e-7, 10),
+                             g.volume, "strap", alpha=0.5, epsilon=2e-7)
         out = tmp_path / "recovered.txt"
         rc = main([
-            "invert", "optimize", "--proximity", str(mat), "--graph", path,
-            "--alpha", "0.5", "--opt-epsilon", "1e-7", "--epochs", "200",
-            "--step-size", "0.3", "--out", str(out),
+            "invert", "optimize", "--embedding", target, "--graph", path,
+            "--opt-epsilon", "1e-7", "--epochs", "200", "--step-size", "0.3",
+            "--out", str(out),
         ])
         assert rc == 0
         assert out.read_text() == serialize_edge_list(g)
 
     def test_optimize_loss_trace_rows(self, small_graph, tmp_path):
         g, path = small_graph
-        target = forward_proximity(g.adjacency(), 0.5, 1e-7, 10)
-        mat = tmp_path / "target.mat"
-        save_matrix(mat, target)
+        target = save_target(tmp_path / "emb", forward_proximity(g.adjacency(), 0.5, 1e-7, 10),
+                             g.volume, "strap", alpha=0.5, epsilon=2e-7)
         trace = tmp_path / "trace.csv"
         rc = main([
-            "invert", "optimize", "--proximity", str(mat), "--graph", path,
-            "--alpha", "0.5", "--epochs", "40",
+            "invert", "optimize", "--embedding", target, "--graph", path, "--epochs", "40",
             "--out", str(tmp_path / "rec.txt"), "--loss-trace", str(trace),
         ])
         assert rc == 0
@@ -343,15 +357,12 @@ class TestInvertCommand:
             for field in dataclasses.fields(built):
                 assert getattr(cfg.model, field.name) == getattr(built, field.name), field.name
             assert cfg.model.scale == built.scale
-        # Both commands take their optimizer defaults from OptConfig; invert's
-        # K falls back to it when there is no meta.json to read.
+        # Both commands take their optimizer defaults from OptConfig.
         parser, out = cli.build_parser(), ["--out", "x"]
-        invert = parser.parse_args(["invert", "optimize", "--proximity", "m.mat",
-                                    "--degrees", "d.txt", "--alpha", "0.5", *out])
+        invert = parser.parse_args(["invert", "optimize", "--embedding", str(emb_dir),
+                                    "--degrees", "d.txt", *out])
         sweep = parser.parse_args(["sweep", "--graph", path, "--presets", "strap",
                                    "--dims", "4", *out])
-        assert invert.k_horizon is None
-        assert cli._inversion(invert, None, 14.0).k_horizon == default.k_horizon
         for args in (invert, sweep):
             assert (args.epochs, args.step_size, args.opt_epsilon) == (
                 default.epochs, default.step_size, default.epsilon)
@@ -404,20 +415,6 @@ class TestInvertCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_volume_not_checked_without_the_meta_key(self, two_triangles_embedding,
-                                                     tmp_path):
-        meta_path = two_triangles_embedding / "meta.json"
-        meta = json.loads(meta_path.read_text())
-        del meta["graph_volume"]
-        meta_path.write_text(json.dumps(meta))
-        degrees = tmp_path / "deg.txt"
-        degrees.write_text("2\n" * 6)
-        rc = main([
-            "invert", "analytical", "--embedding", str(two_triangles_embedding),
-            "--degrees", str(degrees), "--out", str(tmp_path / "rec.txt"),
-        ])
-        assert rc == 0
-
     @pytest.mark.parametrize("key, value, message", [
         ("epsilon", float("inf"), "epsilon must be positive and finite, got inf"),
         ("k_horizon", 0, "k_horizon must be >= 1, got 0"),
@@ -458,15 +455,15 @@ class TestInvertCommand:
         assert calls == []
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [[], ["--k-horizon", "10"]],
-                             ids=["no-flag", "k-horizon-10"])
+    @pytest.mark.parametrize("key", ["k_horizon", "preset", "graph_volume"])
     def test_meta_without_k_horizon_rejected(
-        self, two_triangles_embedding, tmp_path, capsys, monkeypatch, flags
+        self, two_triangles_embedding, tmp_path, capsys, monkeypatch, key
     ):
-        # The preset config is rebuilt from meta.json before any flag is read.
+        # The preset config is rebuilt from meta.json before any flag is read;
+        # embed writes all three keys, and no target is inverted without them.
         meta_path = two_triangles_embedding / "meta.json"
         meta = json.loads(meta_path.read_text())
-        del meta["k_horizon"]
+        del meta[key]
         meta_path.write_text(json.dumps(meta))
         calls = []
         monkeypatch.setattr(cli, "invert_optimize", lambda *a: calls.append(a))
@@ -474,34 +471,27 @@ class TestInvertCommand:
         capsys.readouterr()
         rc = main([
             "invert", "optimize", "--embedding", str(two_triangles_embedding),
-            "--graph", str(tmp_path / "two_triangles.txt"), *flags, "--out", str(out),
+            "--graph", str(tmp_path / "two_triangles.txt"), "--out", str(out),
         ])
         assert rc == 1
-        assert "meta.json has no k_horizon" in capsys.readouterr().err
+        assert f"meta.json has no {key}" in capsys.readouterr().err
         assert calls == []
         assert not out.exists()
 
-    def test_meta_without_preset_inverts_with_flags(
-        self, two_triangles_embedding, tmp_path, capsys, monkeypatch
-    ):
-        # A meta.json with no preset is a target with no config to rebuild:
-        # alpha comes from --alpha alone, and K from OptConfig.
-        (two_triangles_embedding / "meta.json").write_text("{}")
-        horizons, original = [], cli.invert_optimize
-        monkeypatch.setattr(cli, "invert_optimize",
-                            lambda *a: horizons.append(a[1].k_horizon) or original(*a))
+    @pytest.mark.parametrize("method", ["optimize", "analytical"])
+    @pytest.mark.parametrize("flag", [["--proximity", "m.mat"], ["--k-horizon", "10"]],
+                             ids=["proximity", "k-horizon"])
+    def test_removed_flags_rejected(self, two_triangles_embedding, tmp_path, capsys,
+                                    monkeypatch, method, flag):
+        # A target is an embedding whose meta.json names its model, K included.
+        monkeypatch.setattr(cli, f"invert_{method}", None)
         out = tmp_path / "rec.txt"
-        argv = ["invert", "optimize", "--embedding", str(two_triangles_embedding),
-                "--graph", str(tmp_path / "two_triangles.txt"), "--epochs", "2",
-                "--out", str(out)]
-        capsys.readouterr()
-        assert main(argv) == 1
-        assert "--alpha required (not in metadata)" in capsys.readouterr().err
-        assert horizons == []
+        assert exit_code([
+            "invert", method, "--embedding", str(two_triangles_embedding),
+            "--graph", str(tmp_path / "two_triangles.txt"), *flag, "--out", str(out),
+        ]) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out.exists()
-        assert main([*argv, "--alpha", "0.5"]) == 0
-        assert horizons == [OptConfig.k_horizon]
-        assert parse_edge_list(out.read_text()).num_edges == 7
 
     def test_lemane_needs_alpha(self, small_graph, tmp_path, capsys, monkeypatch):
         # A lemane schedule has no one stopping probability to invert with.
@@ -531,12 +521,10 @@ class TestInvertCommand:
 
     def test_analytical_requires_degrees(self, tmp_path, capsys):
         # A usage error, as for two degree sources (test_conflicting_inputs_rejected).
-        mat = tmp_path / "m.mat"
-        save_matrix(mat, np.zeros((3, 3)))
+        target = save_target(tmp_path / "emb", np.zeros((3, 3)), 6)
         out = tmp_path / "rec.txt"
         assert exit_code([
-            "invert", "analytical", "--proximity", str(mat), "--alpha", "0.7",
-            "--out", str(out),
+            "invert", "analytical", "--embedding", target, "--out", str(out),
         ]) == 2
         assert ("one of the arguments --graph --degrees is required"
                 in capsys.readouterr().err)
@@ -544,17 +532,15 @@ class TestInvertCommand:
 
     @pytest.mark.parametrize("flags, code, message", [
         (["--degrees", "deg3.txt", "--alpha", "0.7"], 2,
-         "one of the arguments --embedding --proximity is required"),
-        (["--proximity", "m.mat", "--degrees", "deg3.txt"], 1,
-         "--alpha required (not in metadata)"),
-        (["--proximity", "m.mat", "--degrees", "deg4.txt", "--alpha", "0.7"], 1,
+         "the following arguments are required: --embedding"),
+        (["--embedding", "emb", "--degrees", "deg4.txt"], 1,
          "4 degrees for a 3-node target proximity"),
-    ], ids=["no-target", "no-alpha", "degree-count"])
+    ], ids=["no-target", "degree-count"])
     def test_missing_or_mismatched_input_rejected(
         self, tmp_path, capsys, monkeypatch, flags, code, message
     ):
         monkeypatch.chdir(tmp_path)
-        save_matrix("m.mat", np.zeros((3, 3)))
+        save_target("emb", np.zeros((3, 3)), 6)
         Path("deg3.txt").write_text("2\n2\n2\n")
         Path("deg4.txt").write_text("1\n1\n1\n1\n")
         assert exit_code(["invert", "analytical", *flags, "--out", "rec.txt"]) == code
@@ -566,12 +552,11 @@ class TestInvertCommand:
         g = parse_edge_list(Path(path).read_text())
         m = deepwalk_log_proximity(g, 0.7, 10)
         m[1, 4] = 800.0
-        mat = tmp_path / "m.mat"
-        save_matrix(mat, m)
+        target = save_target(tmp_path / "emb", m, g.volume)
         out = tmp_path / "rec.txt"
         rc = main([
-            "invert", "analytical", "--proximity", str(mat), "--graph", path,
-            "--alpha", "0.7", "--out", str(out),
+            "invert", "analytical", "--embedding", target, "--graph", path,
+            "--out", str(out),
         ])
         assert rc == 1
         assert ("proximity m_k has 1 finite entries whose exponential overflows"
@@ -581,14 +566,15 @@ class TestInvertCommand:
     def test_short_matrix_file_rejected_before_any_output(self, tmp_path, capsys):
         # Shorter than the 24-byte header: the error names the file and the
         # byte counts, as a truncated payload's does.
-        mat = tmp_path / "short.mat"
+        target = save_target(tmp_path / "emb", np.zeros((3, 3)), 6)
+        mat = tmp_path / "emb" / "X.mat"
         mat.write_bytes(b"PPREIM1\x00abcd")
         deg = tmp_path / "deg.txt"
         deg.write_text("2\n2\n2\n")
         out = tmp_path / "rec.txt"
         rc = main([
-            "invert", "analytical", "--proximity", str(mat), "--degrees", str(deg),
-            "--alpha", "0.7", "--out", str(out),
+            "invert", "analytical", "--embedding", target, "--degrees", str(deg),
+            "--out", str(out),
         ])
         assert rc == 1
         assert f"{mat}: expected 24 header bytes, got 12" in capsys.readouterr().err
@@ -611,55 +597,75 @@ class TestInvertCommand:
 
     def test_unwritable_out_rejected_before_any_work(self, tmp_path, capsys, monkeypatch):
         path = write_graph(tmp_path / "g.txt", random_connected_graph(6, 0.5, 2))
-        mat = tmp_path / "m.mat"
-        save_matrix(mat, deepwalk_log_proximity(parse_edge_list(Path(path).read_text()),
-                                                0.7, 10))
+        g = parse_edge_list(Path(path).read_text())
+        target = save_target(tmp_path / "emb", deepwalk_log_proximity(g, 0.7, 10), g.volume)
         monkeypatch.setattr(cli, "invert_analytical", None)
         # A missing parent directory, and a "parent" that is a regular file.
         for parent in ("missing", "g.txt"):
             out = tmp_path / parent / "rec.txt"
-            rc = main(["invert", "analytical", "--proximity", str(mat), "--graph", path,
-                       "--alpha", "0.7", "--out", str(out)])
+            rc = main(["invert", "analytical", "--embedding", target, "--graph", path,
+                       "--out", str(out)])
             assert rc == 1
             assert (f"cannot write {out}: not a file in a writable directory"
                     in capsys.readouterr().err)
             assert not out.parent.is_dir()
 
     def test_analytical_exact_proximity_recovers(self, tmp_path):
+        # A d = n embedding is its exact proximity.
         path = write_graph(
             tmp_path / "g.txt", random_connected_graph(12, 0.4, 3, full_rank=True)
         )
-        g = parse_edge_list(Path(path).read_text())
-        mat = tmp_path / "m.mat"
-        save_matrix(mat, deepwalk_log_proximity(g, 0.7, 2000))
-        out = tmp_path / "rec.txt"
+        emb_dir, out = str(tmp_path / "emb"), tmp_path / "rec.txt"
+        assert main(["embed", "--graph", path, "--preset", "strap", "--alpha", "0.7",
+                     "--k-horizon", "2000", "--dim", "12", "--out", emb_dir]) == 0
+        rc = main(["invert", "analytical", "--embedding", emb_dir, "--graph", path,
+                   "--out", str(out)])
+        assert rc == 0
+        assert out.read_text() == serialize_edge_list(parse_edge_list(Path(path).read_text()))
+
+    def test_analytical_degree_file(self, tmp_path):
+        g = random_connected_graph(10, 0.4, 5, full_rank=True)
+        target = save_target(tmp_path / "emb", deepwalk_log_proximity(g, 0.7, 2000),
+                             g.volume, k_horizon=2000)
+        deg, out = tmp_path / "deg.txt", tmp_path / "rec.txt"
+        deg.write_text("".join(f"{d}\n" for d in g.degrees))
         rc = main([
-            "invert", "analytical", "--proximity", str(mat), "--graph", path,
-            "--alpha", "0.7", "--k-horizon", "2000", "--out", str(out),
+            "invert", "analytical", "--embedding", target, "--degrees", str(deg),
+            "--out", str(out),
         ])
         assert rc == 0
         assert out.read_text() == serialize_edge_list(g)
 
-    def test_analytical_degree_file(self, tmp_path):
-        g = random_connected_graph(10, 0.4, 5, full_rank=True)
-        mat = tmp_path / "m.mat"
-        save_matrix(mat, deepwalk_log_proximity(g, 0.7, 2000))
-        deg = tmp_path / "deg.txt"
-        deg.write_text("".join(f"{d}\n" for d in g.degrees))
-        rc = main([
-            "invert", "analytical", "--proximity", str(mat), "--degrees",
-            str(deg), "--alpha", "0.7", "--k-horizon", "2000",
-            "--out", str(tmp_path / "rec.txt"),
-        ])
-        assert rc == 0
+    @settings(max_examples=15)
+    @given(n=st.integers(4, 20), seed=st.integers(0, 10_000),
+           preset=st.sampled_from(["strap", "deepwalk"]), alpha=st.floats(0.05, 0.95),
+           data=st.data())
+    def test_analytical_is_the_library_call(self, n, seed, preset, alpha, data):
+        # At d < n the pair stands for a proximity the closed form never sees
+        # whole; invert hands the library exactly what it read.
+        dim = data.draw(st.integers(1, n - 1), label="dim")
+        with tempfile.TemporaryDirectory() as tmp:
+            path, emb_dir, out = (str(Path(tmp, f)) for f in ("g.txt", "emb", "rec.txt"))
+            write_graph(Path(path), random_connected_graph(n, 0.4, seed))
+            assert main(["embed", "--graph", path, "--preset", preset,
+                         "--alpha", repr(alpha), "--dim", str(dim), "--out", emb_dir]) == 0
+            assert main(["invert", "analytical", "--embedding", emb_dir, "--graph", path,
+                         "--out", out]) == 0
+            g, pair = parse_edge_list(Path(path).read_bytes()), load_embedding(emb_dir)
+            recovered = invert_analytical(AnalyticalInputs(
+                m_k=pair, degrees=g.degrees, volume=g.volume, alpha=alpha,
+                k_horizon=pair.meta["k_horizon"], m_edges=g.num_edges,
+            ))
+            recovered = dataclasses.replace(recovered, node_names=g.node_names)
+            assert Path(out).read_text() == serialize_edge_list(recovered)
 
     @pytest.mark.parametrize("flags", [
-        ["--embedding", "emb", "--proximity", "m.mat"],
         ["--graph", "g.txt", "--degrees", "deg.txt"],
-    ], ids=["target", "degrees"])
+    ], ids=["degrees"])
     def test_conflicting_inputs_rejected(self, tmp_path, capsys, flags):
         with pytest.raises(SystemExit) as exit_info:
-            main(["invert", "analytical", *flags, "--out", str(tmp_path / "rec.txt")])
+            main(["invert", "analytical", "--embedding", "emb", *flags,
+                  "--out", str(tmp_path / "rec.txt")])
         assert exit_info.value.code == 2
         assert "not allowed with argument" in capsys.readouterr().err
 
@@ -667,50 +673,46 @@ class TestInvertCommand:
         "2\n3\n2\n2\n", "2.5\n3\n2\n2.5\n", "-2\n2\n2\n2\n", "2\n2\n0\n2\n",
     ], ids=["odd-sum", "fractional", "negative", "zero"])
     def test_invalid_degree_file_rejected(self, tmp_path, capsys, degrees):
-        mat = tmp_path / "m.mat"
-        save_matrix(mat, np.zeros((4, 4)))
+        target = save_target(tmp_path / "emb", np.zeros((4, 4)), 8, "strap", alpha=0.5)
         deg = tmp_path / "deg.txt"
         deg.write_text(degrees)
         out = tmp_path / "rec.txt"
         rc = main([
-            "invert", "optimize", "--proximity", str(mat), "--degrees", str(deg),
-            "--alpha", "0.5", "--epochs", "2", "--out", str(out),
+            "invert", "optimize", "--embedding", target, "--degrees", str(deg),
+            "--epochs", "2", "--out", str(out),
         ])
         assert rc == 1
         assert "positive integers with an even sum" in capsys.readouterr().err
         assert not out.exists()
 
     def test_degrees_on_one_line_rejected(self, tmp_path, capsys):
-        mat = tmp_path / "m.mat"
-        save_matrix(mat, np.zeros((2, 2)))
+        target = save_target(tmp_path / "emb", np.zeros((2, 2)), 2, "strap", alpha=0.5)
         deg = tmp_path / "deg.txt"
         deg.write_text("2 2\n")
         rc = main([
-            "invert", "optimize", "--proximity", str(mat), "--degrees", str(deg),
-            "--alpha", "0.5", "--out", str(tmp_path / "rec.txt"),
+            "invert", "optimize", "--embedding", target, "--degrees", str(deg),
+            "--out", str(tmp_path / "rec.txt"),
         ])
         assert rc == 1
         assert "line 1: expected one degree, got 2 tokens" in capsys.readouterr().err
 
     def test_non_numeric_degree_rejected_with_its_line(self, tmp_path, capsys):
-        mat = tmp_path / "m.mat"
-        save_matrix(mat, np.zeros((2, 2)))
+        target = save_target(tmp_path / "emb", np.zeros((2, 2)), 2, "strap", alpha=0.5)
         deg = tmp_path / "deg.txt"
         deg.write_text("1\nx\n")
         rc = main([
-            "invert", "optimize", "--proximity", str(mat), "--degrees", str(deg),
-            "--alpha", "0.5", "--out", str(tmp_path / "rec.txt"),
+            "invert", "optimize", "--embedding", target, "--degrees", str(deg),
+            "--out", str(tmp_path / "rec.txt"),
         ])
         assert rc == 1
         assert "line 2: 'x' is not a number" in capsys.readouterr().err
 
 
 def test_k_horizon_below_one_rejected_everywhere(small_graph, tmp_path, capsys):
-    # Every command that evaluates b/(epsilon*K) fails with the same message.
+    # Every command that takes --k-horizon fails with the same message
+    # (invert reads K from meta.json: test_meta_that_preset_config_rejects).
     _, path = small_graph
-    emb_dir, out = str(tmp_path / "emb"), str(tmp_path / "out")
-    assert main(["embed", "--graph", path, "--preset", "strap", "--alpha", "0.5",
-                 "--dim", "4", "--out", emb_dir]) == 0
+    out = str(tmp_path / "out")
     schedule = tmp_path / "schedule.txt"
     schedule.write_text("1.0\n")
     runs = [
@@ -719,8 +721,6 @@ def test_k_horizon_below_one_rejected_everywhere(small_graph, tmp_path, capsys):
         + (["--alpha-schedule", str(schedule)] if preset == "lemane" else [])
         for preset in ("strap", "approxppr", "nrp", "lemane", "sensei", "deepwalk")
     ]
-    runs += [["invert", method, "--embedding", emb_dir, "--graph", path,
-              "--out", out] for method in ("optimize", "analytical")]
     runs.append(["sweep", "--graph", path, "--presets", "strap", "--dims", "4",
                  "--alpha", "0.5", "--out", out])
     capsys.readouterr()
@@ -728,6 +728,22 @@ def test_k_horizon_below_one_rejected_everywhere(small_graph, tmp_path, capsys):
         assert main([*argv, "--k-horizon", "0"]) == 1, argv
         assert "k_horizon must be >= 1, got 0" in capsys.readouterr().err, argv
     assert not Path(out).exists()
+
+
+def test_readme_cli_commands_parse():
+    # Every pprinv command in README's CLI block is one the parser takes, so
+    # a flag cannot stay documented once it is gone. Nothing is run.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("pprinv ")]
+    assert {argv[0] for argv in commands} == {"embed", "invert", "evaluate", "sweep"}
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: pprinv {shlex.join(argv)}")
 
 
 class TestEvaluateCommand:
