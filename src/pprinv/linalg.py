@@ -69,24 +69,35 @@ def pseudoinverse(m: np.ndarray) -> np.ndarray:
     return (vecs * inv_w) @ vecs.T
 
 
-def _similar_eigh(b: np.ndarray, row_sums: np.ndarray):
+def _similar_eigh(b: np.ndarray, row_sums: np.ndarray, out: np.ndarray | None = None):
     """Eigendecomposition of T = D^-1 B (B symmetric, D = diag(row_sums))
     through its symmetric similar S = R^-1 B R^-1, R = D^(1/2).
 
     Returns (lam, V, r) with S = V diag(lam) V^T and r = sqrt(row_sums), so
-    that f(T) = R^-1 V f(lam) V^T R for any polynomial f.
+    that f(T) = R^-1 V f(lam) V^T R for any polynomial f. S is divided out
+    one block of _ROW_BLOCK rows at a time, with the bits of B / outer(r, r)
+    and no n x n outer product, into out when given (an n x n buffer whose
+    contents are spent, free again once this returns), else a new array.
     """
     r = np.sqrt(row_sums)
-    lam, v = np.linalg.eigh(b / np.outer(r, r))
+    s = np.empty_like(b) if out is None else out
+    for rows in _row_blocks(len(b)):
+        np.divide(b[rows], np.outer(r[rows], r), out=s[rows])
+    lam, v = np.linalg.eigh(s)
     return lam, v, r
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """The slices of _ROW_BLOCK rows that cover n rows, in order."""
+    return [slice(start, start + _ROW_BLOCK) for start in range(0, n, _ROW_BLOCK)]
 
 
 def _norm1(m: np.ndarray) -> float:
     """The 1-norm (largest absolute column sum), summed over blocks of
     _ROW_BLOCK rows so that no n x n copy of |m| is made."""
     sums = np.zeros(m.shape[1])
-    for start in range(0, len(m), _ROW_BLOCK):
-        sums += np.abs(m[start : start + _ROW_BLOCK]).sum(axis=0)
+    for rows in _row_blocks(len(m)):
+        sums += np.abs(m[rows]).sum(axis=0)
     return sums.max()
 
 

@@ -13,9 +13,15 @@ eigendecomposition of the soft transition matrix serves both passes: the
 forward evaluates the walk sum on its spectrum (one matmul), and the
 backward chains the adjoints that sit beside each forward step in
 proximity (activation, closed form, walk sum: four matmuls) and then this
-module's own: row normalization and the logistic. Memory per epoch is
-O(n^2) whatever the horizon K. forward_proximity and gradient keep Horner's
-scheme (K matmuls) instead, as the loop's finite-difference oracle.
+module's own: row normalization and the logistic. An epoch runs in place on
+the buffers it already holds, whatever the horizon K: by tracemalloc an
+invert_optimize call peaks at 8.0 n^2 doubles above its target (pinned at
+<= 8.25 n^2 at n = 300), at a later epoch's loss: the logits, both Adam
+moments, B, the eigenvectors, the forward's output, its activation and the
+loss's squares. LAPACK's eigh workspace (about 3 n^2 more, with its copy of
+the input) is malloc'd outside tracemalloc's view and shows in RSS only.
+forward_proximity and gradient keep Horner's scheme (K matmuls) instead, as
+the loop's finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -41,6 +47,10 @@ from .proximity import (
     hop_coefficients,
     preset_config,
 )
+
+
+# Entries of the logistic's chunk: its two temporaries take 512 KiB each.
+_SIGMOID_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -94,14 +104,28 @@ class OptimizeResult:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic of x, written over x (a contiguous array the caller owns)
+    one chunk of _SIGMOID_CHUNK entries at a time, and returned."""
     # exp(-|x|) never overflows, and both branches of the logistic share it:
     # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    flat = x.reshape(-1)
+    for start in range(0, flat.size, _SIGMOID_CHUNK):
+        part = flat[start:start + _SIGMOID_CHUNK]
+        e = np.abs(part)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        numerator = np.where(part >= 0, 1.0, e)
+        e += 1.0
+        np.divide(numerator, e, out=part)
+    return x
 
 
-def _soft_adjacency(logits: np.ndarray, shift: float) -> np.ndarray:
-    b = _sigmoid(logits + shift)
+def _soft_adjacency(
+    logits: np.ndarray, shift: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """B = sigmoid(logits + shift) with zero diagonal, into out when given
+    (an n x n buffer whose contents are spent), else into a new array."""
+    b = _sigmoid(np.add(logits, shift, out=out))
     np.fill_diagonal(b, 0.0)
     return b
 
@@ -207,12 +231,19 @@ def forward_proximity(
     return _apply_activation(_forward(b_soft, _row_sums(b_soft), model), model.activation)
 
 
-def loss(m_hat: np.ndarray, m_target: np.ndarray) -> float:
-    """Squared Frobenius distance between proximity matrices."""
+def _check_shapes(m_hat: np.ndarray, m_target: np.ndarray) -> None:
     if m_hat.shape != m_target.shape:
         raise ValueError(f"shape mismatch: {m_hat.shape} vs {m_target.shape}")
-    diff = m_hat - m_target
+
+
+def _sum_of_squares(diff: np.ndarray) -> float:
     return float(np.sum(diff * diff))
+
+
+def loss(m_hat: np.ndarray, m_target: np.ndarray) -> float:
+    """Squared Frobenius distance between proximity matrices."""
+    _check_shapes(m_hat, m_target)
+    return _sum_of_squares(m_hat - m_target)
 
 
 def _loss_and_gradient(
@@ -222,30 +253,40 @@ def _loss_and_gradient(
     """Loss of m_hat = act(s), s = _forward(B), for a LOG or IDENTITY model,
     and its gradient w.r.t. the shared logits from one eig = _similar_eigh(B):
     the spectral forward (Horner when horner), then the chain of proximity's
-    adjoints, row normalization with the D term, and the logistic. Every
-    intermediate is n x n, so memory is O(n^2) for any K."""
+    adjoints, row normalization with the D term, and the logistic. A target
+    of another shape fails before the eig. Past the eig, the backward runs in
+    place on two n x n buffers, the forward's output and its activation, and
+    returns the gradient in the second: with the eigenvectors and the loss's
+    squares the call holds four n x n arrays beside B, for any K."""
+    _check_shapes(b_soft, m_target)
     row_sums = _row_sums(b_soft)
-    eig = _similar_eigh(b_soft, row_sums)
+    s_mat = np.empty_like(b_soft)  # the eig's S, then the forward's output
+    eig = _similar_eigh(b_soft, row_sums, out=s_mat)
     coeffs = hop_coefficients(model)
-    s_mat = (_forward(b_soft, row_sums, model) if horner
-             else _closed_form(_spectral_walk_sum(eig, coeffs), row_sums, model))
+    s_mat = (_forward(b_soft, row_sums, model) if horner else _closed_form(
+        _spectral_walk_sum(eig, coeffs, out=s_mat), row_sums, model))
     g_s = _apply_activation(s_mat, model.activation)  # m_hat, then its adjoint
-    value = loss(g_s, m_target)
     g_s -= m_target
+    value = _sum_of_squares(g_s)
     g_s *= 2.0
-    g_s = _activation_adjoint(g_s, s_mat, model.activation)
+    _activation_adjoint(g_s, s_mat, model.activation)
     degree_term = _degree_adjoint(g_s, s_mat, model)
+    # s_mat is spent: the scratch of every step from here on.
     g_t, round_off = _spectral_walk_sum_adjoint(
-        eig, coeffs, _closed_form(g_s, row_sums, model))
+        eig, coeffs, _closed_form(g_s, row_sums, model), s_mat)
     # g_b divides V X V^T's round-off by r_i r_j >= min D; the logistic's slope
     # is <= 1/4 and grad sums two terms. A gradient within that is round-off
     # of an exact zero, returned as 0.
     noise = round_off / row_sums.min()
     # T = D^-1 B gives (G_T - rowsum(G_T o T)) / D; D^beta, D^gamma join the row term.
-    weighted = (g_t * b_soft).sum(axis=1) / row_sums - degree_term
-    g_b = (g_t - weighted[:, None]) / row_sums[:, None]
-    g_logit = b_soft * (1.0 - b_soft) * g_b
-    grad = g_logit + g_logit.T
+    weighted = np.multiply(g_t, b_soft, out=s_mat).sum(axis=1) / row_sums - degree_term
+    g_b = g_t
+    g_b -= weighted[:, None]
+    g_b /= row_sums[:, None]
+    g_logit = np.subtract(1.0, b_soft, out=s_mat)  # B (1 - B) G_B
+    g_logit *= b_soft
+    g_logit *= g_b
+    grad = np.add(g_logit, g_logit.T, out=g_b)
     np.fill_diagonal(grad, 0.0)
     if max(grad.max(), -grad.min()) <= 0.5 * noise:
         grad[:] = 0.0
@@ -262,6 +303,32 @@ def gradient(state: OptState, m_target: np.ndarray, cfg: OptConfig) -> np.ndarra
     of it check this gradient; the backward is the optimizer loop's own.
     """
     return _loss_and_gradient(state.b_soft, m_target, cfg.model, horner=True)[1]
+
+
+def _adam_step(
+    logits: np.ndarray, grad: np.ndarray, adam_m: np.ndarray, adam_v: np.ndarray,
+    epoch: int, step_size: float, scratch: np.ndarray,
+) -> None:
+    """One bias-corrected Adam step (0.9, 0.999, 1e-8) at epoch t, written
+    over logits and the moments m, v with the bits of the textbook
+    m = 0.9 m + (1 - 0.9) g, v = 0.999 v + (1 - 0.999) g g,
+    logits -= step_size (m / (1 - 0.9^t)) / (sqrt(v / (1 - 0.999^t)) + 1e-8),
+    each product and quotient in that order; grad g and scratch (n x n,
+    contents spent) hold the temporaries, so the step allocates nothing."""
+    beta1, beta2, tiny = 0.9, 0.999, 1e-8
+    adam_m *= beta1
+    adam_m += np.multiply(1.0 - beta1, grad, out=scratch)
+    adam_v *= beta2
+    step = np.multiply(1.0 - beta2, grad, out=scratch)
+    step *= grad
+    adam_v += step
+    step = np.divide(adam_m, 1.0 - beta1**epoch, out=scratch)
+    step *= step_size
+    denominator = np.divide(adam_v, 1.0 - beta2**epoch, out=grad)
+    np.sqrt(denominator, out=denominator)
+    denominator += tiny
+    step /= denominator
+    logits -= step
 
 
 def invert_optimize(
@@ -289,21 +356,20 @@ def invert_optimize(
     logits = np.zeros((n, n))
     if 0 < m_edges == max_edges:
         return OptimizeResult(graph=binarize(logits, m_edges), losses=())
-    adam_m = adam_v = 0.0
-    beta1, beta2, tiny = 0.9, 0.999, 1e-8
+    adam_m = adam_v = grad = None
     losses = []
     # Each later solve warm-starts from the previous epoch's shift, which the
     # step moves little.
     shift = volume_shift(logits, cfg.target_volume, cfg.newton_iters)
     for epoch in range(1, cfg.epochs + 1):
-        b_soft = _soft_adjacency(logits, shift)
+        # The last epoch's gradient is spent: B is built in its buffer.
+        b_soft = _soft_adjacency(logits, shift, out=grad)
         epoch_loss, grad = _loss_and_gradient(b_soft, m_target, cfg.model)
         losses.append(epoch_loss)
         if grad.any():  # round-off comes back as 0: no step, so none later either
-            adam_m = beta1 * adam_m + (1.0 - beta1) * grad
-            adam_v = beta2 * adam_v + (1.0 - beta2) * grad * grad
-            logits -= cfg.step_size * (adam_m / (1.0 - beta1**epoch)) / (
-                np.sqrt(adam_v / (1.0 - beta2**epoch)) + tiny)
+            if adam_m is None:  # zero arrays step as the scalar 0.0 would, bit for bit
+                adam_m, adam_v = np.zeros((n, n)), np.zeros((n, n))
+            _adam_step(logits, grad, adam_m, adam_v, epoch, cfg.step_size, b_soft)
             shift = volume_shift(logits, cfg.target_volume, cfg.newton_iters, shift)
-    recovered = binarize(_soft_adjacency(logits, shift), m_edges)
+    recovered = binarize(_soft_adjacency(logits, shift, out=grad), m_edges)
     return OptimizeResult(graph=recovered, losses=tuple(losses))

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, _numbers, _walk_operator
-from .linalg import _ROW_BLOCK
+from .linalg import _ROW_BLOCK, _row_blocks
 
 IDENTITY = "identity"
 LOG = "log"
@@ -171,54 +171,69 @@ def _horner(p, coeffs: np.ndarray) -> np.ndarray:
 _SPECTRAL_FLOOR = 1e10
 
 
-def _ratio(r: np.ndarray) -> np.ndarray:
-    """ratio[i, j] = r_j / r_i, so that R^-1 X R = X o ratio elementwise."""
-    return r[None, :] / r[:, None]
+def _by_ratio(op, x: np.ndarray, r: np.ndarray) -> None:
+    """x = op(x, ratio) in place, ratio[i, j] = r_j / r_i: np.multiply gives
+    R^-1 X R = X o ratio, np.divide R X R^-1. One block of _ROW_BLOCK rows
+    of the ratio at a time, each entry's bits those of the whole n x n one."""
+    for rows in _row_blocks(len(x)):
+        op(x[rows], r[None, :] / r[rows, None], out=x[rows])
 
 
-def _spectral_walk_sum(eig, coeffs: np.ndarray, *, guard: bool = False):
-    """f(T) = (V f(lam) V^T) o _ratio(r) for eig = (lam, V, r) of
+def _spectral_walk_sum(eig, coeffs: np.ndarray, *, guard: bool = False,
+                       out: np.ndarray | None = None):
+    """f(T) = (V f(lam) V^T) o ratio (see _by_ratio) for eig = (lam, V, r) of
     linalg._similar_eigh(B, D), with f(x) = sum_i c_i x^i by Horner's scheme
-    on the eigenvalues; with guard, None when some entry does not clear the
-    round-off floor."""
+    on the eigenvalues, into out when given (an n x n buffer whose contents
+    are spent), else a new array; with guard, None when some entry does not
+    clear the round-off floor."""
     lam, v, r = eig
     f = np.full_like(lam, coeffs[-1])
     for c in coeffs[-2::-1]:
         f *= lam
         f += c
-    x = (v * f) @ v.T
+    x = np.matmul(v * f, v.T, out=out)
     if guard and x.min() < _SPECTRAL_FLOOR * np.finfo(np.float64).eps * np.abs(f).max():
         return None
-    x *= _ratio(r)
+    _by_ratio(np.multiply, x, r)
     return x
 
 
-def _divided_differences(lam: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _divided_differences(lam_rows: np.ndarray, lam: np.ndarray, coeffs: np.ndarray):
     """Gamma_ij = (f(lam_i) - f(lam_j)) / (lam_i - lam_j), f'(lam_i) where
-    lam_i = lam_j, for f(x) = sum_k c_k x^k. Horner's h_k = c_k + x h_{k+1}
-    carries it as [h_k](a, b) = h_{k+1}(a) + b [h_{k+1}](a, b), subtracting
-    no nearby values: clustered eigenvalues are as accurate as separated."""
-    h = np.full_like(lam, coeffs[-1])
-    gamma = np.zeros((lam.size, lam.size))
+    lam_i = lam_j, for f(x) = sum_k c_k x^k, lam_i in lam_rows and lam_j in
+    lam: the rows of Gamma for lam_rows, each row's bits the same whichever
+    rows are asked for. Horner's h_k = c_k + x h_{k+1} carries it as
+    [h_k](a, b) = h_{k+1}(a) + b [h_{k+1}](a, b), subtracting no nearby
+    values: clustered eigenvalues are as accurate as separated."""
+    h = np.full_like(lam_rows, coeffs[-1])
+    gamma = np.zeros((lam_rows.size, lam.size))
     for c in coeffs[-2::-1]:
         gamma *= lam[None, :]
         gamma += h[:, None]
-        h = c + lam * h
+        h = c + lam_rows * h
     return gamma
 
 
-def _spectral_walk_sum_adjoint(eig, coeffs: np.ndarray, grad: np.ndarray):
-    """dL/dT for grad = dL/df(T), overwriting grad: by Daleckii-Krein,
+def _spectral_walk_sum_adjoint(eig, coeffs: np.ndarray, grad: np.ndarray,
+                               scratch: np.ndarray):
+    """dL/dT for grad = dL/df(T), written over grad: by Daleckii-Krein,
     R V (Gamma o (V^T (R^-1 grad R) V)) V^T R^-1 (four matmuls for any K),
-    and the absolute round-off n eps max|X| of V X V^T, X the middle factor."""
+    and the absolute round-off n eps max|X| of V X V^T, X the middle factor.
+    Each product is taken left to right, out of place between grad and
+    scratch (an n x n buffer whose contents are spent); Gamma and the ratio
+    are applied one block of _ROW_BLOCK rows at a time. So the adjoint adds
+    no n x n array to the two it is given."""
     lam, v, r = eig
-    ratio = _ratio(r)
-    grad *= ratio
-    inner = v.T @ grad @ v
-    inner *= _divided_differences(lam, coeffs)
-    round_off = lam.size * np.finfo(np.float64).eps * np.abs(inner).max()
-    g_t = v @ inner @ v.T
-    g_t /= ratio
+    _by_ratio(np.multiply, grad, r)
+    inner = np.matmul(np.matmul(v.T, grad, out=scratch), v, out=grad)
+    peaks = []
+    for rows in _row_blocks(lam.size):
+        block = inner[rows]
+        block *= _divided_differences(lam[rows], lam, coeffs)
+        peaks.append(np.abs(block).max())
+    round_off = lam.size * np.finfo(np.float64).eps * np.max(peaks)
+    g_t = np.matmul(np.matmul(v, inner, out=scratch), v.T, out=grad)
+    _by_ratio(np.divide, g_t, r)
     return g_t, round_off
 
 
@@ -273,13 +288,18 @@ def _apply_activation(
 
 
 def _activation_adjoint(grad: np.ndarray, scaled: np.ndarray, activation: str) -> np.ndarray:
-    """The adjoint of _apply_activation at scaled: grad / s where the log is
-    unclamped (s > 1), grad where the identity is (s > 0), 0 elsewhere."""
+    """The adjoint of _apply_activation at scaled, written over grad and
+    returned: grad / s where the log is unclamped (s > 1), grad where the
+    identity is (s > 0), 0 elsewhere."""
     if activation == LOG:
-        return np.divide(grad, scaled, out=np.zeros_like(grad), where=scaled > 1.0)
-    if activation == IDENTITY:
-        return np.where(scaled > 0.0, grad, 0.0)
-    raise ValueError(f"no gradient through the {activation} activation (preset sensei)")
+        live = scaled > 1.0
+        np.divide(grad, scaled, out=grad, where=live)
+    elif activation == IDENTITY:
+        live = scaled > 0.0
+    else:
+        raise ValueError(f"no gradient through the {activation} activation (preset sensei)")
+    np.copyto(grad, 0.0, where=~live)
+    return grad
 
 
 def _closed_form(walk: np.ndarray, row_sums, cfg: ProximityConfig) -> np.ndarray:

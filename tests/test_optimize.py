@@ -1,6 +1,8 @@
 import collections
 import dataclasses
+import functools
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,14 +15,18 @@ from hypothesis import strategies as st
 
 import pprinv
 from conftest import random_connected_graph
+from test_analytical import peak_bytes
 from test_proximity import constant_cfg, tree_plus_edges
 from pprinv.analytical import binarize
+from pprinv.linalg import _similar_eigh, _strict_upper
 from pprinv.optimize import (
     OptConfig,
     OptState,
+    _adam_step,
     _forward,
     _forward_model,
     _loss_and_gradient,
+    _sigmoid,
     _soft_adjacency,
     forward_proximity,
     gradient,
@@ -32,9 +38,13 @@ from pprinv.proximity import (
     IDENTITY,
     LOG,
     ProximityConfig,
+    _activation_adjoint,
     _apply_activation,
     _closed_form,
+    _degree_adjoint,
     _horner,
+    _spectral_walk_sum,
+    _spectral_walk_sum_adjoint,
     build_proximity,
     hop_coefficients,
     preset_config,
@@ -366,6 +376,19 @@ class TestGradient:
         if noise:
             m_target = m_target + rng.normal(0.0, noise, (n, n))
         return OptState(logits=logits, shift=shift, b_soft=b), m_target, cfg
+
+    def test_broadcastable_target_rejected_before_the_eig(self, monkeypatch):
+        # The backward subtracts the target in place, where an (n,) or (1, n)
+        # target would broadcast over every row; both entries refuse it, and
+        # the gradient before its eigendecomposition.
+        state, m_target, cfg = self.make_state(0)
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        for bad in (m_target[0], m_target[:1]):
+            message = re.escape(f"shape mismatch: (8, 8) vs {bad.shape}")
+            with pytest.raises(ValueError, match=message):
+                gradient(state, bad, cfg)
+            with pytest.raises(ValueError, match=message):
+                loss(state.b_soft, bad)
 
     def test_zero_when_target_matches(self):
         state, _, cfg = self.make_state(0, noise=0.0)
@@ -724,6 +747,16 @@ class TestInvertOptimize:
         second = invert_optimize(target, cfg, g.num_edges).losses
         assert np.abs(np.subtract(first, second)).max() < 1e-9
 
+    def test_peak_memory_above_target(self):
+        # In n x n float64 arrays at n = 300: 8.02, at a later epoch's loss:
+        # the logits, both Adam moments, B, the eigenvectors, the forward's
+        # output, its activation and the loss's squares. The out-of-place
+        # epoch peaked at 12.11, at the logistic's slope in the backward.
+        g = random_connected_graph(300, 0.05, 3)
+        target = forward_proximity(g.adjacency(), 0.1, 1e-7, 10)
+        cfg = OptConfig(target_volume=float(g.volume), alpha=0.1, epochs=3)
+        assert peak_bytes(invert_optimize, target, cfg, g.num_edges) <= 8.25 * 8.0 * g.n**2
+
     def test_rejects_non_square_target(self):
         cfg = OptConfig(target_volume=4.0, alpha=0.5)
         with pytest.raises(ValueError, match="square"):
@@ -766,6 +799,187 @@ class TestInvertOptimize:
             want = loss(forward_proximity(_soft_adjacency(logits, shift), cfg.alpha,
                                           cfg.epsilon, cfg.k_horizon), m_target)
             assert abs(result.losses[e] - want) <= 1e-12 * want
+
+
+# The epoch's expressions as they were written out of place, kept as the
+# bits that the in-place epoch must reproduce.
+def reference_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def reference_ratio(r):
+    return r[None, :] / r[:, None]
+
+
+def reference_similar_eigh(b, row_sums):
+    r = np.sqrt(row_sums)
+    lam, v = np.linalg.eigh(b / np.outer(r, r))
+    return lam, v, r
+
+
+def reference_walk_sum(eig, coeffs):
+    lam, v, r = eig
+    f = np.full_like(lam, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        f *= lam
+        f += c
+    x = (v * f) @ v.T
+    x *= reference_ratio(r)
+    return x
+
+
+def reference_divided_differences(lam, coeffs):
+    h = np.full_like(lam, coeffs[-1])
+    gamma = np.zeros((lam.size, lam.size))
+    for c in coeffs[-2::-1]:
+        gamma *= lam[None, :]
+        gamma += h[:, None]
+        h = c + lam * h
+    return gamma
+
+
+def reference_walk_sum_adjoint(eig, coeffs, grad):
+    lam, v, r = eig
+    ratio = reference_ratio(r)
+    grad = grad * ratio
+    inner = v.T @ grad @ v
+    inner *= reference_divided_differences(lam, coeffs)
+    round_off = lam.size * np.finfo(np.float64).eps * np.abs(inner).max()
+    g_t = v @ inner @ v.T
+    g_t /= ratio
+    return g_t, round_off
+
+
+def reference_activation_adjoint(grad, scaled, activation):
+    if activation == LOG:
+        return np.divide(grad, scaled, out=np.zeros_like(grad), where=scaled > 1.0)
+    return np.where(scaled > 0.0, grad, 0.0)
+
+
+def reference_loss_and_gradient(b_soft, m_target, model):
+    row_sums = b_soft.sum(axis=1)
+    eig = reference_similar_eigh(b_soft, row_sums)
+    coeffs = hop_coefficients(model)
+    s_mat = _closed_form(reference_walk_sum(eig, coeffs), row_sums, model)
+    g_s = _apply_activation(s_mat, model.activation)
+    diff = g_s - m_target
+    value = float(np.sum(diff * diff))
+    g_s -= m_target
+    g_s *= 2.0
+    g_s = reference_activation_adjoint(g_s, s_mat, model.activation)
+    degree_term = _degree_adjoint(g_s, s_mat, model)
+    g_t, round_off = reference_walk_sum_adjoint(
+        eig, coeffs, _closed_form(g_s, row_sums, model))
+    noise = round_off / row_sums.min()
+    weighted = (g_t * b_soft).sum(axis=1) / row_sums - degree_term
+    g_b = (g_t - weighted[:, None]) / row_sums[:, None]
+    g_logit = b_soft * (1.0 - b_soft) * g_b
+    grad = g_logit + g_logit.T
+    np.fill_diagonal(grad, 0.0)
+    if max(grad.max(), -grad.min()) <= 0.5 * noise:
+        grad[:] = 0.0
+    return value, grad
+
+
+def reference_adam(logits, grad, adam_m, adam_v, epoch, step_size):
+    adam_m = 0.9 * adam_m + (1.0 - 0.9) * grad
+    adam_v = 0.999 * adam_v + (1.0 - 0.999) * grad * grad
+    logits = logits - step_size * (adam_m / (1.0 - 0.9**epoch)) / (
+        np.sqrt(adam_v / (1.0 - 0.999**epoch)) + 1e-8)
+    return logits, adam_m, adam_v
+
+
+@functools.lru_cache
+def epoch_state(n):
+    """Symmetric logits of spread 3 at n, the shift that gives them a tenth
+    of all pairs, and a STRAP target from other logits at that shift; the
+    arrays are shared between tests, so read-only."""
+    logits = symmetric_logits(n, n, scale=3.0)
+    shift = volume_shift(logits, 0.1 * n * (n - 1), OptConfig.newton_iters)
+    other = _soft_adjacency(symmetric_logits(n, n + 1, scale=3.0), shift)
+    target = forward_proximity(other, 0.1, 5e-8, 10)
+    logits.flags.writeable = target.flags.writeable = False
+    return logits, shift, target
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# One, three and four blocks of 128 rows; OpenBLAS picks its kernels by the
+# operands' shapes, so an out= product is checked at each size.
+@pytest.mark.parametrize("n", [129, 300, 400])
+class TestInPlaceEpochBits:
+    def test_logistic(self, n):
+        logits, shift, _ = epoch_state(n)
+        want = reference_sigmoid(logits + shift)
+        np.fill_diagonal(want, 0.0)
+        assert same_bits(_soft_adjacency(logits, shift), want)
+        assert same_bits(_soft_adjacency(logits, shift, out=np.full((n, n), np.nan)), want)
+        upper = _strict_upper(logits) + shift  # volume_shift's half problem
+        assert same_bits(_sigmoid(upper.copy()), reference_sigmoid(upper))
+
+    def test_similar_eigh(self, n):
+        b = _soft_adjacency(*epoch_state(n)[:2])
+        want = reference_similar_eigh(b, b.sum(axis=1))
+        for out in (None, np.full((n, n), np.nan)):
+            got = _similar_eigh(b, b.sum(axis=1), out=out)
+            assert all(same_bits(x, y) for x, y in zip(got, want))
+        g = random_connected_graph(n, 0.05, n)  # a graph's kept spectrum too
+        want = reference_similar_eigh(g.adjacency(), g.degrees)
+        assert all(same_bits(x, y) for x, y in zip(g._spectrum, want))
+
+    def test_walk_sum_and_its_adjoint(self, n):
+        b = _soft_adjacency(*epoch_state(n)[:2])
+        eig = reference_similar_eigh(b, b.sum(axis=1))
+        coeffs = hop_coefficients(_forward_model(0.1, 5e-8, 10))
+        want = reference_walk_sum(eig, coeffs)
+        for out in (None, np.full((n, n), np.nan)):
+            assert same_bits(_spectral_walk_sum(eig, coeffs, out=out), want)
+        grad = np.random.default_rng(n).normal(size=(n, n))
+        want, want_round_off = reference_walk_sum_adjoint(eig, coeffs, grad)
+        got, round_off = _spectral_walk_sum_adjoint(
+            eig, coeffs, grad.copy(), np.full((n, n), np.nan))
+        assert same_bits(got, want) and round_off == want_round_off
+
+    @pytest.mark.parametrize("activation", [LOG, IDENTITY])
+    def test_activation_adjoint(self, n, activation):
+        rng = np.random.default_rng(n)
+        grad, scaled = rng.normal(size=(n, n)), rng.uniform(-1.0, 3.0, (n, n))
+        scaled[0, :3] = 0.0, 1.0, np.nan  # the clamps' edges
+        want = reference_activation_adjoint(grad, scaled, activation)
+        assert same_bits(_activation_adjoint(grad.copy(), scaled, activation), want)
+
+    @pytest.mark.parametrize("preset", ["strap", "nrp"])
+    def test_loss_and_gradient(self, n, preset):
+        # STRAP is the optimizer's model (LOG, no degree term); NRP runs the
+        # IDENTITY activation and the D^beta, D^gamma term.
+        logits, shift, target = epoch_state(n)
+        if preset == "strap":
+            model = _forward_model(0.1, 5e-8, 10)
+        else:
+            model = preset_config("nrp", alpha=0.1, epsilon=1e-7, k_horizon=10)
+            target = np.random.default_rng(n).normal(0.0, 0.1, (n, n))
+        b = _soft_adjacency(logits, shift)
+        value, grad = _loss_and_gradient(b, target, model)
+        want_value, want_grad = reference_loss_and_gradient(b, target, model)
+        assert value == want_value and same_bits(grad, want_grad)
+        assert grad.any()
+
+    def test_adam_step(self, n):
+        # Two steps: the first from zero moments, which the textbook writes
+        # as the scalar 0.0 (and a -0.0 gradient entry must come out +0.0).
+        rng = np.random.default_rng(n)
+        logits = symmetric_logits(n, n, scale=3.0)
+        grads = [rng.normal(size=(n, n)) for _ in range(2)]
+        grads[0][0, 1] = grads[0][1, 0] = -0.0
+        want = logits, 0.0, 0.0
+        got = logits.copy(), np.zeros((n, n)), np.zeros((n, n))
+        for epoch, grad in enumerate(grads, start=1):
+            want = reference_adam(want[0], grad, want[1], want[2], epoch, 0.3)
+            _adam_step(got[0], grad.copy(), got[1], got[2], epoch, 0.3, np.empty((n, n)))
+            assert all(same_bits(x, y) for x, y in zip(got, want))
 
 
 def run_fresh_import(code):
